@@ -155,8 +155,54 @@ def amcmc_step(state: ChainState, config: AdaptiveConfig, target: TargetModel,
     return ChainState(x_new, theta_new, xi, n)
 
 
+def _metropolis(target: TargetModel, seed: int, x0: float, theta0: float, steps: int,
+                benchmark=None, sqrt_n: float = 1.0,
+                decaying: bool = True) -> ChainTrajectory:
+    """The per-step loop of every chain, on plain floats.
+
+    Step i draws one standard normal and then one uniform from
+    stream_rng(seed), proposes x + (theta/sqrt_n) * eps and accepts when
+    log u < log psi(y) - log psi(x), carrying log psi(x) between steps.
+    With a benchmark, theta is then retuned by exp((xi - benchmark)/r),
+    where r is sqrt(i + 1) for a decaying gain and sqrt_n otherwise.
+    """
+    rng = stream_rng(seed)
+    normal, uniform = rng.standard_normal, rng.random
+    log_density = target.log_density
+    log, exp, sqrt, inf = math.log, math.exp, math.sqrt, math.inf
+    x, theta = float(x0), theta0  # an int or numpy x0 would miss the float branch
+    lp_x = log_density(x)
+    xs = np.empty(steps)
+    thetas = np.empty(steps)
+    xis = np.empty(steps, dtype=np.int8)
+    for i in range(steps):
+        eps = normal()
+        u = uniform()
+        log_u = log(u) if u > 0.0 else -inf
+        y = x + (theta / sqrt_n) * eps
+        lp_y = log_density(y)
+        if log_u < lp_y - lp_x:
+            x, lp_x, xi = y, lp_y, 1
+        else:
+            xi = 0
+        if benchmark is not None:
+            theta = theta * exp((xi - benchmark) / (sqrt(i + 1) if decaying else sqrt_n))
+        xs[i] = x
+        thetas[i] = theta
+        xis[i] = xi
+    return ChainTrajectory(x=xs, theta=thetas, xi=xis)
+
+
 def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
-    """Adaptive chain: n_samples repeated steps from (x0, theta0)."""
+    """Adaptive chain: n_samples repeated steps from (x0, theta0).
+
+    The propose-then-accept formulation runs on the shared loop; the
+    Bernoulli-first one steps through amcmc_step, so the two remain
+    independent implementations of the same chain.
+    """
+    if config.formulation == "propose_then_accept":
+        return _metropolis(target, config.seed, config.x0, config.theta0,
+                           config.n_samples, benchmark=config.p)
     rng = stream_rng(config.seed)
     state = ChainState(config.x0, config.theta0, 0, 0)
     n = config.n_samples
@@ -173,27 +219,7 @@ def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
 
 def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
     """Standard MH chain: identical mechanics, theta fixed at theta0."""
-    rng = stream_rng(config.seed)
-    theta = config.theta0
-    x = config.x0
-    lp_x = target.log_density(x)
-    log_density = target.log_density
-    n = config.n_samples
-    xs = np.empty(n)
-    xis = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        eps = rng.standard_normal()
-        u = rng.random()
-        log_u = math.log(u) if u > 0.0 else -math.inf
-        y = x + theta * eps
-        lp_y = log_density(y)
-        if _accept(log_u, lp_y - lp_x):
-            x, lp_x = y, lp_y
-            xis[i] = 1
-        else:
-            xis[i] = 0
-        xs[i] = x
-    return ChainTrajectory(x=xs, theta=np.full(n, theta), xi=xis)
+    return _metropolis(target, config.seed, config.x0, config.theta0, config.n_samples)
 
 
 def run_embedded(config: EmbeddedConfig, target: TargetModel) -> ChainTrajectory:
@@ -204,31 +230,6 @@ def run_embedded(config: EmbeddedConfig, target: TargetModel) -> ChainTrajectory
     p_n = 1 - p/sqrt(n).  Values between grid points are the previous grid
     value (piecewise-constant interpolation).
     """
-    rng = stream_rng(config.seed)
-    sqrt_n = math.sqrt(config.n_resolution)
-    p_n = config.p_n
-    x = config.x0
-    theta = config.theta0
-    lp_x = target.log_density(x)
-    log_density = target.log_density
-    steps = config.n_steps
-    xs = np.empty(steps)
-    thetas = np.empty(steps)
-    xis = np.empty(steps, dtype=np.int8)
-    for i in range(steps):
-        eps = rng.standard_normal()
-        u = rng.random()
-        log_u = math.log(u) if u > 0.0 else -math.inf
-        y = x + (theta / sqrt_n) * eps
-        lp_y = log_density(y)
-        if _accept(log_u, lp_y - lp_x):
-            x, lp_x = y, lp_y
-            xi = 1
-        else:
-            xi = 0
-        if config.adaptive:
-            theta = theta * math.exp((xi - p_n) / sqrt_n)
-        xs[i] = x
-        thetas[i] = theta
-        xis[i] = xi
-    return ChainTrajectory(x=xs, theta=thetas, xi=xis)
+    return _metropolis(target, config.seed, config.x0, config.theta0, config.n_steps,
+                       benchmark=config.p_n if config.adaptive else None,
+                       sqrt_n=math.sqrt(config.n_resolution), decaying=False)

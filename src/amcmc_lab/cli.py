@@ -15,16 +15,18 @@ unless the whole grid completes, and the exit code is nonzero on any error.
 import argparse
 import sys
 
-from .chains import AdaptiveConfig, run_amcmc, run_smcmc
+from .chains import run_amcmc, run_smcmc
 from .coeffs import COEFF_KINDS
 from .experiments import (
     ARMS,
     ExperimentSpec,
+    discrete_jobs,
     emit_csv,
     print_summary,
     run_experiment,
+    sde_jobs,
 )
-from .sde import BOUNDARY_MODES
+from .sde import BOUNDARY_MODES, run_ensemble
 from .stats import KS_CORRECTIONS
 from .targets import TARGET_KINDS, make_target
 
@@ -140,24 +142,31 @@ def _spec_from_args(args) -> ExperimentSpec:
     )
 
 
-def _dump_trajectory(args, destination: str) -> None:
+def _dump_job(spec, args):
+    """The job whose row a requested dump reproduces: replicate 0 of the
+    grid's single cell of the dumped arm, or None when no dump is asked."""
+    if getattr(args, "dump_trajectory", None):
+        arm = "standard" if spec.arm == "standard" else "adaptive"
+        jobs, flag, grid = (discrete_jobs(spec), "--dump-trajectory",
+                            "one --theta0 and, for the adaptive arm, one --p")
+    elif getattr(args, "dump_terminal", None):
+        if spec.arm == "both":
+            raise ValueError("--dump-terminal needs --arm adaptive or --arm standard")
+        arm = spec.arm
+        jobs, flag, grid = (sde_jobs(spec), "--dump-terminal",
+                            "one --h and, for the adaptive arm, one --p")
+    else:
+        return None
+    chosen = [job for job in jobs if job.arm == arm and job.replicate == 0]
+    if len(chosen) != 1:
+        raise ValueError(f"{flag} needs a single-cell grid ({grid})")
+    return chosen[0]
+
+
+def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
-    theta0 = args.theta0 or []
-    ps = args.p or []
-    if len(theta0) != 1 or (args.arm != "standard" and len(ps) != 1):
-        raise ValueError("--dump-trajectory needs a single-cell grid "
-                         "(one --theta0 and, for the adaptive arm, one --p)")
-    target = make_target(args.target)
-    config = AdaptiveConfig(
-        p=ps[0] if ps else 0.5,
-        theta0=theta0[0],
-        n_samples=args.n_samples,
-        x0=args.x0 if args.x0 is not None else 0.0,
-        burn_in=args.burn_in,
-        seed=args.seed,
-    )
-    run = run_smcmc if args.arm == "standard" else run_amcmc
-    trajectory = run(config, target)
+    run = run_amcmc if job.arm == "adaptive" else run_smcmc
+    trajectory = run(job.config, make_target(job.target))
     lines = ["step,x,theta,xi"]
     for i in range(len(trajectory)):
         state = trajectory.state(i)
@@ -166,30 +175,9 @@ def _dump_trajectory(args, destination: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _dump_terminal(args, destination: str) -> None:
+def _dump_terminal(job, destination: str) -> None:
     """Debug export of one ensemble's terminal sample, one value per line."""
-    hs = args.h or []
-    ps = args.p or []
-    if args.arm == "both":
-        raise ValueError("--dump-terminal needs --arm adaptive or --arm standard")
-    if len(hs) != 1 or (args.arm == "adaptive" and len(ps) != 1):
-        raise ValueError("--dump-terminal needs a single-cell grid "
-                         "(one --h and, for the adaptive arm, one --p)")
-    from .sde import EulerConfig, run_ensemble
-    target = make_target(args.target)
-    theta0 = (args.theta0 or [1.0])[0]
-    config = EulerConfig(
-        h=hs[0],
-        horizon_t=args.horizon,
-        p=ps[0] if ps else 1.0,
-        theta0=theta0,
-        x0=args.x0 if args.x0 is not None else (1.0 if args.target == "exp" else 0.0),
-        n_paths=args.paths,
-        seed=args.seed,
-        adaptive=(args.arm == "adaptive"),
-        boundary_mode=args.boundary,
-    )
-    result = run_ensemble(target, config)
+    result = run_ensemble(make_target(job.target), job.config)
     lines = ["x_T"] + [repr(float(v)) for v in result.x_t]
     with open(destination, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -200,16 +188,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
+        dump = _dump_job(spec, args)  # a bad dump request fails before any work
         rows = run_experiment(spec)
         print_summary(rows)
         if args.out is not None:
             emit_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
         if getattr(args, "dump_trajectory", None):
-            _dump_trajectory(args, args.dump_trajectory)
+            _dump_trajectory(dump, args.dump_trajectory)
             print(f"wrote trajectory to {args.dump_trajectory}")
         if getattr(args, "dump_terminal", None):
-            _dump_terminal(args, args.dump_terminal)
+            _dump_terminal(dump, args.dump_terminal)
             print(f"wrote terminal sample to {args.dump_terminal}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,9 @@ replicate), and rows are emitted in sorted coordinate order, so output is
 byte-identical no matter how many workers execute the grid.
 """
 
+import contextlib
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -178,7 +180,10 @@ def _common_checks(spec: ExperimentSpec):
 
 
 def _map_jobs(fn, payloads, workers: int):
-    if workers <= 1 or len(payloads) <= 1:
+    # A pool starts every worker up front: never more than there are jobs
+    # or cores to run them.
+    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(payload) for payload in payloads]
     chunk = max(1, len(payloads) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -189,53 +194,57 @@ def _p_key(p):
     return math.inf if p is None else p
 
 
+@dataclass(frozen=True)
+class Job:
+    """One cell x replicate of a grid: its row coordinates and seeded config."""
+
+    target: str
+    arm: str
+    group: float  # theta0 (discrete) or h (sde)
+    p: float  # None on the standard arm
+    seed: int  # the spec's seed, as the row reports it
+    replicate: int
+    ks_correction: str
+    config: object  # AdaptiveConfig or EulerConfig, seeded for this replicate
+
+
+def _jobs(spec: ExperimentSpec, cells, make_config):
+    """Jobs of (arm, group, p) cells in coordinate order, every replicate.
+
+    The config of replicate r of the idx-th cell in that order is seeded
+    with child_seed(spec.seed, idx, r).
+    """
+    return [
+        Job(spec.target, arm, group, p, spec.seed, rep, spec.ks_correction,
+            make_config(arm, group, p, child_seed(spec.seed, idx, rep)))
+        for idx, (arm, group, p) in enumerate(
+            sorted(cells, key=lambda c: (c[1], c[0], _p_key(c[2]))))
+        for rep in range(spec.replicates)
+    ]
+
+
 # Job functions are module-level so they can cross a process boundary.
 
-def _discrete_job(payload) -> DiscreteRow:
-    (target_kind, arm, theta0, p, n_samples, burn_in, x0,
-     run_seed, master_seed, replicate, correction) = payload
-    target = make_target(target_kind)
-    config = AdaptiveConfig(
-        p=p if p is not None else 0.5,  # placeholder; the standard arm ignores p
-        theta0=theta0,
-        n_samples=n_samples,
-        x0=x0,
-        burn_in=burn_in,
-        seed=run_seed,
-    )
-    if arm == "adaptive":
-        trajectory = run_amcmc(config, target)
-    else:
-        trajectory = run_smcmc(config, target)
-    summary = chain_summary(trajectory.x, target, burn_in, correction)
-    return DiscreteRow(target_kind, "discrete", arm, theta0, p, master_seed,
-                       replicate, summary.d, summary.p_value, summary.esjd)
+def _discrete_job(job: Job) -> DiscreteRow:
+    target = make_target(job.target)
+    run = run_amcmc if job.arm == "adaptive" else run_smcmc
+    trajectory = run(job.config, target)
+    summary = chain_summary(trajectory.x, target, job.config.burn_in, job.ks_correction)
+    return DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
+                       job.replicate, summary.d, summary.p_value, summary.esjd)
 
 
-def _sde_job(payload) -> SdeRow:
-    (target_kind, arm, h, p, theta0, x0, n_paths, horizon_t, boundary_mode,
-     run_seed, master_seed, replicate, correction) = payload
-    target = make_target(target_kind)
-    config = EulerConfig(
-        h=h,
-        horizon_t=horizon_t,
-        p=p if p is not None else 1.0,  # placeholder; the standard arm ignores p
-        theta0=theta0,
-        x0=x0,
-        n_paths=n_paths,
-        seed=run_seed,
-        adaptive=(arm == "adaptive"),
-        boundary_mode=boundary_mode,
-    )
-    result = run_ensemble(target, config)
+def _sde_job(job: Job) -> SdeRow:
+    target = make_target(job.target)
+    result = run_ensemble(target, job.config)
     d = ks_statistic(result.x_t, target)
-    p_value = ks_pvalue(d, n_paths, correction)
-    return SdeRow(target_kind, "sde", arm, h, p, master_seed, replicate,
+    p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
+    return SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed, job.replicate,
                   d, p_value, result.theta_t_mean)
 
 
-def run_discrete_experiment(spec: ExperimentSpec):
-    """One row per (theta0, p) adaptive cell and per theta0 standard cell,
+def discrete_jobs(spec: ExperimentSpec):
+    """One job per (theta0, p) adaptive cell and per theta0 standard cell,
     per replicate."""
     _common_checks(spec)
     if spec.mode != "discrete":
@@ -255,22 +264,27 @@ def run_discrete_experiment(spec: ExperimentSpec):
             cells.extend(("adaptive", theta0, p) for p in p_grid)
         if spec.arm in ("standard", "both"):
             cells.append(("standard", theta0, None))
-    cells.sort(key=lambda c: (c[1], c[0], _p_key(c[2])))
 
-    x0 = spec.effective_x0()
-    payloads = [
-        (spec.target, arm, theta0, p, spec.n_samples, spec.burn_in, x0,
-         child_seed(spec.seed, idx, rep), spec.seed, rep, spec.ks_correction)
-        for idx, (arm, theta0, p) in enumerate(cells)
-        for rep in range(spec.replicates)
-    ]
-    rows = _map_jobs(_discrete_job, payloads, spec.workers)
-    rows.sort(key=lambda r: (r.theta0, r.arm, _p_key(r.p), r.replicate))
-    return rows
+    def make_config(arm, theta0, p, run_seed):
+        return AdaptiveConfig(
+            p=p if p is not None else 0.5,  # placeholder; the standard arm ignores p
+            theta0=theta0,
+            n_samples=spec.n_samples,
+            x0=spec.effective_x0(),
+            burn_in=spec.burn_in,
+            seed=run_seed,
+        )
+
+    return _jobs(spec, cells, make_config)
 
 
-def run_sde_experiment(spec: ExperimentSpec):
-    """One row per (h, p) adaptive cell and per h standard cell, per replicate."""
+def run_discrete_experiment(spec: ExperimentSpec):
+    """One row per job of discrete_jobs(spec), in coordinate order."""
+    return _map_jobs(_discrete_job, discrete_jobs(spec), spec.workers)
+
+
+def sde_jobs(spec: ExperimentSpec):
+    """One job per (h, p) adaptive cell and per h standard cell, per replicate."""
     _common_checks(spec)
     if spec.mode != "sde":
         raise ValueError("spec.mode must be 'sde'")
@@ -289,19 +303,26 @@ def run_sde_experiment(spec: ExperimentSpec):
         cells.extend(("adaptive", h, p) for h, p in hp_cells)
     if spec.arm in ("standard", "both"):
         cells.extend(("standard", h, None) for h in sorted({h for h, _ in hp_cells}))
-    cells.sort(key=lambda c: (c[1], c[0], _p_key(c[2])))
 
-    x0 = spec.effective_x0()
-    payloads = [
-        (spec.target, arm, h, p, spec.theta0, x0, spec.n_paths, spec.horizon_t,
-         spec.boundary_mode, child_seed(spec.seed, idx, rep), spec.seed, rep,
-         spec.ks_correction)
-        for idx, (arm, h, p) in enumerate(cells)
-        for rep in range(spec.replicates)
-    ]
-    rows = _map_jobs(_sde_job, payloads, spec.workers)
-    rows.sort(key=lambda r: (r.h, r.arm, _p_key(r.p), r.replicate))
-    return rows
+    def make_config(arm, h, p, run_seed):
+        return EulerConfig(
+            h=h,
+            horizon_t=spec.horizon_t,
+            p=p if p is not None else 1.0,  # placeholder; the standard arm ignores p
+            theta0=spec.theta0,
+            x0=spec.effective_x0(),
+            n_paths=spec.n_paths,
+            seed=run_seed,
+            adaptive=(arm == "adaptive"),
+            boundary_mode=spec.boundary_mode,
+        )
+
+    return _jobs(spec, cells, make_config)
+
+
+def run_sde_experiment(spec: ExperimentSpec):
+    """One row per job of sde_jobs(spec), in coordinate order."""
+    return _map_jobs(_sde_job, sde_jobs(spec), spec.workers)
 
 
 def coeff_draws(spec: ExperimentSpec, kind: str) -> int:
@@ -386,9 +407,10 @@ def _header_and_lines(rows, row_type):
 def emit_csv(rows, destination, row_type=None) -> None:
     """Write homogeneous rows as UTF-8, LF-terminated, comma-separated CSV.
 
-    ``destination`` is a path or a writable text file.  Floats are printed
-    as their shortest round-trip decimals.  ``row_type`` is only needed for
-    an empty row set, where a header-only file is produced.
+    ``destination`` is a path or a writable text file.  A path holds either
+    its previous bytes or the whole new file, never part of it.  Floats are
+    printed as their shortest round-trip decimals.  ``row_type`` is only
+    needed for an empty row set, where a header-only file is produced.
     """
     rows = list(rows)
     if rows:
@@ -403,9 +425,20 @@ def emit_csv(rows, destination, row_type=None) -> None:
     text = "\n".join(_header_and_lines(rows, row_type)) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
+        return
+    # Written whole or not at all: a temp file next to the destination
+    # replaces it only once every byte is on disk.
+    destination = os.fspath(destination)
+    directory, name = os.path.split(os.path.abspath(destination))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.replace(temp, destination)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 _HEADER_TYPES = {header: row_type for row_type, header in _CSV_HEADERS.items()}

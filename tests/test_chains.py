@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcmc_lab import (
+    TARGET_KINDS,
     AdaptiveConfig,
     ChainState,
     EmbeddedConfig,
@@ -232,3 +235,31 @@ def test_trajectory_state_accessors():
     assert len(states) == 5
     assert states[2] == trajectory.state(2)
     assert states[2].step == 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(TARGET_KINDS),
+    seed=st.integers(0, 2**63),
+    p=st.floats(0.05, 0.95),
+    theta0=st.floats(0.01, 50.0),
+    x0=st.floats(-5.0, 5.0),
+    n=st.integers(1, 400),
+)
+def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
+    # run_amcmc's propose-then-accept chain runs on the shared per-step loop;
+    # amcmc_step, stepped by hand on the same stream, is its scalar oracle
+    target = make_target(kind)
+    if kind == "exp":
+        x0 = abs(x0)
+    config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
+    trajectory = run_amcmc(config, target)
+    rng = stream_rng(seed)
+    state = ChainState(x0, theta0, 0, 0)
+    xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    for i in range(n):
+        state = amcmc_step(state, config, target, rng)
+        xs[i], thetas[i], xis[i] = state.x, state.theta, state.xi
+    assert trajectory.x.tobytes() == xs.tobytes()
+    assert trajectory.theta.tobytes() == thetas.tobytes()
+    assert trajectory.xi.tobytes() == xis.tobytes()

@@ -1,4 +1,6 @@
+import errno
 import io
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from amcmc_lab import (
     run_discrete_experiment,
     run_sde_experiment,
 )
+from amcmc_lab import experiments
 from amcmc_lab.cli import main
 from amcmc_lab.experiments import DISCRETE_P_GRIDS, DISCRETE_THETA0_GRID, default_sde_cells
+from amcmc_lab.stats import chain_summary, ks_statistic
+from amcmc_lab.targets import make_target
 
 
 def small_discrete_spec(**overrides):
@@ -291,3 +296,132 @@ def test_discrete_rows_sorted_by_coordinates():
     keys = [(row.theta0, row.arm, row.p if row.p is not None else np.inf,
              row.replicate) for row in rows]
     assert keys == sorted(keys)
+
+
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads, chunksize=1):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize("workers,jobs,cores,expected", [
+    (64, 10, 3, 3),
+    (2, 10, 3, 2),
+    (8, 2, 16, 2),
+    (8, 10, None, None),  # unknown core count: one process, no pool
+    (1, 10, 16, None),
+])
+def test_map_jobs_bounds_the_pool(monkeypatch, workers, jobs, cores, expected):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert experiments._map_jobs(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
+    assert RecordingPool.sizes == ([] if expected is None else [expected])
+
+
+def test_many_workers_give_the_sequential_rows(monkeypatch):
+    sequential = run_discrete_experiment(small_discrete_spec())
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_discrete_experiment(small_discrete_spec(workers=10_000)) == sequential
+    assert RecordingPool.sizes == [3]  # 4 jobs, 3 cores
+
+
+class HalfWrite:
+    """File handle that writes half of what it is given, then runs out of disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+        return False
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_emit_csv_failing_write_keeps_previous_file(tmp_path, monkeypatch):
+    rows = run_discrete_experiment(small_discrete_spec())
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"previous\n")
+    opened = []
+
+    def half_open(file, *args, **kwargs):
+        opened.append(file)
+        return HalfWrite(open(file, *args, **kwargs))
+
+    monkeypatch.setattr(experiments, "open", half_open, raising=False)
+    with pytest.raises(OSError):
+        emit_csv(rows, path)
+    assert opened and os.path.dirname(opened[0]) == str(tmp_path)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+    monkeypatch.undo()
+    emit_csv(rows, path)
+    assert load_csv(path) == rows
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+    buffer = io.StringIO()
+    emit_csv(rows, buffer)
+    assert buffer.getvalue() == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("target,arm,burn_in,argv", [
+    # the run the dumps once failed to reproduce: the row read D = 0.01832,
+    # the dumped chain 0.03705
+    ("normal", "adaptive", 1_000, ["--theta0", "2.38", "--p", "0.25", "--arm", "adaptive",
+                                   "--replicates", "1", "--seed", "3"]),
+    ("normal", "adaptive", 100, ["--theta0", "1.0", "--p", "0.5", "--n-samples", "800",
+                                 "--burn-in", "100", "--replicates", "3", "--seed", "5"]),
+    ("exp", "standard", 100, ["--theta0", "10.0", "--p", "0.5", "--p", "0.25",
+                              "--arm", "standard", "--n-samples", "800", "--burn-in", "100",
+                              "--replicates", "2", "--seed", "6"]),
+])
+def test_cli_dump_trajectory_reproduces_its_row(tmp_path, target, arm, burn_in, argv):
+    out, dump = tmp_path / "rows.csv", tmp_path / "trajectory.csv"
+    assert main(["discrete", "--target", target, *argv, "--out", str(out),
+                 "--dump-trajectory", str(dump)]) == 0
+    (row,) = [r for r in load_csv(out) if r.arm == arm and r.replicate == 0]
+    x = [float(line.split(",")[1])
+         for line in dump.read_text(encoding="utf-8").splitlines()[1:]]
+    summary = chain_summary(x, make_target(target), burn_in)
+    assert (summary.d, summary.p_value, summary.esjd) == (row.d, row.p_value, row.esjd)
+
+
+@pytest.mark.parametrize("arm", ["adaptive", "standard"])
+def test_cli_dump_terminal_reproduces_its_row(tmp_path, arm):
+    out, dump = tmp_path / "rows.csv", tmp_path / "terminal.csv"
+    assert main(["sde", "--target", "exp", "--h", "0.01", "--p", "2.0", "--paths", "40",
+                 "--horizon", "0.3", "--replicates", "2", "--seed", "4", "--arm", arm,
+                 "--out", str(out), "--dump-terminal", str(dump)]) == 0
+    (row,) = [r for r in load_csv(out) if r.replicate == 0]
+    x_t = [float(v) for v in dump.read_text(encoding="utf-8").splitlines()[1:]]
+    assert ks_statistic(np.array(x_t), make_target("exp")) == row.d
+
+
+def test_cli_dump_needs_a_single_cell(tmp_path):
+    # refused before the grid runs, so --out is not written either
+    out, dump = tmp_path / "rows.csv", tmp_path / "t.csv"
+    assert main(["discrete", "--target", "normal", "--theta0", "1.0", "--p", "0.5",
+                 "--p", "0.25", "--n-samples", "100", "--burn-in", "10",
+                 "--replicates", "1", "--out", str(out), "--dump-trajectory", str(dump)]) == 1
+    assert not out.exists() and not dump.exists()
