@@ -45,6 +45,7 @@ from .sde import (
     drift,
     euler_step,
     run_ensemble,
+    run_ensembles,
 )
 from .stats import RunSummary, chain_summary, esjd, ks_pvalue, ks_statistic
 from .targets import TARGET_KINDS, TargetModel, make_target
@@ -89,6 +90,7 @@ __all__ = [
     "run_discrete_experiment",
     "run_embedded",
     "run_ensemble",
+    "run_ensembles",
     "run_experiment",
     "run_sde_experiment",
     "run_smcmc",

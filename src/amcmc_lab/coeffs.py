@@ -48,6 +48,9 @@ class EvalPoint:
             raise ValueError("benchmark p must be positive")
         if not self.target.in_support(self.x):
             raise ValueError(f"x={self.x} outside the support of the {self.target.kind} target")
+        if self.target.kind == "exp" and self.x == 0.0:
+            # the limits need the two-sided score, which the boundary lacks
+            raise ValueError("x=0.0 is the boundary of the exp target; the limits need x > 0")
 
 
 @dataclass(frozen=True)

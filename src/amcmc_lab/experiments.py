@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 from .chains import AdaptiveConfig, run_amcmc, run_smcmc
 from .coeffs import COEFF_KINDS, EvalPoint, limit_coefficient, simulate_moments
-from .sde import EulerConfig, run_ensemble
+from .sde import EulerConfig, run_ensembles
 from .seeding import child_seed
 from .stats import chain_summary, format_pvalue, ks_pvalue, ks_statistic
 from .targets import TARGET_KINDS, make_target
@@ -66,6 +66,11 @@ SDE_CELL_GRIDS = {
         (0.01, (0.5, 1.0, 2.0, 2.5, 2.75, 3.0, 3.5)),
     ),
 }
+
+# Paths of same-h ensembles advanced as one array: bounds a block's memory
+# (about 34 MB of increment buffer at 8192 paths) on the default
+# 11-replicate grid, whose widest mesh holds 44 000 paths.
+SDE_BLOCK_PATHS = 8192
 
 COEFF_THETA_GRID = (0.5, 1.0, 2.0)
 COEFF_X_GRIDS = {
@@ -234,13 +239,17 @@ def _discrete_job(job: Job) -> DiscreteRow:
                        job.replicate, summary.d, summary.p_value, summary.esjd)
 
 
-def _sde_job(job: Job) -> SdeRow:
-    target = make_target(job.target)
-    result = run_ensemble(target, job.config)
-    d = ks_statistic(result.x_t, target)
-    p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
-    return SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed, job.replicate,
-                  d, p_value, result.theta_t_mean)
+def _sde_block(jobs) -> list:
+    """Rows of consecutive same-h jobs, whose ensembles run as one array."""
+    target = make_target(jobs[0].target)
+    results = run_ensembles(target, [job.config for job in jobs])
+    rows = []
+    for job, result in zip(jobs, results):
+        d = ks_statistic(result.x_t, target)
+        p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
+        rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed,
+                           job.replicate, d, p_value, result.theta_t_mean))
+    return rows
 
 
 def discrete_jobs(spec: ExperimentSpec):
@@ -320,9 +329,25 @@ def sde_jobs(spec: ExperimentSpec):
     return _jobs(spec, cells, make_config)
 
 
+def _sde_blocks(jobs):
+    """Consecutive same-h jobs packed into blocks of at most SDE_BLOCK_PATHS
+    paths (one job if a single ensemble is wider); a block is the unit of
+    work of one process."""
+    blocks = []
+    for job in jobs:
+        block = blocks[-1] if blocks else None
+        if (block and block[0].group == job.group
+                and (len(block) + 1) * job.config.n_paths <= SDE_BLOCK_PATHS):
+            block.append(job)
+        else:
+            blocks.append([job])
+    return [tuple(block) for block in blocks]
+
+
 def run_sde_experiment(spec: ExperimentSpec):
     """One row per job of sde_jobs(spec), in coordinate order."""
-    return _map_jobs(_sde_job, sde_jobs(spec), spec.workers)
+    blocks = _sde_blocks(sde_jobs(spec))
+    return [row for rows in _map_jobs(_sde_block, blocks, spec.workers) for row in rows]
 
 
 def coeff_draws(spec: ExperimentSpec, kind: str) -> int:

@@ -26,6 +26,8 @@ from .targets import TargetModel
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
 BOUNDARY_MODES = ("reflect", "hold")
+STEP_CHUNK = 512  # Euler steps of increments drawn per path at a time
+_DRAW_ROWS = 256  # paths drawn into the path-major buffer before its copy
 
 
 class SdeState(NamedTuple):
@@ -120,25 +122,119 @@ def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> 
 
 
 def run_ensemble(target: TargetModel, config: EulerConfig) -> EnsembleResult:
-    """Integrate n_paths independent paths to the horizon.
+    """Integrate n_paths independent paths to the horizon; see run_ensembles."""
+    return run_ensembles(target, [config])[0]
 
-    Path k draws its Gaussian increments from the stream (seed, k), so the
-    result is identical however the paths are scheduled.
+
+def _draw_chunk(rngs, drawn, z) -> None:
+    """Fill the step-major z (steps x paths) with the next len(z) draws of
+    every path's stream.
+
+    A step then reads one contiguous row of z; reading a column of a
+    path-major buffer as wide as the ensembles costs more than the copy
+    through the small path-major buffer ``drawn``.
     """
-    n_steps = config.n_steps
-    n_paths = config.n_paths
-    z = np.empty((n_paths, n_steps))
-    for k in range(n_paths):
-        z[k] = stream_rng(config.seed, k).standard_normal(n_steps)
+    m, width = z.shape
+    for first in range(0, width, len(drawn)):
+        rows = drawn[:width - first, :m]
+        for row, rng in zip(rows, rngs[first:first + len(rows)]):
+            rng.standard_normal(out=row)
+        z[:, first:first + len(rows)] = rows.T
 
-    state = SdeState(np.full(n_paths, config.x0), np.full(n_paths, config.theta0))
-    floor_hits = 0
-    for i in range(n_steps):
-        state = euler_step(target, state, config, z[:, i])
-        if config.adaptive:
-            floor_hits += int(np.count_nonzero(state.theta == THETA_FLOOR))
-    return EnsembleResult(
-        x_t=np.asarray(state.x, float),
-        theta_t_all=np.asarray(state.theta, float),
-        theta_floor_hits=floor_hits,
-    )
+
+_SHARED_FIELDS = ("h", "horizon_t", "x0", "theta0", "n_paths", "boundary_mode")
+
+
+def run_ensembles(target: TargetModel, configs) -> list:
+    """Integrate ensembles that share a mesh as one wide array of paths.
+
+    The configs must agree on every field but ``seed``, ``p`` and
+    ``adaptive``.  Path k of an ensemble draws its Gaussian increments from
+    the stream (seed, k), STEP_CHUNK steps at a time into a reused buffer;
+    draws made in chunks give the bits of one whole draw, and every path
+    takes the float operations of ``euler_step`` in the same order, so each
+    result is identical however the ensembles are grouped or scheduled.
+    Memory is bounded by the chunk, not by the horizon.  Returns one
+    EnsembleResult per config, in the order given.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    for name in _SHARED_FIELDS:
+        if any(getattr(c, name) != getattr(first, name) for c in configs):
+            raise ValueError(f"ensembles run together must share {name}")
+
+    # Adaptive ensembles first, so the theta update touches a leading slice.
+    order = sorted(range(len(configs)), key=lambda i: not configs[i].adaptive)
+    ordered = [configs[i] for i in order]
+    n, n_steps, h = first.n_paths, first.n_steps, first.h
+    n_adaptive = sum(c.adaptive for c in configs)
+    width, a = n * len(configs), n * n_adaptive  # a: paths of adaptive ensembles
+    rngs = [stream_rng(c.seed, k) for c in ordered for k in range(n)]
+    z = np.empty((min(STEP_CHUNK, n_steps), width))
+    drawn = np.empty((min(_DRAW_ROWS, width), len(z)))
+
+    x = np.full(width, first.x0)
+    x_new = np.empty(width)
+    theta = np.full(width, first.theta0)
+    theta_a = theta[:a]
+    p = np.repeat([c.p for c in ordered[:n_adaptive]], n)
+    half_h, sqrt_h = h * 0.5, math.sqrt(h)
+    # The scales of the drift and of the noise: h/2 theta^2 and sqrt(h) theta.
+    # Only their adaptive slice changes from step to step.
+    drift_scale = half_h * theta * theta
+    noise_scale = sqrt_h * theta
+    term = np.empty(width)
+    rate, gain = np.empty(a), np.empty(a)
+    boundary = first.boundary_mode if target.boundary_policy == "reflect_at_zero" else None
+    keep = np.empty(width, bool)
+    floor_hits = np.zeros(n_adaptive, np.int64)
+
+    for start in range(0, n_steps, STEP_CHUNK):
+        m = min(STEP_CHUNK, n_steps - start)
+        _draw_chunk(rngs, drawn, z[:m])
+        for j in range(m):
+            # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
+            # euler_step evaluates it, so every path gets the same bits
+            s = target.score(x)
+            if a:
+                np.multiply(half_h, theta_a, out=drift_scale[:a])
+                drift_scale[:a] *= theta_a
+                np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
+            np.multiply(drift_scale, s, out=term)
+            np.add(x, term, out=x_new)
+            np.multiply(noise_scale, z[j], out=term)
+            x_new += term
+            if boundary == "reflect":
+                np.abs(x_new, out=x)
+            elif boundary == "hold":
+                np.greater_equal(x_new, 0.0, out=keep)
+                np.copyto(x, x_new, where=keep)
+            else:
+                x, x_new = x_new, x
+            if a:
+                # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
+                np.abs(s[:a], out=rate)
+                np.multiply(theta_a, rate, out=rate)
+                rate /= SQRT_2PI
+                np.subtract(p, rate, out=rate)
+                np.multiply(h, theta_a, out=gain)
+                gain *= rate
+                theta_a += gain
+                # Clamps and floor hits need a minimum (NaN aside) at or
+                # below the floor; checking it first costs one pass, not two.
+                if np.fmin.reduce(theta_a) <= THETA_FLOOR:
+                    theta_a[theta_a <= 0.0] = THETA_FLOOR
+                    floor_hits += np.count_nonzero(
+                        (theta_a == THETA_FLOOR).reshape(n_adaptive, n), axis=1)
+
+    results = [None] * len(configs)
+    for slot, i in enumerate(order):
+        paths = slice(slot * n, (slot + 1) * n)
+        results[i] = EnsembleResult(
+            x_t=x[paths].copy(),
+            theta_t_all=theta[paths].copy(),
+            theta_floor_hits=int(floor_hits[slot]) if slot < n_adaptive else 0,
+        )
+    return results

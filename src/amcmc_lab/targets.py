@@ -70,11 +70,15 @@ class TargetModel:
         return _maybe_scalar(np.exp(self.log_density(x)))
 
     def score(self, x):
-        """d/dx log density(x); defined strictly inside the support."""
+        """d/dx log density(x) on the support.
+
+        At the exponential's boundary x = 0 (and -0.0) it is the one-sided
+        derivative -1: reflected and held Euler paths can land exactly there.
+        """
         x = np.asarray(x, float)
         if self.kind == "exp":
-            if np.any(x <= 0.0):
-                raise ValueError("score of the exponential target requires x > 0")
+            if np.any(x < 0.0):
+                raise ValueError("score of the exponential target requires x >= 0")
             out = np.full_like(x, -1.0)
         elif self.kind == "normal":
             out = -x

@@ -40,6 +40,9 @@ def test_limit_rejects_unknown_kind():
 def test_eval_point_validation():
     with pytest.raises(ValueError):
         EvalPoint(x=-1.0, theta=1.0, p=0.5, target=make_target("exp"))
+    for boundary in (0.0, -0.0):  # the score is one-sided there
+        with pytest.raises(ValueError):
+            EvalPoint(x=boundary, theta=1.0, p=0.5, target=make_target("exp"))
     with pytest.raises(ValueError):
         EvalPoint(x=1.0, theta=0.0, p=0.5, target=NORMAL)
 

@@ -340,6 +340,31 @@ def test_many_workers_give_the_sequential_rows(monkeypatch):
     assert RecordingPool.sizes == [3]  # 4 jobs, 3 cores
 
 
+def test_sde_rows_stable_under_workers():
+    # two meshes, so two blocks for the two worker processes
+    spec = small_sde_spec(hp_cells=((0.01, 2.0), (0.02, 1.0)))
+    assert run_sde_experiment(spec) == run_sde_experiment(small_sde_spec(
+        hp_cells=((0.01, 2.0), (0.02, 1.0)), workers=2))
+
+
+def test_sde_default_grid_runs_in_bounded_same_mesh_blocks(monkeypatch):
+    # the blocks are recorded, not run: the default grid has 11 replicates
+    blocks = []
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_sde_block", lambda jobs: blocks.append(jobs) or [])
+    spec = ExperimentSpec(mode="sde", target="cauchy", workers=2)
+    assert run_sde_experiment(spec) == []
+    assert RecordingPool.sizes == [2]
+    assert [job for block in blocks for job in block] == experiments.sde_jobs(spec)
+    widths = [sum(job.config.n_paths for job in block) for block in blocks]
+    assert max(widths) <= experiments.SDE_BLOCK_PATHS
+    assert all(len({job.group for job in block}) == 1 for block in blocks)
+    # 44 ensembles of 1000 paths at h = 1e-4 alone would make one 44 000-path block
+    assert len(blocks) == 6 + 9 + 7 + 9 + 11
+
+
 class HalfWrite:
     """File handle that writes half of what it is given, then runs out of disk."""
 

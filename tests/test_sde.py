@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amcmc_lab import (
+    TARGET_KINDS,
     EulerConfig,
     SdeState,
     drift,
@@ -12,8 +16,9 @@ from amcmc_lab import (
     ks_statistic,
     make_target,
     run_ensemble,
+    run_ensembles,
 )
-from amcmc_lab.sde import SQRT_2PI, THETA_FLOOR
+from amcmc_lab.sde import BOUNDARY_MODES, SQRT_2PI, STEP_CHUNK, THETA_FLOOR
 from amcmc_lab.seeding import stream_rng
 
 NORMAL = make_target("normal")
@@ -180,3 +185,115 @@ def test_euler_config_validation():
         EulerConfig(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, n_paths=0)
     with pytest.raises(ValueError):
         EulerConfig(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, boundary_mode="wrap")
+
+
+def whole_matrix_oracle(target, config):
+    """The ensemble as a loop over euler_step, with every increment drawn
+    up front: (x_t, theta_t_all, theta_floor_hits)."""
+    z = np.empty((config.n_paths, config.n_steps))
+    for k in range(config.n_paths):
+        z[k] = stream_rng(config.seed, k).standard_normal(config.n_steps)
+    state = SdeState(np.full(config.n_paths, config.x0), np.full(config.n_paths, config.theta0))
+    floor_hits = 0
+    for i in range(config.n_steps):
+        state = euler_step(target, state, config, z[:, i])
+        if config.adaptive:
+            floor_hits += int(np.count_nonzero(state.theta == THETA_FLOOR))
+    return state.x, state.theta, floor_hits
+
+
+def same_bits(a, b):
+    # Bit for bit, signed zeros included; a NaN only has to meet a NaN, as
+    # numpy's loops may order the operands of a NaN-on-NaN step either way.
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def assert_matches_oracle(target, configs):
+    with np.errstate(over="ignore", invalid="ignore"):  # coarse meshes may blow up
+        results = run_ensembles(target, configs)
+        oracles = [whole_matrix_oracle(target, config) for config in configs]
+    assert len(results) == len(configs)
+    for result, (x_t, theta_t_all, floor_hits) in zip(results, oracles):
+        assert same_bits(result.x_t, x_t)
+        assert same_bits(result.theta_t_all, theta_t_all)
+        assert result.theta_floor_hits == floor_hits
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(TARGET_KINDS),
+    boundary_mode=st.sampled_from(BOUNDARY_MODES),
+    n_steps=st.sampled_from((1, 2, 37, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
+                             2 * STEP_CHUNK + 7)),
+    h=st.sampled_from((1e-3, 0.01, 0.05, 0.5)),
+    theta0=st.floats(0.1, 100.0),
+    x0=st.floats(-3.0, 3.0),
+    n_paths=st.integers(1, 4),
+    ensembles=st.lists(st.tuples(st.booleans(), st.floats(1e-3, 20.0), st.integers(0, 2**63)),
+                       min_size=1, max_size=4),
+)
+# a coarse mesh with a small p: theta clamps at the floor on the first step
+@example(kind="normal", boundary_mode="reflect", n_steps=STEP_CHUNK + 1, h=0.5,
+         theta0=100.0, x0=3.0, n_paths=3,
+         ensembles=[(False, 1.0, 5), (True, 0.001, 6), (True, 0.01, 7)])
+def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps, h, theta0,
+                                                   x0, n_paths, ensembles):
+    # chunked draws and one wide array per mesh give every bit of the
+    # whole-matrix loop over euler_step, field by field and ensemble by ensemble
+    target = make_target(kind)
+    if kind == "exp":
+        x0 = abs(x0)
+    configs = [EulerConfig(h=h, horizon_t=(n_steps - 0.5) * h, p=p, theta0=theta0, x0=x0,
+                           n_paths=n_paths, seed=seed, adaptive=adaptive,
+                           boundary_mode=boundary_mode)
+               for adaptive, p, seed in ensembles]
+    assert configs[0].n_steps == n_steps
+    assert_matches_oracle(target, configs)
+
+
+def test_run_ensembles_count_floor_hits_per_ensemble():
+    # on a mesh this coarse some paths of each adaptive ensemble clamp
+    configs = [EulerConfig(h=0.5, horizon_t=20.0, p=p, theta0=3.0, n_paths=20, seed=seed,
+                           adaptive=adaptive)
+               for adaptive, p, seed in ((False, 1.0, 1), (True, 0.001, 2), (True, 0.5, 3))]
+    hits = [result.theta_floor_hits for result in run_ensembles(NORMAL, configs)]
+    assert hits[0] == 0 and 0 < hits[1] != hits[2] > 0
+    assert_matches_oracle(NORMAL, configs)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("h", 0.02), ("horizon_t", 2.0), ("x0", 0.5), ("theta0", 2.0), ("n_paths", 3),
+    ("boundary_mode", "hold"),
+])
+def test_run_ensembles_reject_configs_that_do_not_share_a_mesh(field, value):
+    base = dict(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, x0=0.0, n_paths=2)
+    configs = [EulerConfig(**base, seed=1), EulerConfig(**{**base, field: value}, seed=2)]
+    with pytest.raises(ValueError, match=field):
+        run_ensembles(NORMAL, configs)
+
+
+def test_run_ensemble_memory_is_flat_in_the_horizon():
+    # increments are drawn in step chunks: sixteen times the horizon takes
+    # no more memory (the whole increment matrix at 16T would be 12.8 MB)
+    def peak_bytes(horizon_t):
+        config = EulerConfig(h=0.01, horizon_t=horizon_t, p=2.0, theta0=1.0, n_paths=100,
+                             seed=3)
+        tracemalloc.start()
+        try:
+            run_ensemble(NORMAL, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak_bytes(160.0) - peak_bytes(10.0)) < 1 << 20
+
+
+@pytest.mark.parametrize("boundary_mode", BOUNDARY_MODES)
+def test_exponential_ensemble_starts_on_the_boundary(boundary_mode):
+    # the score is one-sided at x = 0, so paths that sit there run on
+    config = EulerConfig(h=0.01, horizon_t=0.5, p=2.0, theta0=1.0, x0=0.0, n_paths=50,
+                         seed=4, boundary_mode=boundary_mode)
+    result = run_ensemble(EXP, config)
+    assert np.all(result.x_t >= 0.0)
+    assert_matches_oracle(EXP, [config])

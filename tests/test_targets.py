@@ -45,10 +45,13 @@ def test_score_closed_forms(kind, x, expected):
 
 def test_score_errors_at_exp_boundary():
     target = make_target("exp")
-    with pytest.raises(ValueError):
-        target.score(0.0)
+    # one-sided at the boundary, where reflected and held paths can land
+    assert target.score(0.0) == -1.0
+    assert target.score(-0.0) == -1.0
     with pytest.raises(ValueError):
         target.score(-0.5)
+    with pytest.raises(ValueError):
+        target.score(np.array([1.0, 0.0, -1e-300]))
 
 
 def test_density_ratio_examples():
