@@ -18,15 +18,14 @@ from .chains import (
 )
 from .coeffs import (
     COEFF_KINDS,
+    CoeffRow,
     CoefficientEstimate,
-    ConvergenceRow,
     EvalPoint,
     convergence_report,
     estimate_coefficient,
     limit_coefficient,
 )
 from .experiments import (
-    CoeffRow,
     DiscreteRow,
     ExperimentSpec,
     SdeRow,
@@ -59,7 +58,6 @@ __all__ = [
     "CoeffRow",
     "COEFF_KINDS",
     "CoefficientEstimate",
-    "ConvergenceRow",
     "DiscreteRow",
     "EmbeddedConfig",
     "EnsembleResult",

@@ -50,14 +50,28 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("benchmark p must lie in (0, 1)")
-        if self.theta0 <= 0.0:
-            raise ValueError("theta0 must be positive")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ValueError("theta0 must be positive and finite")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if not 0 <= self.burn_in < self.n_samples:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_samples")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
+
+
+def embedded_benchmark(p: float, n: int) -> float:
+    """Acceptance benchmark p_n = 1 - p/sqrt(n) of the chain at resolution n,
+    which must be at least 1 and large enough that p_n > 0."""
+    if n < 1:
+        raise ValueError(f"resolution n must be at least 1, got {n}")
+    p_n = 1.0 - p / math.sqrt(n)
+    if p_n <= 0.0:
+        raise ValueError(f"p/sqrt(n) = {p / math.sqrt(n):.3g} >= 1: "
+                         "resolution too small for the chosen benchmark p")
+    return p_n
 
 
 @dataclass(frozen=True)
@@ -73,24 +87,20 @@ class EmbeddedConfig:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.n_resolution < 1:
-            raise ValueError("n_resolution must be at least 1")
-        if self.horizon_t <= 0.0:
-            raise ValueError("horizon_t must be positive")
-        if self.p <= 0.0:
-            raise ValueError("benchmark p must be positive")
-        if self.theta0 <= 0.0:
-            raise ValueError("theta0 must be positive")
-        if self.p_n <= 0.0:
-            raise ValueError(
-                f"p/sqrt(n) = {self.p / math.sqrt(self.n_resolution):.3g} >= 1: "
-                "resolution too small for the chosen benchmark p"
-            )
+        if not 0.0 < self.horizon_t < math.inf:
+            raise ValueError("horizon_t must be positive and finite")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError("benchmark p must be positive and finite")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ValueError("theta0 must be positive and finite")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
+        embedded_benchmark(self.p, self.n_resolution)
 
     @property
     def p_n(self) -> float:
-        """Grid-level acceptance benchmark 1 - p/sqrt(n), clamped to [0, 1]."""
-        return min(1.0, 1.0 - self.p / math.sqrt(self.n_resolution))
+        """Grid-level acceptance benchmark 1 - p/sqrt(n)."""
+        return embedded_benchmark(self.p, self.n_resolution)
 
     @property
     def n_steps(self) -> int:

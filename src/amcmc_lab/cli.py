@@ -15,7 +15,6 @@ unless the whole grid completes, and the exit code is nonzero on any error.
 import argparse
 import sys
 
-from .chains import run_amcmc, run_smcmc
 from .coeffs import COEFF_KINDS
 from .experiments import (
     ARMS,
@@ -23,8 +22,10 @@ from .experiments import (
     discrete_jobs,
     emit_csv,
     print_summary,
+    run_chain,
     run_experiment,
     sde_jobs,
+    write_lines,
 )
 from .sde import BOUNDARY_MODES, run_ensemble
 from .stats import KS_CORRECTIONS
@@ -165,22 +166,18 @@ def _dump_job(spec, args):
 
 def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
-    run = run_amcmc if job.arm == "adaptive" else run_smcmc
-    trajectory = run(job.config, make_target(job.target))
+    trajectory = run_chain(job)
     lines = ["step,x,theta,xi"]
     for i in range(len(trajectory)):
         state = trajectory.state(i)
         lines.append(f"{state.step},{state.x!r},{state.theta!r},{state.xi}")
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(lines, destination)
 
 
 def _dump_terminal(job, destination: str) -> None:
     """Debug export of one ensemble's terminal sample, one value per line."""
     result = run_ensemble(make_target(job.target), job.config)
-    lines = ["x_T"] + [repr(float(v)) for v in result.x_t]
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(["x_T"] + [repr(float(v)) for v in result.x_t], destination)
 
 
 def main(argv=None) -> int:

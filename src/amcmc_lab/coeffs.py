@@ -13,8 +13,9 @@ the limiting dynamics:
     A11 -> theta^2,              A22 -> 0,  A12 -> 0.
 
 estimate_coefficient draws independent one-step transitions from a fixed
-state and averages the requested scaled moment; convergence_report tabulates
-the estimates along a grid of resolutions against the analytic limit.
+state and averages the requested scaled moment; coeff_row sets an estimate
+against its analytic limit, and convergence_report tabulates such rows along
+a grid of resolutions.
 """
 
 import math
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import SQRT_2PI
+from .chains import embedded_benchmark
+from .sde import SdeState, drift
 from .seeding import stream_rng
 from .targets import TargetModel
 
@@ -42,10 +44,12 @@ class EvalPoint:
     target: TargetModel
 
     def __post_init__(self):
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
-        if self.p <= 0.0:
-            raise ValueError("benchmark p must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError("benchmark p must be positive and finite")
+        if not math.isfinite(self.x):
+            raise ValueError("x must be finite")
         if not self.target.in_support(self.x):
             raise ValueError(f"x={self.x} outside the support of the {self.target.kind} target")
         if self.target.kind == "exp" and self.x == 0.0:
@@ -63,7 +67,12 @@ class CoefficientEstimate:
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
+class CoeffRow:
+    kind: str
+    target: str
+    x: float
+    theta: float
+    p: float
     n: int
     estimate: float
     std_error: float
@@ -94,17 +103,6 @@ class _RunningMoment:
         return math.sqrt(max(var, 0.0) / self.count)
 
 
-def _check_resolution(point: EvalPoint, n: int) -> float:
-    """Return p_n = 1 - p/sqrt(n), rejecting degenerate resolutions."""
-    p_n = 1.0 - point.p / math.sqrt(n)
-    if p_n <= 0.0:
-        raise ValueError(
-            f"p/sqrt(n) = {point.p / math.sqrt(n):.3g} >= 1: "
-            "resolution too small for the chosen benchmark p"
-        )
-    return p_n
-
-
 def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                      kinds=COEFF_KINDS) -> dict:
     """Estimate several scaled moments from one shared set of transitions.
@@ -118,7 +116,7 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     for kind in kinds:
         if kind not in COEFF_KINDS:
             raise ValueError(f"unknown coefficient kind {kind!r}")
-    p_n = _check_resolution(point, n)
+    p_n = embedded_benchmark(point.p, n)
 
     target = point.target
     x, theta = point.x, point.theta
@@ -163,18 +161,28 @@ def estimate_coefficient(kind: str, point: EvalPoint, n: int, n_draws: int,
 
 
 def limit_coefficient(kind: str, point: EvalPoint) -> float:
-    """Analytic large-n limit of the corresponding scaled moment."""
+    """Analytic large-n limit of the corresponding scaled moment; B1 and B2
+    are the drift of the coupled diffusion at (x, theta)."""
     theta = point.theta
     if kind in ("A22", "A12"):
         return 0.0
     if kind == "A11":
         return theta * theta
-    s = point.target.score(point.x)
-    if kind == "B1":
-        return 0.5 * theta * theta * s
-    if kind == "B2":
-        return theta * (point.p - theta * abs(s) / SQRT_2PI)
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    if kind not in ("B1", "B2"):
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    b_x, b_theta = drift(point.target, SdeState(point.x, theta), point.p)
+    return float(b_x if kind == "B1" else b_theta)
+
+
+def coeff_row(point: EvalPoint, estimate: CoefficientEstimate) -> CoeffRow:
+    """The row of an estimate at a point: its analytic limit and z-score."""
+    limit = limit_coefficient(estimate.kind, point)
+    if estimate.std_error > 0.0:
+        z = (estimate.estimate - limit) / estimate.std_error
+    else:
+        z = 0.0 if estimate.estimate == limit else math.inf
+    return CoeffRow(estimate.kind, point.target.kind, point.x, point.theta, point.p,
+                    estimate.n, estimate.estimate, estimate.std_error, limit, z)
 
 
 def convergence_report(kind: str, point: EvalPoint, n_grid, n_draws: int,
@@ -187,13 +195,5 @@ def convergence_report(kind: str, point: EvalPoint, n_grid, n_draws: int,
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
-    limit = limit_coefficient(kind, point)
-    rows = []
-    for n in n_grid:
-        est = estimate_coefficient(kind, point, n, n_draws, seed)
-        if est.std_error > 0.0:
-            z = (est.estimate - limit) / est.std_error
-        else:
-            z = 0.0 if est.estimate == limit else math.inf
-        rows.append(ConvergenceRow(n, est.estimate, est.std_error, limit, z))
-    return rows
+    return [coeff_row(point, estimate_coefficient(kind, point, n, n_draws, seed))
+            for n in n_grid]

@@ -19,12 +19,13 @@ byte-identical no matter how many workers execute the grid.
 import contextlib
 import math
 import os
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .chains import AdaptiveConfig, run_amcmc, run_smcmc
-from .coeffs import COEFF_KINDS, EvalPoint, limit_coefficient, simulate_moments
+from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, coeff_row, simulate_moments
 from .sde import EulerConfig, run_ensembles
 from .seeding import child_seed
 from .stats import chain_summary, format_pvalue, ks_pvalue, ks_statistic
@@ -150,20 +151,6 @@ class SdeRow:
     theta_t_mean: float
 
 
-@dataclass(frozen=True)
-class CoeffRow:
-    kind: str
-    target: str
-    x: float
-    theta: float
-    p: float
-    n: int
-    estimate: float
-    std_error: float
-    limit: float
-    z: float
-
-
 _CSV_HEADERS = {
     DiscreteRow: "target,mode,arm,theta0,p,seed,replicate,D,p_value,esjd",
     SdeRow: "target,mode,arm,h,p,seed,replicate,D,p_value,theta_T_mean",
@@ -228,13 +215,17 @@ def _jobs(spec: ExperimentSpec, cells, make_config):
     ]
 
 
+def run_chain(job: Job):
+    """The chain of a discrete job: adaptive or fixed-scale as its arm says."""
+    run = run_amcmc if job.arm == "adaptive" else run_smcmc
+    return run(job.config, make_target(job.target))
+
+
 # Job functions are module-level so they can cross a process boundary.
 
 def _discrete_job(job: Job) -> DiscreteRow:
     target = make_target(job.target)
-    run = run_amcmc if job.arm == "adaptive" else run_smcmc
-    trajectory = run(job.config, target)
-    summary = chain_summary(trajectory.x, target, job.config.burn_in, job.ks_correction)
+    summary = chain_summary(run_chain(job).x, target, job.config.burn_in, job.ks_correction)
     return DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
                        job.replicate, summary.d, summary.p_value, summary.esjd)
 
@@ -260,12 +251,9 @@ def discrete_jobs(spec: ExperimentSpec):
         raise ValueError("spec.mode must be 'discrete'")
     theta0_grid = tuple(sorted(set(spec.theta0_grid))) or DISCRETE_THETA0_GRID
     p_grid = tuple(sorted(set(spec.p_grid))) or DISCRETE_P_GRIDS[spec.target]
-    if any(t <= 0 for t in theta0_grid):
-        raise ValueError("theta0 values must be positive")
+    # The configs check every other value; the standard arm's never see p.
     if any(not 0.0 < p < 1.0 for p in p_grid):
         raise ValueError("discrete-mode p values must lie in (0, 1)")
-    if not 0 <= spec.burn_in < spec.n_samples:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < n_samples")
 
     cells = []
     for theta0 in theta0_grid:
@@ -298,14 +286,9 @@ def sde_jobs(spec: ExperimentSpec):
     if spec.mode != "sde":
         raise ValueError("spec.mode must be 'sde'")
     hp_cells = tuple(sorted(set(spec.hp_cells))) or default_sde_cells(spec.target)
-    if any(h <= 0 or p <= 0 for h, p in hp_cells):
-        raise ValueError("sde-mode h and p values must be positive")
-    if spec.theta0 <= 0:
-        raise ValueError("theta0 must be positive")
-    if spec.horizon_t <= 0:
-        raise ValueError("horizon_t must be positive")
-    if spec.n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    # The configs check every other value; the standard arm's never see p.
+    if any(not 0.0 < p < math.inf for _, p in hp_cells):
+        raise ValueError("sde-mode p values must be positive and finite")
 
     cells = []
     if spec.arm in ("adaptive", "both"):
@@ -367,34 +350,24 @@ def run_coeff_experiment(spec: ExperimentSpec):
     n_grid = tuple(sorted(set(int(n) for n in spec.n_grid))) or COEFF_N_GRID
     p = spec.p_grid[0] if spec.p_grid else 0.5
     kinds = tuple(spec.kinds) or COEFF_KINDS
-    for kind in kinds:
-        if kind not in COEFF_KINDS:
-            raise ValueError(f"unknown coefficient kind {kind!r}")
 
     target = make_target(spec.target)
+    # Bad points fail here, a bad n or kind in the first simulate_moments call.
+    points = [EvalPoint(x=x, theta=theta, p=p, target=target)
+              for x in x_grid for theta in theta_grid]
     rows = []
     cell = 0
-    for x in x_grid:
-        for theta in theta_grid:
-            point = EvalPoint(x=x, theta=theta, p=p, target=target)
-            for n in n_grid:
-                seed = child_seed(spec.seed, cell)
-                by_draws = {}
-                for kind in kinds:
-                    by_draws.setdefault(coeff_draws(spec, kind), []).append(kind)
-                estimates = {}
-                for draws, group in sorted(by_draws.items()):
-                    estimates.update(simulate_moments(point, n, draws, seed, tuple(group)))
-                for kind in kinds:
-                    est = estimates[kind]
-                    limit = limit_coefficient(kind, point)
-                    if est.std_error > 0.0:
-                        z = (est.estimate - limit) / est.std_error
-                    else:
-                        z = 0.0 if est.estimate == limit else math.inf
-                    rows.append(CoeffRow(kind, spec.target, x, theta, p, n,
-                                         est.estimate, est.std_error, limit, z))
-                cell += 1
+    for point in points:
+        for n in n_grid:
+            seed = child_seed(spec.seed, cell)
+            by_draws = {}
+            for kind in kinds:
+                by_draws.setdefault(coeff_draws(spec, kind), []).append(kind)
+            estimates = {}
+            for draws, group in sorted(by_draws.items()):
+                estimates.update(simulate_moments(point, n, draws, seed, tuple(group)))
+            rows.extend(coeff_row(point, estimates[kind]) for kind in kinds)
+            cell += 1
     rows.sort(key=lambda r: (COEFF_KINDS.index(r.kind), r.x, r.theta, r.n))
     return rows
 
@@ -411,10 +384,6 @@ def run_experiment(spec: ExperimentSpec):
 def _format_field(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return repr(float(value))  # shortest round-trip decimal
     return str(value)
@@ -432,10 +401,10 @@ def _header_and_lines(rows, row_type):
 def emit_csv(rows, destination, row_type=None) -> None:
     """Write homogeneous rows as UTF-8, LF-terminated, comma-separated CSV.
 
-    ``destination`` is a path or a writable text file.  A path holds either
-    its previous bytes or the whole new file, never part of it.  Floats are
-    printed as their shortest round-trip decimals.  ``row_type`` is only
-    needed for an empty row set, where a header-only file is produced.
+    ``destination`` is a path or a writable text file, written by
+    write_lines.  Floats are printed as their shortest round-trip decimals.
+    ``row_type`` is only needed for an empty row set, where a header-only
+    file is produced.
     """
     rows = list(rows)
     if rows:
@@ -447,12 +416,20 @@ def emit_csv(rows, destination, row_type=None) -> None:
             raise ValueError("rows must all have the same mode")
     elif row_type is None:
         raise ValueError("an empty row set needs an explicit row_type")
-    text = "\n".join(_header_and_lines(rows, row_type)) + "\n"
+    write_lines(_header_and_lines(rows, row_type), destination)
+
+
+def write_lines(lines, destination) -> None:
+    """Write LF-terminated UTF-8 lines to a path or a writable text file.
+
+    A path holds either its previous bytes or the whole new file, never
+    part of it: a temp file next to it replaces it only once every byte is
+    on disk.
+    """
+    text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
         return
-    # Written whole or not at all: a temp file next to the destination
-    # replaces it only once every byte is on disk.
     destination = os.fspath(destination)
     directory, name = os.path.split(os.path.abspath(destination))
     temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -473,9 +450,9 @@ def _parse_field(row_type, name, text):
     if text == "":
         return None
     kind = {f.name: f.type for f in fields(row_type)}[name]
-    if kind is int or kind == "int":
+    if kind is int:
         return int(text)
-    if kind is float or kind == "float":
+    if kind is float:
         return float(text)
     return text
 
@@ -530,22 +507,15 @@ def print_summary(rows, file=None) -> None:
         key = ((row.h if sde else row.theta0), row.arm, _p_key(row.p))
         cells.setdefault(key, []).append(row)
 
-    def median(values):
-        values = sorted(values)
-        mid = len(values) // 2
-        if len(values) % 2:
-            return values[mid]
-        return 0.5 * (values[mid - 1] + values[mid])
-
     summary = []
     for (group, arm, _), cell_rows in sorted(cells.items()):
         summary.append({
             "group": group,
             "arm": arm,
             "p": cell_rows[0].p,
-            "d": median([r.d for r in cell_rows]),
-            "p_value": median([r.p_value for r in cell_rows]),
-            "tail": median([(r.theta_t_mean if sde else r.esjd) for r in cell_rows]),
+            "d": statistics.median(r.d for r in cell_rows),
+            "p_value": statistics.median(r.p_value for r in cell_rows),
+            "tail": statistics.median((r.theta_t_mean if sde else r.esjd) for r in cell_rows),
         })
     best = {}
     for entry in summary:

@@ -50,14 +50,16 @@ class EulerConfig:
     boundary_mode: str = "reflect"
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("mesh size h must be positive")
-        if self.horizon_t <= 0.0:
-            raise ValueError("horizon_t must be positive")
-        if self.p <= 0.0:
-            raise ValueError("drift benchmark p must be positive")
-        if self.theta0 <= 0.0:
-            raise ValueError("theta0 must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("mesh size h must be positive and finite")
+        if not 0.0 < self.horizon_t < math.inf:
+            raise ValueError("horizon_t must be positive and finite")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError("drift benchmark p must be positive and finite")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ValueError("theta0 must be positive and finite")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.boundary_mode not in BOUNDARY_MODES:

@@ -17,7 +17,7 @@ from amcmc_lab import (
     run_discrete_experiment,
     run_sde_experiment,
 )
-from amcmc_lab import experiments
+from amcmc_lab import cli, experiments
 from amcmc_lab.cli import main
 from amcmc_lab.experiments import DISCRETE_P_GRIDS, DISCRETE_THETA0_GRID, default_sde_cells
 from amcmc_lab.stats import chain_summary, ks_statistic
@@ -386,25 +386,38 @@ class HalfWrite:
 
 def test_emit_csv_failing_write_keeps_previous_file(tmp_path, monkeypatch):
     rows = run_discrete_experiment(small_discrete_spec())
-    path = tmp_path / "rows.csv"
-    path.write_bytes(b"previous\n")
-    opened = []
+    # --out and the two dump destinations
+    writes = {
+        "rows": lambda path: emit_csv(rows, path),
+        "trajectory": lambda path: cli._dump_trajectory(
+            experiments.discrete_jobs(small_discrete_spec())[0], path),
+        "terminal": lambda path: cli._dump_terminal(
+            experiments.sde_jobs(small_sde_spec())[0], path),
+    }
+    for name, write in writes.items():
+        path = tmp_path / name / "out.csv"
+        path.parent.mkdir()
+        path.write_bytes(b"previous\n")
+        opened = []
 
-    def half_open(file, *args, **kwargs):
-        opened.append(file)
-        return HalfWrite(open(file, *args, **kwargs))
+        def half_open(file, *args, **kwargs):
+            opened.append(file)
+            return HalfWrite(open(file, *args, **kwargs))
 
-    monkeypatch.setattr(experiments, "open", half_open, raising=False)
-    with pytest.raises(OSError):
-        emit_csv(rows, path)
-    assert opened and os.path.dirname(opened[0]) == str(tmp_path)
-    assert path.read_bytes() == b"previous\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+        monkeypatch.setattr(experiments, "open", half_open, raising=False)
+        with pytest.raises(OSError):
+            write(path)
+        assert opened and os.path.dirname(opened[0]) == str(path.parent), name
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
 
-    monkeypatch.undo()
-    emit_csv(rows, path)
+        monkeypatch.undo()
+        write(path)
+        assert path.read_bytes() != b"previous\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+
+    path = tmp_path / "rows" / "out.csv"
     assert load_csv(path) == rows
-    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
     buffer = io.StringIO()
     emit_csv(rows, buffer)
     assert buffer.getvalue() == path.read_text(encoding="utf-8")
@@ -450,3 +463,29 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
                  "--p", "0.25", "--n-samples", "100", "--burn-in", "10",
                  "--replicates", "1", "--out", str(out), "--dump-trajectory", str(dump)]) == 1
     assert not out.exists() and not dump.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coeff", "--n", "0"], "resolution n must be at least 1"),
+    (["coeff", "--n", "-4"], "resolution n must be at least 1"),
+    (["coeff", "--n", "100", "--x", "inf"], "x must be finite"),
+    (["sde", "--h", "0.01", "--p", "1.0", "--horizon", "inf"],
+     "horizon_t must be positive and finite"),
+    (["sde", "--h", "0.01", "--p", "1.0", "--horizon", "0.1", "--theta0", "nan"],
+     "theta0 must be positive and finite"),
+    (["sde", "--h", "nan", "--p", "1.0", "--horizon", "0.1"],
+     "h must be positive and finite"),
+    (["discrete", "--theta0", "nan", "--p", "0.5"], "theta0 must be positive and finite"),
+    (["discrete", "--theta0", "1.0", "--p", "0.5", "--x0", "inf"], "x0 must be finite"),
+])
+def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, message):
+    small = {"coeff": ["--kind", "B1", "--draws", "1000"],
+             "sde": ["--paths", "5", "--replicates", "1"],
+             "discrete": ["--n-samples", "100", "--burn-in", "10", "--replicates", "1"]}
+    out = tmp_path / "rows.csv"
+    assert main([argv[0], "--target", "normal", *argv[1:], *small[argv[0]],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
