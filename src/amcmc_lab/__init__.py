@@ -32,10 +32,7 @@ from .experiments import (
     emit_csv,
     load_csv,
     print_summary,
-    run_coeff_experiment,
-    run_discrete_experiment,
     run_experiment,
-    run_sde_experiment,
 )
 from .sde import (
     EnsembleResult,
@@ -84,13 +81,10 @@ __all__ = [
     "make_target",
     "print_summary",
     "run_amcmc",
-    "run_coeff_experiment",
-    "run_discrete_experiment",
     "run_embedded",
     "run_ensemble",
     "run_ensembles",
     "run_experiment",
-    "run_sde_experiment",
     "run_smcmc",
     "__version__",
 ]

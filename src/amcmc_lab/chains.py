@@ -96,6 +96,9 @@ class EmbeddedConfig:
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
         embedded_benchmark(self.p, self.n_resolution)
+        if not math.isfinite(self.n_resolution * self.horizon_t):
+            raise ValueError(f"step count n*horizon_t = {self.n_resolution * self.horizon_t} "
+                             "must be finite")
 
     @property
     def p_n(self) -> float:
@@ -124,9 +127,6 @@ class ChainTrajectory:
 
     def state(self, i: int) -> ChainState:
         return ChainState(float(self.x[i]), float(self.theta[i]), int(self.xi[i]), i + 1)
-
-    def states(self) -> list:
-        return [self.state(i) for i in range(len(self))]
 
 
 def _accept(log_u: float, log_ratio: float) -> bool:

@@ -8,12 +8,14 @@ Subcommands:
 
 Each run prints a summary table to stdout and, with --out, writes the full
 per-replicate rows as CSV.  Grids default to the built-in reference grids
-for the chosen target; repeatable flags override them.  Nothing is written
-unless the whole grid completes, and the exit code is nonzero on any error.
+for the chosen target; repeatable flags override them.  Every other unset
+flag takes ExperimentSpec's default.  Nothing is written unless the whole
+grid completes, and the exit code is nonzero on any error.
 """
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .coeffs import COEFF_KINDS
 from .experiments import (
@@ -34,13 +36,15 @@ from .targets import TARGET_KINDS, make_target
 
 def _add_common(parser):
     parser.add_argument("--target", choices=TARGET_KINDS, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="write per-replicate rows as CSV")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", help="write per-replicate rows as CSV")
+    parser.add_argument("--workers", type=int,
                         help="parallel worker processes (output is identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI; a flag's dest is the ExperimentSpec field it sets, and an
+    unset flag leaves that field at the spec's default."""
     parser = argparse.ArgumentParser(
         prog="amcmc-lab",
         description="Adaptive vs standard MCMC comparison experiments",
@@ -49,98 +53,70 @@ def build_parser() -> argparse.ArgumentParser:
 
     discrete = sub.add_parser("discrete", help="discrete-time chain grid")
     _add_common(discrete)
-    discrete.add_argument("--theta0", type=float, action="append", default=None,
+    discrete.add_argument("--theta0", type=float, action="append", dest="theta0_grid",
                           help="starting proposal scale (repeatable)")
-    discrete.add_argument("--p", type=float, action="append", default=None,
+    discrete.add_argument("--p", type=float, action="append", dest="p_grid",
                           help="benchmark acceptance level (repeatable)")
-    discrete.add_argument("--n-samples", type=int, default=10_000)
-    discrete.add_argument("--burn-in", type=int, default=1_000)
-    discrete.add_argument("--x0", type=float, default=None)
-    discrete.add_argument("--replicates", type=int, default=11)
-    discrete.add_argument("--arm", choices=ARMS, default="both")
-    discrete.add_argument("--ks-correction", choices=KS_CORRECTIONS, default="none")
-    discrete.add_argument("--dump-trajectory", default=None, metavar="FILE",
+    discrete.add_argument("--n-samples", type=int)
+    discrete.add_argument("--burn-in", type=int)
+    discrete.add_argument("--x0", type=float)
+    discrete.add_argument("--replicates", type=int)
+    discrete.add_argument("--arm", choices=ARMS)
+    discrete.add_argument("--ks-correction", choices=KS_CORRECTIONS)
+    discrete.add_argument("--dump-trajectory", metavar="FILE",
                           help="debug: write step,x,theta,xi for a single-cell grid")
 
+    # --h and --p are crossed into hp_cells; --theta0 is repeatable only so
+    # that a second value is refused.
     sde = sub.add_parser("sde", help="Euler ensemble grid")
     _add_common(sde)
-    sde.add_argument("--h", type=float, action="append", default=None,
+    sde.add_argument("--h", type=float, action="append",
                      help="mesh size (repeatable)")
-    sde.add_argument("--p", type=float, action="append", default=None,
+    sde.add_argument("--p", type=float, action="append",
                      help="drift benchmark (repeatable; crossed with --h)")
-    sde.add_argument("--theta0", type=float, action="append", default=None)
-    sde.add_argument("--x0", type=float, default=None)
-    sde.add_argument("--paths", type=int, default=1_000)
-    sde.add_argument("--horizon", type=float, default=1.0)
-    sde.add_argument("--replicates", type=int, default=11)
-    sde.add_argument("--arm", choices=ARMS, default="both")
-    sde.add_argument("--ks-correction", choices=KS_CORRECTIONS, default="none")
-    sde.add_argument("--boundary", choices=BOUNDARY_MODES, default="reflect",
+    sde.add_argument("--theta0", type=float, action="append")
+    sde.add_argument("--x0", type=float)
+    sde.add_argument("--paths", type=int, dest="n_paths")
+    sde.add_argument("--horizon", type=float, dest="horizon_t")
+    sde.add_argument("--replicates", type=int)
+    sde.add_argument("--arm", choices=ARMS)
+    sde.add_argument("--ks-correction", choices=KS_CORRECTIONS)
+    sde.add_argument("--boundary", choices=BOUNDARY_MODES, dest="boundary_mode",
                      help="support repair for the exponential target")
-    sde.add_argument("--dump-terminal", default=None, metavar="FILE",
+    sde.add_argument("--dump-terminal", metavar="FILE",
                      help="debug: write the terminal sample of a single-cell "
                           "grid as a one-column CSV")
 
     coeff = sub.add_parser("coeff", help="one-step moment verification grid")
     _add_common(coeff)
-    coeff.add_argument("--kind", choices=COEFF_KINDS, action="append", default=None,
+    coeff.add_argument("--kind", choices=COEFF_KINDS, action="append", dest="kinds",
                        help="coefficient kind (repeatable; default all)")
-    coeff.add_argument("--x", type=float, action="append", default=None,
+    coeff.add_argument("--x", type=float, action="append", dest="x_grid",
                        help="evaluation point (repeatable)")
-    coeff.add_argument("--theta0", type=float, action="append", default=None)
-    coeff.add_argument("--p", type=float, default=None)
-    coeff.add_argument("--n", type=int, action="append", default=None,
+    coeff.add_argument("--theta0", type=float, action="append", dest="theta0_grid")
+    # repeatable only so that ExperimentSpec refuses a second value
+    coeff.add_argument("--p", type=float, action="append", dest="p_grid")
+    coeff.add_argument("--n", type=int, action="append", dest="n_grid",
                        help="embedding resolution (repeatable)")
-    coeff.add_argument("--draws", type=int, default=100_000)
+    coeff.add_argument("--draws", type=int, dest="n_draws")
 
     return parser
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    common = dict(mode=args.mode, target=args.target, seed=args.seed,
-                  workers=args.workers)
-    if args.mode == "discrete":
-        return ExperimentSpec(
-            theta0_grid=tuple(args.theta0 or ()),
-            p_grid=tuple(args.p or ()),
-            n_samples=args.n_samples,
-            burn_in=args.burn_in,
-            x0=args.x0,
-            replicates=args.replicates,
-            arm=args.arm,
-            ks_correction=args.ks_correction,
-            **common,
-        )
+    names = {field.name for field in fields(ExperimentSpec)}
+    values = {name: tuple(value) if isinstance(value, list) else value
+              for name, value in vars(args).items() if name in names and value is not None}
     if args.mode == "sde":
-        theta0_list = args.theta0 or [1.0]
-        if len(theta0_list) != 1:
-            raise ValueError("sde mode takes a single --theta0")
-        hp_cells = ()
+        if "theta0" in values:
+            if len(values["theta0"]) != 1:
+                raise ValueError("sde mode takes a single --theta0")
+            values["theta0"] = values["theta0"][0]
         if (args.h is None) != (args.p is None):
             raise ValueError("sde mode needs both --h and --p, or neither")
         if args.h is not None:
-            hp_cells = tuple((h, p) for h in args.h for p in args.p)
-        return ExperimentSpec(
-            hp_cells=hp_cells,
-            theta0=theta0_list[0],
-            x0=args.x0,
-            n_paths=args.paths,
-            horizon_t=args.horizon,
-            replicates=args.replicates,
-            arm=args.arm,
-            ks_correction=args.ks_correction,
-            boundary_mode=args.boundary,
-            **common,
-        )
-    return ExperimentSpec(
-        kinds=tuple(args.kind or COEFF_KINDS),
-        x_grid=tuple(args.x or ()),
-        theta0_grid=tuple(args.theta0 or ()),
-        p_grid=(args.p,) if args.p is not None else (),
-        n_grid=tuple(args.n or ()),
-        n_draws=args.draws,
-        **common,
-    )
+            values["hp_cells"] = tuple((h, p) for h in args.h for p in args.p)
+    return ExperimentSpec(**values)
 
 
 def _dump_job(spec, args):
@@ -181,8 +157,7 @@ def _dump_terminal(job, destination: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
         dump = _dump_job(spec, args)  # a bad dump request fails before any work

@@ -17,6 +17,7 @@ byte-identical no matter how many workers execute the grid.
 """
 
 import contextlib
+import itertools
 import math
 import os
 import statistics
@@ -91,7 +92,7 @@ def default_sde_cells(target: str):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully pinned experiment grid; see the mode-specific runners."""
+    """A fully pinned experiment grid; run_experiment runs it."""
 
     mode: str
     target: str
@@ -221,28 +222,6 @@ def run_chain(job: Job):
     return run(job.config, make_target(job.target))
 
 
-# Job functions are module-level so they can cross a process boundary.
-
-def _discrete_job(job: Job) -> DiscreteRow:
-    target = make_target(job.target)
-    summary = chain_summary(run_chain(job).x, target, job.config.burn_in, job.ks_correction)
-    return DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
-                       job.replicate, summary.d, summary.p_value, summary.esjd)
-
-
-def _sde_block(jobs) -> list:
-    """Rows of consecutive same-h jobs, whose ensembles run as one array."""
-    target = make_target(jobs[0].target)
-    results = run_ensembles(target, [job.config for job in jobs])
-    rows = []
-    for job, result in zip(jobs, results):
-        d = ks_statistic(result.x_t, target)
-        p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
-        rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed,
-                           job.replicate, d, p_value, result.theta_t_mean))
-    return rows
-
-
 def discrete_jobs(spec: ExperimentSpec):
     """One job per (theta0, p) adaptive cell and per theta0 standard cell,
     per replicate."""
@@ -273,11 +252,6 @@ def discrete_jobs(spec: ExperimentSpec):
         )
 
     return _jobs(spec, cells, make_config)
-
-
-def run_discrete_experiment(spec: ExperimentSpec):
-    """One row per job of discrete_jobs(spec), in coordinate order."""
-    return _map_jobs(_discrete_job, discrete_jobs(spec), spec.workers)
 
 
 def sde_jobs(spec: ExperimentSpec):
@@ -312,73 +286,110 @@ def sde_jobs(spec: ExperimentSpec):
     return _jobs(spec, cells, make_config)
 
 
-def _sde_blocks(jobs):
-    """Consecutive same-h jobs packed into blocks of at most SDE_BLOCK_PATHS
-    paths (one job if a single ensemble is wider); a block is the unit of
-    work of one process."""
+def _sde_blocks(spec: ExperimentSpec):
+    """Consecutive same-h jobs of sde_jobs(spec) packed into blocks of at
+    most SDE_BLOCK_PATHS paths (one job if a single ensemble is wider)."""
     blocks = []
-    for job in jobs:
-        block = blocks[-1] if blocks else None
-        if (block and block[0].group == job.group
-                and (len(block) + 1) * job.config.n_paths <= SDE_BLOCK_PATHS):
-            block.append(job)
+    for job in sde_jobs(spec):
+        if (blocks and blocks[-1][0].group == job.group
+                and (len(blocks[-1]) + 1) * job.config.n_paths <= SDE_BLOCK_PATHS):
+            blocks[-1].append(job)
         else:
             blocks.append([job])
-    return [tuple(block) for block in blocks]
+    return blocks
 
 
-def run_sde_experiment(spec: ExperimentSpec):
-    """One row per job of sde_jobs(spec), in coordinate order."""
-    blocks = _sde_blocks(sde_jobs(spec))
-    return [row for rows in _map_jobs(_sde_block, blocks, spec.workers) for row in rows]
+@dataclass(frozen=True)
+class CoeffCell:
+    """One (point, n) cell of a coeff grid, seeded for its moment runs."""
+
+    point: EvalPoint
+    n: int
+    seed: int
+    budgets: tuple  # (n_draws, kinds that share its transitions), ascending
 
 
-def coeff_draws(spec: ExperimentSpec, kind: str) -> int:
-    """Draw budget per kind; the heavy-tailed Cauchy B2 moment gets extra."""
-    if spec.target == "cauchy" and kind == "B2":
-        return spec.n_draws * CAUCHY_B2_DRAW_FACTOR
-    return spec.n_draws
+def coeff_cells(spec: ExperimentSpec):
+    """One cell per (x, theta) point and resolution n, point-major, n-minor.
 
-
-def run_coeff_experiment(spec: ExperimentSpec):
-    """Moment estimates with limits and z-scores over (x, theta) x n grids."""
+    The idx-th cell in that order is seeded with child_seed(spec.seed, idx).
+    """
     _common_checks(spec)
     if spec.mode != "coeff":
         raise ValueError("spec.mode must be 'coeff'")
+    if len(spec.p_grid) > 1:
+        raise ValueError("coeff mode takes a single p")
     x_grid = tuple(sorted(set(spec.x_grid))) or COEFF_X_GRIDS[spec.target]
     theta_grid = tuple(sorted(set(spec.theta0_grid))) or COEFF_THETA_GRID
     n_grid = tuple(sorted(set(int(n) for n in spec.n_grid))) or COEFF_N_GRID
     p = spec.p_grid[0] if spec.p_grid else 0.5
     kinds = tuple(spec.kinds) or COEFF_KINDS
+    by_draws = {}
+    for kind in kinds:
+        # the heavy-tailed Cauchy B2 moment gets extra draws
+        factor = CAUCHY_B2_DRAW_FACTOR if (spec.target, kind) == ("cauchy", "B2") else 1
+        by_draws.setdefault(spec.n_draws * factor, []).append(kind)
+    budgets = tuple((draws, tuple(group)) for draws, group in sorted(by_draws.items()))
 
     target = make_target(spec.target)
-    # Bad points fail here, a bad n or kind in the first simulate_moments call.
+    # Bad points fail here, a bad n or kind in the first block.
     points = [EvalPoint(x=x, theta=theta, p=p, target=target)
               for x in x_grid for theta in theta_grid]
+    return [CoeffCell(point, n, child_seed(spec.seed, idx), budgets)
+            for idx, (point, n) in enumerate(itertools.product(points, n_grid))]
+
+
+# Block functions are module-level so they can cross a process boundary.
+
+def _discrete_block(job: Job) -> list:
+    """The row of one discrete job, as a block of one."""
+    target = make_target(job.target)
+    summary = chain_summary(run_chain(job).x, target, job.config.burn_in, job.ks_correction)
+    return [DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
+                        job.replicate, summary.d, summary.p_value, summary.esjd)]
+
+
+def _sde_block(jobs) -> list:
+    """Rows of consecutive same-h jobs, whose ensembles run as one array."""
+    target = make_target(jobs[0].target)
+    results = run_ensembles(target, [job.config for job in jobs])
     rows = []
-    cell = 0
-    for point in points:
-        for n in n_grid:
-            seed = child_seed(spec.seed, cell)
-            by_draws = {}
-            for kind in kinds:
-                by_draws.setdefault(coeff_draws(spec, kind), []).append(kind)
-            estimates = {}
-            for draws, group in sorted(by_draws.items()):
-                estimates.update(simulate_moments(point, n, draws, seed, tuple(group)))
-            rows.extend(coeff_row(point, estimates[kind]) for kind in kinds)
-            cell += 1
-    rows.sort(key=lambda r: (COEFF_KINDS.index(r.kind), r.x, r.theta, r.n))
+    for job, result in zip(jobs, results):
+        d = ks_statistic(result.x_t, target)
+        p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
+        rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed,
+                           job.replicate, d, p_value, result.theta_t_mean))
+    return rows
+
+
+def _coeff_block(cell: CoeffCell) -> list:
+    """Rows of one coeff cell; the kinds of a draw budget share transitions."""
+    rows = []
+    for draws, kinds in cell.budgets:
+        estimates = simulate_moments(cell.point, cell.n, draws, cell.seed, kinds)
+        rows.extend(coeff_row(cell.point, estimates[kind]) for kind in kinds)
     return rows
 
 
 def run_experiment(spec: ExperimentSpec):
-    runner = {
-        "discrete": run_discrete_experiment,
-        "sde": run_sde_experiment,
-        "coeff": run_coeff_experiment,
-    }[spec.mode]
-    return runner(spec)
+    """The rows of a spec's grid, the same whatever spec.workers is.
+
+    A mode splits its grid into blocks, the unit of work of one process: a
+    discrete job, a run of same-h sde jobs, or a coeff cell.  Every block
+    is built, and so the grid's input checked, before any of them runs; a
+    coeff n or kind is checked in its block, before any draw.  Discrete and
+    sde rows come in coordinate order, coeff rows kind-major.
+    """
+    if spec.mode == "discrete":
+        blocks, run_block = discrete_jobs(spec), _discrete_block
+    elif spec.mode == "sde":
+        blocks, run_block = _sde_blocks(spec), _sde_block
+    else:
+        blocks, run_block = coeff_cells(spec), _coeff_block
+    rows = [row for rows in _map_jobs(run_block, blocks, spec.workers) for row in rows]
+    if spec.mode == "coeff":
+        rows.sort(key=lambda r: (COEFF_KINDS.index(r.kind), r.x, r.theta, r.n))
+    return rows
 
 
 def _format_field(value) -> str:

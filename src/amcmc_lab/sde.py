@@ -54,6 +54,9 @@ class EulerConfig:
             raise ValueError("mesh size h must be positive and finite")
         if not 0.0 < self.horizon_t < math.inf:
             raise ValueError("horizon_t must be positive and finite")
+        if not math.isfinite(self.horizon_t / self.h):
+            raise ValueError(f"step count horizon_t/h = {self.horizon_t / self.h} "
+                             "must be finite")
         if not 0.0 < self.p < math.inf:
             raise ValueError("drift benchmark p must be positive and finite")
         if not 0.0 < self.theta0 < math.inf:

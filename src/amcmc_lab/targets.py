@@ -100,13 +100,6 @@ class TargetModel:
             out = np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0)), 0.0)
         return _maybe_scalar(out)
 
-    def density_ratio(self, x, y):
-        """psi(y)/psi(x) via exp(log psi(y) - log psi(x)); 0 off-support y."""
-        if not self.in_support(x):
-            raise ValueError(f"x={x} outside the support of the {self.kind} target")
-        log_ratio = self.log_density(y) - self.log_density(x)
-        return _maybe_scalar(np.exp(log_ratio))
-
 
 def make_target(kind: str) -> TargetModel:
     """Build one of the supported targets: "normal", "cauchy", "t2", "exp"."""

@@ -231,10 +231,11 @@ def test_config_validation():
 def test_trajectory_state_accessors():
     config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=5, seed=1)
     trajectory = run_amcmc(config, NORMAL)
-    states = trajectory.states()
-    assert len(states) == 5
-    assert states[2] == trajectory.state(2)
-    assert states[2].step == 3
+    assert len(trajectory) == 5
+    state = trajectory.state(2)
+    assert (state.x, state.theta, state.xi) == (trajectory.x[2], trajectory.theta[2],
+                                                trajectory.xi[2])
+    assert state.step == 3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -13,9 +13,7 @@ from amcmc_lab import (
     emit_csv,
     load_csv,
     print_summary,
-    run_coeff_experiment,
-    run_discrete_experiment,
-    run_sde_experiment,
+    run_experiment,
 )
 from amcmc_lab import cli, experiments
 from amcmc_lab.cli import main
@@ -39,7 +37,7 @@ def small_sde_spec(**overrides):
 
 
 def test_single_cell_discrete_produces_two_rows_per_replicate():
-    rows = run_discrete_experiment(small_discrete_spec(replicates=1))
+    rows = run_experiment(small_discrete_spec(replicates=1))
     assert len(rows) == 2
     assert {row.arm for row in rows} == {"adaptive", "standard"}
     standard = [row for row in rows if row.arm == "standard"][0]
@@ -50,7 +48,7 @@ def test_single_cell_discrete_produces_two_rows_per_replicate():
 def test_reference_grid_row_count():
     spec = ExperimentSpec(mode="discrete", target="normal", n_samples=60,
                           burn_in=10, replicates=1, seed=1)
-    rows = run_discrete_experiment(spec)
+    rows = run_experiment(spec)
     n_theta = len(DISCRETE_THETA0_GRID)
     n_p = len(DISCRETE_P_GRIDS["normal"])
     assert len(rows) == n_theta * n_p + n_theta
@@ -59,35 +57,37 @@ def test_reference_grid_row_count():
 def test_row_count_formula_with_replicates():
     spec = small_discrete_spec(theta0_grid=(0.5, 1.0), p_grid=(0.3, 0.6),
                                replicates=3, n_samples=120, burn_in=20)
-    rows = run_discrete_experiment(spec)
+    rows = run_experiment(spec)
     assert len(rows) == (2 * 2 + 2) * 3
 
 
 def test_discrete_rows_deterministic():
-    rows_a = run_discrete_experiment(small_discrete_spec())
-    rows_b = run_discrete_experiment(small_discrete_spec())
+    rows_a = run_experiment(small_discrete_spec())
+    rows_b = run_experiment(small_discrete_spec())
     assert rows_a == rows_b
 
 
 def test_discrete_rows_stable_under_workers():
-    sequential = run_discrete_experiment(small_discrete_spec())
-    parallel = run_discrete_experiment(small_discrete_spec(workers=2))
+    sequential = run_experiment(small_discrete_spec())
+    parallel = run_experiment(small_discrete_spec(workers=2))
     assert sequential == parallel
 
 
 def test_invalid_grid_rejected_before_any_work():
     with pytest.raises(ValueError):
-        run_discrete_experiment(small_discrete_spec(p_grid=(1.5,)))
+        run_experiment(small_discrete_spec(p_grid=(1.5,)))
     with pytest.raises(ValueError):
-        run_discrete_experiment(small_discrete_spec(theta0_grid=(-1.0,)))
+        run_experiment(small_discrete_spec(theta0_grid=(-1.0,)))
     with pytest.raises(ValueError):
-        run_discrete_experiment(small_discrete_spec(replicates=0))
+        run_experiment(small_discrete_spec(replicates=0))
     with pytest.raises(ValueError):
-        run_sde_experiment(small_sde_spec(hp_cells=((0.0, 1.0),)))
+        run_experiment(small_sde_spec(hp_cells=((0.0, 1.0),)))
+    with pytest.raises(ValueError, match="coeff mode takes a single p"):
+        run_experiment(ExperimentSpec(mode="coeff", target="normal", p_grid=(0.3, 0.7)))
 
 
 def test_sde_single_cell_rows():
-    rows = run_sde_experiment(small_sde_spec(replicates=1))
+    rows = run_experiment(small_sde_spec(replicates=1))
     assert len(rows) == 2
     adaptive = [row for row in rows if row.arm == "adaptive"][0]
     assert adaptive.h == 0.01 and adaptive.p == 2.0
@@ -97,7 +97,7 @@ def test_sde_single_cell_rows():
 def test_sde_standard_arm_once_per_mesh():
     spec = small_sde_spec(hp_cells=((0.01, 1.0), (0.01, 2.0), (0.02, 1.0)),
                           replicates=1)
-    rows = run_sde_experiment(spec)
+    rows = run_experiment(spec)
     standard = [row for row in rows if row.arm == "standard"]
     assert len(standard) == 2  # one per distinct mesh size
     assert len(rows) == 3 + 2
@@ -107,7 +107,7 @@ def test_sde_exponential_defaults_start_inside_support():
     spec = ExperimentSpec(mode="sde", target="exp", hp_cells=((0.01, 2.0),),
                           n_paths=30, horizon_t=0.1, replicates=1, seed=6)
     assert spec.effective_x0() == 1.0
-    rows = run_sde_experiment(spec)
+    rows = run_experiment(spec)
     assert all(0.0 <= row.d <= 1.0 for row in rows)
 
 
@@ -124,7 +124,7 @@ def test_coeff_experiment_rows():
     spec = ExperimentSpec(mode="coeff", target="normal", x_grid=(1.0,),
                           theta0_grid=(1.0,), n_grid=(100, 10_000),
                           n_draws=5_000, seed=8)
-    rows = run_coeff_experiment(spec)
+    rows = run_experiment(spec)
     assert len(rows) == 5 * 2  # kinds x resolutions
     b1 = [row for row in rows if row.kind == "B1" and row.n == 10_000][0]
     assert b1.limit == pytest.approx(-0.5)
@@ -134,14 +134,14 @@ def test_coeff_experiment_rows():
 def test_coeff_cauchy_b2_gets_extra_draws():
     spec = ExperimentSpec(mode="coeff", target="cauchy", x_grid=(1.0,),
                           theta0_grid=(1.0,), n_grid=(100,), n_draws=2_000, seed=9)
-    rows = run_coeff_experiment(spec)
+    rows = run_experiment(spec)
     by_kind = {row.kind: row for row in rows}
     # extra draws shrink the standard error roughly twofold relative to B1
     assert by_kind["B2"].std_error < by_kind["B1"].std_error
 
 
 def test_emit_csv_discrete_round_trip(tmp_path):
-    rows = run_discrete_experiment(small_discrete_spec(replicates=1))
+    rows = run_experiment(small_discrete_spec(replicates=1))
     path = tmp_path / "rows.csv"
     emit_csv(rows, path)
     text = path.read_text(encoding="utf-8")
@@ -184,8 +184,8 @@ def test_coeff_csv_round_trip(tmp_path):
 
 
 def test_print_summary_flags_best_cell():
-    rows = run_sde_experiment(small_sde_spec(hp_cells=((0.01, 1.0), (0.01, 2.0)),
-                                             replicates=1))
+    rows = run_experiment(small_sde_spec(hp_cells=((0.01, 1.0), (0.01, 2.0)),
+                                         replicates=1))
     buffer = io.StringIO()
     print_summary(rows, file=buffer)
     text = buffer.getvalue()
@@ -272,7 +272,7 @@ def test_cli_coeff_summary(capsys):
 
 def test_spec_round_trips_float_precision(tmp_path):
     # shortest round-trip decimals reload to exactly the same doubles
-    rows = run_discrete_experiment(small_discrete_spec(replicates=1))
+    rows = run_experiment(small_discrete_spec(replicates=1))
     path = tmp_path / "precision.csv"
     emit_csv(rows, path)
     reloaded = load_csv(path)
@@ -292,7 +292,7 @@ def test_load_csv_rejects_foreign_header(tmp_path):
 def test_discrete_rows_sorted_by_coordinates():
     spec = small_discrete_spec(theta0_grid=(2.0, 0.5), p_grid=(0.7, 0.2),
                                replicates=2, n_samples=120, burn_in=10)
-    rows = run_discrete_experiment(spec)
+    rows = run_experiment(spec)
     keys = [(row.theta0, row.arm, row.p if row.p is not None else np.inf,
              row.replicate) for row in rows]
     assert keys == sorted(keys)
@@ -332,18 +332,31 @@ def test_map_jobs_bounds_the_pool(monkeypatch, workers, jobs, cores, expected):
 
 
 def test_many_workers_give_the_sequential_rows(monkeypatch):
-    sequential = run_discrete_experiment(small_discrete_spec())
+    sequential = run_experiment(small_discrete_spec())
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert run_discrete_experiment(small_discrete_spec(workers=10_000)) == sequential
+    assert run_experiment(small_discrete_spec(workers=10_000)) == sequential
     assert RecordingPool.sizes == [3]  # 4 jobs, 3 cores
+
+
+def test_coeff_rows_stable_under_workers(monkeypatch):
+    # two points x two resolutions: four cells for the pool of two
+    spec = ExperimentSpec(mode="coeff", target="cauchy", x_grid=(0.5, 2.0),
+                          theta0_grid=(1.0,), n_grid=(100, 400), n_draws=1_000, seed=2)
+    sequential = run_experiment(spec)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert run_experiment(ExperimentSpec(**{**vars(spec), "workers": 2})) == sequential
+    assert RecordingPool.sizes == [2]
+    assert len(sequential) == 4 * 5
 
 
 def test_sde_rows_stable_under_workers():
     # two meshes, so two blocks for the two worker processes
     spec = small_sde_spec(hp_cells=((0.01, 2.0), (0.02, 1.0)))
-    assert run_sde_experiment(spec) == run_sde_experiment(small_sde_spec(
+    assert run_experiment(spec) == run_experiment(small_sde_spec(
         hp_cells=((0.01, 2.0), (0.02, 1.0)), workers=2))
 
 
@@ -355,7 +368,7 @@ def test_sde_default_grid_runs_in_bounded_same_mesh_blocks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(experiments, "_sde_block", lambda jobs: blocks.append(jobs) or [])
     spec = ExperimentSpec(mode="sde", target="cauchy", workers=2)
-    assert run_sde_experiment(spec) == []
+    assert run_experiment(spec) == []
     assert RecordingPool.sizes == [2]
     assert [job for block in blocks for job in block] == experiments.sde_jobs(spec)
     widths = [sum(job.config.n_paths for job in block) for block in blocks]
@@ -385,7 +398,7 @@ class HalfWrite:
 
 
 def test_emit_csv_failing_write_keeps_previous_file(tmp_path, monkeypatch):
-    rows = run_discrete_experiment(small_discrete_spec())
+    rows = run_experiment(small_discrete_spec())
     # --out and the two dump destinations
     writes = {
         "rows": lambda path: emit_csv(rows, path),
@@ -477,6 +490,9 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
      "h must be positive and finite"),
     (["discrete", "--theta0", "nan", "--p", "0.5"], "theta0 must be positive and finite"),
     (["discrete", "--theta0", "1.0", "--p", "0.5", "--x0", "inf"], "x0 must be finite"),
+    (["sde", "--h", "1e-300", "--p", "1", "--horizon", "1e10"],
+     "horizon_t/h = inf must be finite"),
+    (["coeff", "--n", "100", "--p", "0.3", "--p", "0.7"], "coeff mode takes a single p"),
 ])
 def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, message):
     small = {"coeff": ["--kind", "B1", "--draws", "1000"],
@@ -489,3 +505,9 @@ def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, mes
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["discrete", "sde", "coeff"])
+def test_unset_flags_take_the_spec_defaults(mode):
+    args = cli.build_parser().parse_args([mode, "--target", "normal"])
+    assert cli._spec_from_args(args) == ExperimentSpec(mode=mode, target="normal")

@@ -146,6 +146,12 @@ def test_cli_csv_digest(tmp_path, case):
     assert cli_digest(tmp_path, *CLI_CASES[case]) == CLI_DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", ["coeff-normal", "discrete-normal", "sde-normal"])
+def test_cli_csv_digest_under_workers(tmp_path, case):
+    mode, target, extra = CLI_CASES[case]
+    assert cli_digest(tmp_path, mode, target, (*extra, "--workers", "2")) == CLI_DIGESTS[case]
+
+
 @pytest.mark.parametrize("name", sorted(trajectory_runs()))
 def test_trajectory_digest(name):
     trajectory = trajectory_runs()[name]()

@@ -54,18 +54,6 @@ def test_score_errors_at_exp_boundary():
         target.score(np.array([1.0, 0.0, -1e-300]))
 
 
-def test_density_ratio_examples():
-    normal = make_target("normal")
-    assert normal.density_ratio(0.0, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-    assert normal.density_ratio(1.0, 0.0) == pytest.approx(math.exp(0.5), rel=1e-14)
-    assert make_target("exp").density_ratio(1.0, -0.5) == 0.0
-
-
-def test_density_ratio_requires_x_in_support():
-    with pytest.raises(ValueError):
-        make_target("exp").density_ratio(-1.0, 0.5)
-
-
 @pytest.mark.parametrize("kind,x,expected", [
     ("t2", 0.0, 0.5),
     ("exp", 1.0, 1.0 - math.exp(-1.0)),
