@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mesh size (repeatable)")
     sde.add_argument("--p", type=float, action="append",
                      help="drift benchmark (repeatable; crossed with --h)")
-    sde.add_argument("--theta0", type=float, action="append")
+    sde.add_argument("--theta0", type=float, action="append", dest="theta0_grid")
     sde.add_argument("--x0", type=float)
     sde.add_argument("--paths", type=int, dest="n_paths")
     sde.add_argument("--horizon", type=float, dest="horizon_t")
@@ -108,10 +108,6 @@ def _spec_from_args(args) -> ExperimentSpec:
     values = {name: tuple(value) if isinstance(value, list) else value
               for name, value in vars(args).items() if name in names and value is not None}
     if args.mode == "sde":
-        if "theta0" in values:
-            if len(values["theta0"]) != 1:
-                raise ValueError("sde mode takes a single --theta0")
-            values["theta0"] = values["theta0"][0]
         if (args.h is None) != (args.p is None):
             raise ValueError("sde mode needs both --h and --p, or neither")
         if args.h is not None:

@@ -25,6 +25,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .chains import AdaptiveConfig, run_amcmc, run_smcmc
 from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, coeff_row, simulate_moments
 from .sde import EulerConfig, run_ensembles
@@ -69,6 +71,8 @@ SDE_CELL_GRIDS = {
     ),
 }
 
+SDE_THETA0_GRID = (1.0,)  # sde mode takes a single theta0
+
 # Paths of same-h ensembles advanced as one array: bounds a block's memory
 # (about 34 MB of increment buffer at 8192 paths) on the default
 # 11-replicate grid, whose widest mesh holds 44 000 paths.
@@ -107,7 +111,6 @@ class ExperimentSpec:
     burn_in: int = 1_000
     n_paths: int = 1_000
     horizon_t: float = 1.0
-    theta0: float = 1.0
     x0: float = None
     seed: int = 0
     replicates: int = 11
@@ -260,6 +263,9 @@ def sde_jobs(spec: ExperimentSpec):
     if spec.mode != "sde":
         raise ValueError("spec.mode must be 'sde'")
     hp_cells = tuple(sorted(set(spec.hp_cells))) or default_sde_cells(spec.target)
+    if len(spec.theta0_grid) > 1:
+        raise ValueError("sde mode takes a single theta0")
+    (theta0,) = spec.theta0_grid or SDE_THETA0_GRID
     # The configs check every other value; the standard arm's never see p.
     if any(not 0.0 < p < math.inf for _, p in hp_cells):
         raise ValueError("sde-mode p values must be positive and finite")
@@ -275,7 +281,7 @@ def sde_jobs(spec: ExperimentSpec):
             h=h,
             horizon_t=spec.horizon_t,
             p=p if p is not None else 1.0,  # placeholder; the standard arm ignores p
-            theta0=spec.theta0,
+            theta0=theta0,
             x0=spec.effective_x0(),
             n_paths=spec.n_paths,
             seed=run_seed,
@@ -323,7 +329,7 @@ def coeff_cells(spec: ExperimentSpec):
     theta_grid = tuple(sorted(set(spec.theta0_grid))) or COEFF_THETA_GRID
     n_grid = tuple(sorted(set(int(n) for n in spec.n_grid))) or COEFF_N_GRID
     p = spec.p_grid[0] if spec.p_grid else 0.5
-    kinds = tuple(spec.kinds) or COEFF_KINDS
+    kinds = tuple(dict.fromkeys(spec.kinds)) or COEFF_KINDS
     by_draws = {}
     for kind in kinds:
         # the heavy-tailed Cauchy B2 moment gets extra draws
@@ -355,6 +361,12 @@ def _sde_block(jobs) -> list:
     results = run_ensembles(target, [job.config for job in jobs])
     rows = []
     for job, result in zip(jobs, results):
+        nan = int(np.isnan(result.x_t).sum())
+        if nan:
+            p = "" if job.p is None else f", p={job.p!r}"
+            raise ValueError(f"sde cell h={job.group!r}, arm={job.arm}{p}: {nan} of "
+                             f"{len(result.x_t)} terminal values are NaN (the "
+                             "ensemble diverged)")
         d = ks_statistic(result.x_t, target)
         p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
         rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed,

@@ -26,8 +26,7 @@ from .targets import TargetModel
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
 BOUNDARY_MODES = ("reflect", "hold")
-STEP_CHUNK = 512  # Euler steps of increments drawn per path at a time
-_DRAW_ROWS = 256  # paths drawn into the path-major buffer before its copy
+STEP_CHUNK = 512  # Euler steps of increments drawn per ensemble at a time
 
 
 class SdeState(NamedTuple):
@@ -131,22 +130,6 @@ def run_ensemble(target: TargetModel, config: EulerConfig) -> EnsembleResult:
     return run_ensembles(target, [config])[0]
 
 
-def _draw_chunk(rngs, drawn, z) -> None:
-    """Fill the step-major z (steps x paths) with the next len(z) draws of
-    every path's stream.
-
-    A step then reads one contiguous row of z; reading a column of a
-    path-major buffer as wide as the ensembles costs more than the copy
-    through the small path-major buffer ``drawn``.
-    """
-    m, width = z.shape
-    for first in range(0, width, len(drawn)):
-        rows = drawn[:width - first, :m]
-        for row, rng in zip(rows, rngs[first:first + len(rows)]):
-            rng.standard_normal(out=row)
-        z[:, first:first + len(rows)] = rows.T
-
-
 _SHARED_FIELDS = ("h", "horizon_t", "x0", "theta0", "n_paths", "boundary_mode")
 
 
@@ -154,13 +137,15 @@ def run_ensembles(target: TargetModel, configs) -> list:
     """Integrate ensembles that share a mesh as one wide array of paths.
 
     The configs must agree on every field but ``seed``, ``p`` and
-    ``adaptive``.  Path k of an ensemble draws its Gaussian increments from
-    the stream (seed, k), STEP_CHUNK steps at a time into a reused buffer;
-    draws made in chunks give the bits of one whole draw, and every path
-    takes the float operations of ``euler_step`` in the same order, so each
-    result is identical however the ensembles are grouped or scheduled.
-    Memory is bounded by the chunk, not by the horizon.  Returns one
-    EnsembleResult per config, in the order given.
+    ``adaptive``.  An ensemble draws its Gaussian increments from the one
+    stream stream_rng(seed): one standard normal per path per step, in
+    step-major order.  Each stream is read in order, STEP_CHUNK steps at a
+    time into a reused buffer, so chunked draws give the bits of one whole
+    (n_steps, n_paths) draw; every path takes the float operations of
+    ``euler_step`` in the same order, so each result is identical however
+    the ensembles are grouped or scheduled.  Memory is bounded by the
+    chunk, not by the horizon.  Returns one EnsembleResult per config, in
+    the order given.
     """
     configs = list(configs)
     if not configs:
@@ -176,9 +161,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
     n, n_steps, h = first.n_paths, first.n_steps, first.h
     n_adaptive = sum(c.adaptive for c in configs)
     width, a = n * len(configs), n * n_adaptive  # a: paths of adaptive ensembles
-    rngs = [stream_rng(c.seed, k) for c in ordered for k in range(n)]
-    z = np.empty((min(STEP_CHUNK, n_steps), width))
-    drawn = np.empty((min(_DRAW_ROWS, width), len(z)))
+    rngs = [stream_rng(c.seed) for c in ordered]
+    z = np.empty((len(configs), min(STEP_CHUNK, n_steps), n))  # ensemble, step, path
 
     x = np.full(width, first.x0)
     x_new = np.empty(width)
@@ -191,6 +175,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
     drift_scale = half_h * theta * theta
     noise_scale = sqrt_h * theta
     term = np.empty(width)
+    # the same arrays, one row per ensemble, to meet z's step slices
+    noise_rows, term_rows = noise_scale.reshape(-1, n), term.reshape(-1, n)
     rate, gain = np.empty(a), np.empty(a)
     boundary = first.boundary_mode if target.boundary_policy == "reflect_at_zero" else None
     keep = np.empty(width, bool)
@@ -198,7 +184,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
 
     for start in range(0, n_steps, STEP_CHUNK):
         m = min(STEP_CHUNK, n_steps - start)
-        _draw_chunk(rngs, drawn, z[:m])
+        for rng, slab in zip(rngs, z):
+            rng.standard_normal(out=slab[:m])
         for j in range(m):
             # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
             # euler_step evaluates it, so every path gets the same bits
@@ -209,7 +196,7 @@ def run_ensembles(target: TargetModel, configs) -> list:
                 np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
             np.multiply(drift_scale, s, out=term)
             np.add(x, term, out=x_new)
-            np.multiply(noise_scale, z[j], out=term)
+            np.multiply(noise_rows, z[:, j], out=term_rows)
             x_new += term
             if boundary == "reflect":
                 np.abs(x_new, out=x)

@@ -82,6 +82,8 @@ def test_invalid_grid_rejected_before_any_work():
         run_experiment(small_discrete_spec(replicates=0))
     with pytest.raises(ValueError):
         run_experiment(small_sde_spec(hp_cells=((0.0, 1.0),)))
+    with pytest.raises(ValueError, match="sde mode takes a single theta0"):
+        run_experiment(small_sde_spec(theta0_grid=(1.0, 2.0)))
     with pytest.raises(ValueError, match="coeff mode takes a single p"):
         run_experiment(ExperimentSpec(mode="coeff", target="normal", p_grid=(0.3, 0.7)))
 
@@ -101,6 +103,12 @@ def test_sde_standard_arm_once_per_mesh():
     standard = [row for row in rows if row.arm == "standard"]
     assert len(standard) == 2  # one per distinct mesh size
     assert len(rows) == 3 + 2
+
+
+def test_sde_runs_at_the_spec_theta0():
+    # the standard arm keeps theta at its start, so the row shows the start
+    rows = run_experiment(small_sde_spec(theta0_grid=(3.0,), arm="standard", replicates=1))
+    assert [row.theta_t_mean for row in rows] == [3.0]
 
 
 def test_sde_exponential_defaults_start_inside_support():
@@ -138,6 +146,14 @@ def test_coeff_cauchy_b2_gets_extra_draws():
     by_kind = {row.kind: row for row in rows}
     # extra draws shrink the standard error roughly twofold relative to B1
     assert by_kind["B2"].std_error < by_kind["B1"].std_error
+
+
+def test_coeff_repeated_kind_gives_the_deduplicated_rows():
+    base = dict(mode="coeff", target="cauchy", x_grid=(1.0,), theta0_grid=(1.0,),
+                n_grid=(100, 400), n_draws=1_000, seed=3)
+    rows = run_experiment(ExperimentSpec(**base, kinds=("B2", "B1", "B2")))
+    assert rows == run_experiment(ExperimentSpec(**base, kinds=("B2", "B1")))
+    assert len(rows) == 4
 
 
 def test_emit_csv_discrete_round_trip(tmp_path):
@@ -493,6 +509,9 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
     (["sde", "--h", "1e-300", "--p", "1", "--horizon", "1e10"],
      "horizon_t/h = inf must be finite"),
     (["coeff", "--n", "100", "--p", "0.3", "--p", "0.7"], "coeff mode takes a single p"),
+    # a diverged ensemble is named before it is scored
+    (["sde", "--h", "0.5", "--p", "1", "--theta0", "100", "--horizon", "200",
+      "--arm", "standard"], "sde cell h=0.5, arm=standard: 5 of 5 terminal values are NaN"),
 ])
 def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, message):
     small = {"coeff": ["--kind", "B1", "--draws", "1000"],

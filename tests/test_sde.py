@@ -113,7 +113,7 @@ def test_single_path_single_step_matches_euler_step():
     config = EulerConfig(h=0.05, horizon_t=0.05, p=1.0, theta0=2.0, x0=0.3,
                          n_paths=1, seed=17)
     result = run_ensemble(NORMAL, config)
-    z = stream_rng(17, 0).standard_normal(1)[0]
+    z = stream_rng(17).standard_normal(1)[0]
     manual = euler_step(NORMAL, SdeState(0.3, 2.0), config, z)
     assert result.x_t[0] == manual.x
     assert result.theta_t_all[0] == manual.theta
@@ -189,14 +189,13 @@ def test_euler_config_validation():
 
 def whole_matrix_oracle(target, config):
     """The ensemble as a loop over euler_step, with every increment drawn
-    up front: (x_t, theta_t_all, theta_floor_hits)."""
-    z = np.empty((config.n_paths, config.n_steps))
-    for k in range(config.n_paths):
-        z[k] = stream_rng(config.seed, k).standard_normal(config.n_steps)
+    up front, step-major, from the ensemble's one stream:
+    (x_t, theta_t_all, theta_floor_hits)."""
+    z = stream_rng(config.seed).standard_normal((config.n_steps, config.n_paths))
     state = SdeState(np.full(config.n_paths, config.x0), np.full(config.n_paths, config.theta0))
     floor_hits = 0
     for i in range(config.n_steps):
-        state = euler_step(target, state, config, z[:, i])
+        state = euler_step(target, state, config, z[i])
         if config.adaptive:
             floor_hits += int(np.count_nonzero(state.theta == THETA_FLOOR))
     return state.x, state.theta, floor_hits
