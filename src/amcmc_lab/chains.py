@@ -7,9 +7,11 @@ min{1, psi(Y)/psi(x)}, and then retunes the proposal scale through
 
 where xi_n is the acceptance indicator and p the benchmark acceptance
 level.  Two algebraically equivalent formulations are provided (propose
-then accept, or draw the Bernoulli indicator first); both consume one
-normal and one uniform draw per step in that order, so trajectories under
-a shared seed coincide exactly, not just in distribution.
+then accept, or draw the Bernoulli indicator first); both take one normal
+and one uniform draw per step from the chain's two streams, so
+trajectories under a shared seed coincide exactly, not just in
+distribution.  Chains run in lockstep batches through one array step,
+metropolis_step; amcmc_step is its scalar oracle.
 
 The time-embedded versions run on a 1/n grid with 1/sqrt(n)-scaled
 increments and benchmark p_n = 1 - p/sqrt(n); they are the discrete
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import stream_rng
+from .seeding import STEP_CHUNK, stream_rng
 from .targets import TargetModel
 
 FORMULATIONS = ("propose_then_accept", "bernoulli_first")
@@ -112,7 +114,8 @@ class EmbeddedConfig:
 
 @dataclass
 class ChainTrajectory:
-    """Recorded (x, theta, xi) path, one entry per completed step."""
+    """Recorded (x, theta, xi) path, one entry per completed step; theta and
+    xi are None when only x was recorded."""
 
     x: np.ndarray
     theta: np.ndarray
@@ -129,107 +132,120 @@ class ChainTrajectory:
         return ChainState(float(self.x[i]), float(self.theta[i]), int(self.xi[i]), i + 1)
 
 
-def _accept(log_u: float, log_ratio: float) -> bool:
-    # u < min(1, ratio) in log space; an off-support proposal has
-    # log_ratio = -inf and is always rejected.
-    return log_u < log_ratio
+def chain_streams(seed: int):
+    """Chain `seed`'s streams of standard normals and of uniforms, one of each per step."""
+    return stream_rng(seed, 0), stream_rng(seed, 1)
 
 
 def amcmc_step(state: ChainState, config: AdaptiveConfig, target: TargetModel,
-               rng: np.random.Generator) -> ChainState:
-    """Advance the adaptive chain one step.
-
-    Consumes one standard normal and one uniform draw, in that order, under
-    either formulation.  The proposal scale is the incoming state's theta;
-    the returned state carries the retuned theta for iteration n = step + 1.
+               streams) -> ChainState:
+    """Advance the adaptive chain one step, drawing one standard normal and
+    one uniform from ``streams`` (a chain_streams pair) under either
+    formulation.  The proposal scale is the incoming state's theta; the
+    returned state carries the retuned theta for iteration n = step + 1.
     """
-    eps = rng.standard_normal()
-    u = rng.random()
-    log_u = math.log(u) if u > 0.0 else -math.inf
+    normals, uniforms = streams
+    eps = normals.standard_normal()
+    u = uniforms.random()
+    log_u = float(np.log(u)) if u > 0.0 else -math.inf
     n = state.step + 1
     theta = state.theta
 
+    # u < min(1, ratio) in log space; an off-support proposal has
+    # log_ratio = -inf and is always rejected.
+    y = state.x + theta * eps
+    xi = 1 if log_u < target.log_density(y) - target.log_density(state.x) else 0
     if config.formulation == "propose_then_accept":
-        y = state.x + theta * eps
-        log_ratio = target.log_density(y) - target.log_density(state.x)
-        if _accept(log_u, log_ratio):
-            x_new, xi = y, 1
-        else:
-            x_new, xi = state.x, 0
+        x_new = y if xi else state.x
     else:
-        log_ratio = target.log_density(state.x + theta * eps) - target.log_density(state.x)
-        xi = 1 if _accept(log_u, log_ratio) else 0
         x_new = state.x + theta * (xi * eps)
 
-    theta_new = theta * math.exp((xi - config.p) / math.sqrt(n))
+    theta_new = float(theta * np.exp((xi - config.p) / math.sqrt(n)))
     return ChainState(x_new, theta_new, xi, n)
 
 
-def _metropolis(target: TargetModel, seed: int, x0: float, theta0: float, steps: int,
-                benchmark=None, sqrt_n: float = 1.0,
-                decaying: bool = True) -> ChainTrajectory:
-    """The per-step loop of every chain, on plain floats.
+def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel):
+    """One random-walk Metropolis step of a batch of chains: the proposal
+    y = x + scale * eps, log psi(y), and the accept mask
+    log u < log psi(y) - log psi(x), never true off the support."""
+    y = x + scale * eps
+    lp_y = target.log_density(y)
+    return y, lp_y, log_u < lp_y - lp_x
 
-    Step i draws one standard normal and then one uniform from
-    stream_rng(seed), proposes x + (theta/sqrt_n) * eps and accepts when
-    log u < log psi(y) - log psi(x), carrying log psi(x) between steps.
-    With a benchmark, theta is then retuned by exp((xi - benchmark)/r),
-    where r is sqrt(i + 1) for a decaying gain and sqrt_n otherwise.
+
+# An off-support start gives -inf - -inf, and a uniform of 0 gives log(0).
+@np.errstate(invalid="ignore", divide="ignore")
+def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
+               sqrt_n: float = None, x_only: bool = False) -> list:
+    """Trajectories of (seed, theta0, benchmark) chains advanced in lockstep
+    from x0, each reading chain_streams(seed) STEP_CHUNK steps at a time.
+
+    Step i proposes with scale theta (theta/sqrt_n on the 1/n grid) and
+    retunes theta by exp((xi - benchmark)/r), r = sqrt(i + 1) (sqrt_n on the
+    grid), unless the benchmark is None.  A chain's float operations are
+    amcmc_step's and its own, so its bits do not depend on the batch.  With
+    x_only, theta and xi are not recorded (None).
     """
-    rng = stream_rng(seed)
-    normal, uniform = rng.standard_normal, rng.random
-    log_density = target.log_density
-    log, exp, sqrt, inf = math.log, math.exp, math.sqrt, math.inf
-    x, theta = float(x0), theta0  # an int or numpy x0 would miss the float branch
-    lp_x = log_density(x)
-    xs = np.empty(steps)
-    thetas = np.empty(steps)
-    xis = np.empty(steps, dtype=np.int8)
-    for i in range(steps):
-        eps = normal()
-        u = uniform()
-        log_u = log(u) if u > 0.0 else -inf
-        y = x + (theta / sqrt_n) * eps
-        lp_y = log_density(y)
-        if log_u < lp_y - lp_x:
-            x, lp_x, xi = y, lp_y, 1
-        else:
-            xi = 0
-        if benchmark is not None:
-            theta = theta * exp((xi - benchmark) / (sqrt(i + 1) if decaying else sqrt_n))
-        xs[i] = x
-        thetas[i] = theta
-        xis[i] = xi
-    return ChainTrajectory(x=xs, theta=thetas, xi=xis)
+    seeds, theta0, benchmarks = zip(*chains)
+    streams = [chain_streams(seed) for seed in seeds]
+    adapts = np.array([b is not None for b in benchmarks])
+    adapting = adapts.any()
+    benchmark = np.array([0.0 if b is None else b for b in benchmarks])
+    width, chunk = len(streams), min(STEP_CHUNK, n_steps)
+    eps, log_u = np.empty((width, chunk)), np.empty((width, chunk))
+    x, theta = np.full(width, float(x0)), np.array(theta0, float)
+    lp_x = target.log_density(x)
+    xs = np.empty((width, n_steps))
+    if not x_only:
+        thetas, xis = np.empty((width, n_steps)), np.empty((width, n_steps), np.int8)
+
+    for start in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - start)
+        for (normals, uniforms), e, u in zip(streams, eps, log_u):
+            normals.standard_normal(out=e[:m])
+            uniforms.random(out=u[:m])
+        np.log(log_u[:, :m], out=log_u[:, :m])
+        for j in range(m):
+            i = start + j
+            scale = theta if sqrt_n is None else theta / sqrt_n
+            y, lp_y, accept = metropolis_step(x, lp_x, scale, eps[:, j], log_u[:, j],
+                                              target)
+            np.copyto(x, y, where=accept)
+            np.copyto(lp_x, lp_y, where=accept)
+            if adapting:
+                r = math.sqrt(i + 1) if sqrt_n is None else sqrt_n
+                np.multiply(theta, np.exp((accept - benchmark) / r), out=theta,
+                            where=adapts)
+            xs[:, i] = x
+            if not x_only:
+                thetas[:, i], xis[:, i] = theta, accept
+    if x_only:
+        return [ChainTrajectory(x, None, None) for x in xs]
+    return [ChainTrajectory(*arrays) for arrays in zip(xs, thetas, xis)]
 
 
 def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
     """Adaptive chain: n_samples repeated steps from (x0, theta0).
 
-    The propose-then-accept formulation runs on the shared loop; the
+    The propose-then-accept formulation is run_chains' one-chain case; the
     Bernoulli-first one steps through amcmc_step, so the two remain
     independent implementations of the same chain.
     """
     if config.formulation == "propose_then_accept":
-        return _metropolis(target, config.seed, config.x0, config.theta0,
-                           config.n_samples, benchmark=config.p)
-    rng = stream_rng(config.seed)
-    state = ChainState(config.x0, config.theta0, 0, 0)
-    n = config.n_samples
-    xs = np.empty(n)
-    thetas = np.empty(n)
-    xis = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        state = amcmc_step(state, config, target, rng)
-        xs[i] = state.x
-        thetas[i] = state.theta
-        xis[i] = state.xi
-    return ChainTrajectory(x=xs, theta=thetas, xi=xis)
+        return run_chains(target, [(config.seed, config.theta0, config.p)],
+                          config.n_samples, config.x0)[0]
+    streams = chain_streams(config.seed)
+    states = [ChainState(config.x0, config.theta0, 0, 0)]
+    for _ in range(config.n_samples):
+        states.append(amcmc_step(states[-1], config, target, streams))
+    x, theta, xi, _ = zip(*states[1:])
+    return ChainTrajectory(x=np.array(x), theta=np.array(theta), xi=np.array(xi, np.int8))
 
 
 def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
     """Standard MH chain: identical mechanics, theta fixed at theta0."""
-    return _metropolis(target, config.seed, config.x0, config.theta0, config.n_samples)
+    return run_chains(target, [(config.seed, config.theta0, None)], config.n_samples,
+                      config.x0)[0]
 
 
 def run_embedded(config: EmbeddedConfig, target: TargetModel) -> ChainTrajectory:
@@ -240,6 +256,6 @@ def run_embedded(config: EmbeddedConfig, target: TargetModel) -> ChainTrajectory
     p_n = 1 - p/sqrt(n).  Values between grid points are the previous grid
     value (piecewise-constant interpolation).
     """
-    return _metropolis(target, config.seed, config.x0, config.theta0, config.n_steps,
-                       benchmark=config.p_n if config.adaptive else None,
-                       sqrt_n=math.sqrt(config.n_resolution), decaying=False)
+    benchmark = config.p_n if config.adaptive else None
+    return run_chains(target, [(config.seed, config.theta0, benchmark)], config.n_steps,
+                      config.x0, sqrt_n=math.sqrt(config.n_resolution))[0]

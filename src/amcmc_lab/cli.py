@@ -24,8 +24,8 @@ from .experiments import (
     discrete_jobs,
     emit_csv,
     print_summary,
-    run_chain,
     run_experiment,
+    run_job_chains,
     sde_jobs,
     write_lines,
 )
@@ -138,7 +138,7 @@ def _dump_job(spec, args):
 
 def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
-    trajectory = run_chain(job)
+    trajectory = run_job_chains([job])[0]
     lines = ["step,x,theta,xi"]
     for i in range(len(trajectory)):
         state = trajectory.state(i)

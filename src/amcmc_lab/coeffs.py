@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import embedded_benchmark
+from .chains import embedded_benchmark, metropolis_step
 from .sde import SdeState, drift
 from .seeding import stream_rng
 from .targets import TargetModel
@@ -107,9 +107,10 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                      kinds=COEFF_KINDS) -> dict:
     """Estimate several scaled moments from one shared set of transitions.
 
-    Batch b of draws comes from the stream (seed, b) with a fixed batch
-    size, so each kind's estimate is identical whether computed alone or
-    together with the others.
+    Each transition is one metropolis_step from the fixed state.  Batch b
+    of draws comes from the stream (seed, b) with a fixed batch size, so
+    each kind's estimate is identical whether computed alone or together
+    with the others.
     """
     if n_draws < _MIN_DRAWS:
         raise ValueError(f"n_draws must be at least {_MIN_DRAWS}")
@@ -128,11 +129,9 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
         m = min(_BATCH, n_draws - start)
         rng = stream_rng(seed, batch)
         eps = rng.standard_normal(m)
-        u = rng.random(m)
-        y = x + (theta / sqrt_n) * eps
-        log_ratio = target.log_density(y) - lp_x
         with np.errstate(divide="ignore"):
-            xi = np.log(u) < log_ratio
+            log_u = np.log(rng.random(m))
+        _, _, xi = metropolis_step(x, lp_x, theta / sqrt_n, eps, log_u, target)
         dx = (theta / sqrt_n) * np.where(xi, eps, 0.0)
         dtheta = theta * np.expm1((xi.astype(float) - p_n) / sqrt_n)
         for kind in kinds:

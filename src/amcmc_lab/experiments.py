@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chains import AdaptiveConfig, run_amcmc, run_smcmc
+from .chains import AdaptiveConfig, run_chains
 from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, coeff_row, simulate_moments
 from .sde import EulerConfig, run_ensembles
 from .seeding import child_seed
@@ -77,6 +77,7 @@ SDE_THETA0_GRID = (1.0,)  # sde mode takes a single theta0
 # (about 34 MB of increment buffer at 8192 paths) on the default
 # 11-replicate grid, whose widest mesh holds 44 000 paths.
 SDE_BLOCK_PATHS = 8192
+DISCRETE_BLOCK_STEPS = 150_000  # chain-steps of a lockstep block: 1.2 MB of positions
 
 COEFF_THETA_GRID = (0.5, 1.0, 2.0)
 COEFF_X_GRIDS = {
@@ -219,10 +220,25 @@ def _jobs(spec: ExperimentSpec, cells, make_config):
     ]
 
 
-def run_chain(job: Job):
-    """The chain of a discrete job: adaptive or fixed-scale as its arm says."""
-    run = run_amcmc if job.arm == "adaptive" else run_smcmc
-    return run(job.config, make_target(job.target))
+def _blocks(jobs, size, budget, key=lambda job: None):
+    """Consecutive jobs of equal key packed into blocks of at most budget
+    units, each job `size` units (one job if a single job is larger)."""
+    per_block = max(1, budget // size)
+    blocks = []
+    for job in jobs:
+        if blocks and len(blocks[-1]) < per_block and key(blocks[-1][0]) == key(job):
+            blocks[-1].append(job)
+        else:
+            blocks.append([job])
+    return blocks
+
+
+def run_job_chains(jobs, x_only=False):
+    """The chains of one spec's discrete jobs, advanced in lockstep."""
+    config = jobs[0].config
+    return run_chains(make_target(jobs[0].target),
+                      [(job.config.seed, job.config.theta0, job.p) for job in jobs],
+                      config.n_samples, config.x0, x_only=x_only)
 
 
 def discrete_jobs(spec: ExperimentSpec):
@@ -236,6 +252,10 @@ def discrete_jobs(spec: ExperimentSpec):
     # The configs check every other value; the standard arm's never see p.
     if any(not 0.0 < p < 1.0 for p in p_grid):
         raise ValueError("discrete-mode p values must lie in (0, 1)")
+    # a row's ESJD needs two retained draws
+    if not 0 <= spec.burn_in <= spec.n_samples - 2:
+        raise ValueError("burn_in must leave at least two retained samples "
+                         "(0 <= burn_in <= n_samples - 2)")
 
     cells = []
     for theta0 in theta0_grid:
@@ -292,19 +312,6 @@ def sde_jobs(spec: ExperimentSpec):
     return _jobs(spec, cells, make_config)
 
 
-def _sde_blocks(spec: ExperimentSpec):
-    """Consecutive same-h jobs of sde_jobs(spec) packed into blocks of at
-    most SDE_BLOCK_PATHS paths (one job if a single ensemble is wider)."""
-    blocks = []
-    for job in sde_jobs(spec):
-        if (blocks and blocks[-1][0].group == job.group
-                and (len(blocks[-1]) + 1) * job.config.n_paths <= SDE_BLOCK_PATHS):
-            blocks[-1].append(job)
-        else:
-            blocks.append([job])
-    return blocks
-
-
 @dataclass(frozen=True)
 class CoeffCell:
     """One (point, n) cell of a coeff grid, seeded for its moment runs."""
@@ -347,12 +354,15 @@ def coeff_cells(spec: ExperimentSpec):
 
 # Block functions are module-level so they can cross a process boundary.
 
-def _discrete_block(job: Job) -> list:
-    """The row of one discrete job, as a block of one."""
-    target = make_target(job.target)
-    summary = chain_summary(run_chain(job).x, target, job.config.burn_in, job.ks_correction)
-    return [DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
-                        job.replicate, summary.d, summary.p_value, summary.esjd)]
+def _discrete_block(jobs) -> list:
+    """Rows of a run of discrete jobs, whose chains advance in lockstep."""
+    target = make_target(jobs[0].target)
+    rows = []
+    for job, chain in zip(jobs, run_job_chains(jobs, x_only=True)):
+        summary = chain_summary(chain.x, target, job.config.burn_in, job.ks_correction)
+        rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
+                                job.replicate, summary.d, summary.p_value, summary.esjd))
+    return rows
 
 
 def _sde_block(jobs) -> list:
@@ -387,15 +397,18 @@ def run_experiment(spec: ExperimentSpec):
     """The rows of a spec's grid, the same whatever spec.workers is.
 
     A mode splits its grid into blocks, the unit of work of one process: a
-    discrete job, a run of same-h sde jobs, or a coeff cell.  Every block
-    is built, and so the grid's input checked, before any of them runs; a
-    coeff n or kind is checked in its block, before any draw.  Discrete and
-    sde rows come in coordinate order, coeff rows kind-major.
+    run of discrete jobs of at most DISCRETE_BLOCK_STEPS chain-steps, a run
+    of same-h sde jobs of at most SDE_BLOCK_PATHS paths, or a coeff cell.
+    Every block is built, and so the grid's input checked, before any of
+    them runs; a coeff n or kind is checked in its block, before any draw.
+    Discrete and sde rows come in coordinate order, coeff rows kind-major.
     """
     if spec.mode == "discrete":
-        blocks, run_block = discrete_jobs(spec), _discrete_block
+        blocks = _blocks(discrete_jobs(spec), spec.n_samples, DISCRETE_BLOCK_STEPS)
+        run_block = _discrete_block
     elif spec.mode == "sde":
-        blocks, run_block = _sde_blocks(spec), _sde_block
+        blocks = _blocks(sde_jobs(spec), spec.n_paths, SDE_BLOCK_PATHS, lambda job: job.group)
+        run_block = _sde_block
     else:
         blocks, run_block = coeff_cells(spec), _coeff_block
     rows = [row for rows in _map_jobs(run_block, blocks, spec.workers) for row in rows]

@@ -20,13 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import stream_rng
+from .seeding import STEP_CHUNK, stream_rng
 from .targets import TargetModel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
 BOUNDARY_MODES = ("reflect", "hold")
-STEP_CHUNK = 512  # Euler steps of increments drawn per ensemble at a time
 
 
 class SdeState(NamedTuple):
@@ -133,6 +132,9 @@ def run_ensemble(target: TargetModel, config: EulerConfig) -> EnsembleResult:
 _SHARED_FIELDS = ("h", "horizon_t", "x0", "theta0", "n_paths", "boundary_mode")
 
 
+# A diverging ensemble overflows to inf and then NaN; its caller checks the
+# terminal values, so numpy's warnings would only say it twice.
+@np.errstate(over="ignore", invalid="ignore")
 def run_ensembles(target: TargetModel, configs) -> list:
     """Integrate ensembles that share a mesh as one wide array of paths.
 

@@ -43,18 +43,6 @@ class TargetModel:
         return bool(np.all((np.asarray(x, float) >= lo) & (np.asarray(x, float) <= hi)))
 
     def log_density(self, x):
-        if type(x) is float:
-            # The chains' per-step call: plain float arithmetic, bit for bit
-            # what the numpy path below gives.  log1p stays numpy's, because
-            # math.log1p rounds differently on some inputs.
-            kind = self.kind
-            if kind == "normal":
-                return -0.5 * x * x - _LOG_SQRT_2PI
-            if kind == "exp":
-                return -x if x >= 0.0 else -math.inf
-            if kind == "cauchy":
-                return float(-_LOG_PI - np.log1p(x * x))
-            return float(-_LOG_2SQRT2 - 1.5 * np.log1p(0.5 * x * x))
         x = np.asarray(x, float)
         if self.kind == "normal":
             out = -0.5 * x * x - _LOG_SQRT_2PI

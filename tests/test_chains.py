@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,32 +17,37 @@ from amcmc_lab import (
     run_embedded,
     run_smcmc,
 )
-from amcmc_lab.seeding import stream_rng
-from amcmc_lab.stats import chain_summary
+from amcmc_lab.chains import chain_streams, metropolis_step, run_chains
+from amcmc_lab.seeding import STEP_CHUNK
+from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
 
-class ScriptedRng:
-    """Stand-in generator feeding predetermined draws to a single step."""
+class Scripted:
+    """Stand-in stream feeding predetermined draws, normal or uniform."""
 
-    def __init__(self, normals, uniforms):
-        self._normals = iter(normals)
-        self._uniforms = iter(uniforms)
+    def __init__(self, values):
+        self._values = iter(values)
 
     def standard_normal(self):
-        return next(self._normals)
+        return next(self._values)
 
-    def random(self):
-        return next(self._uniforms)
+    random = standard_normal
+
+
+def scripted_streams(normals, uniforms):
+    """A chain's normal and uniform streams, scripted for amcmc_step."""
+    return Scripted(normals), Scripted(uniforms)
 
 
 NORMAL = make_target("normal")
+T2 = make_target("t2")
 
 
 def test_accepted_step_updates_scale_and_position():
     # tiny proposal from the mode is near-certain to be accepted
     config = AdaptiveConfig(p=0.238, theta0=2.0, n_samples=10)
     state = ChainState(x=0.0, theta=2.0, xi=0, step=3)
-    rng = ScriptedRng([0.1], [0.5])
+    rng = scripted_streams([0.1], [0.5])
     new = amcmc_step(state, config, NORMAL, rng)
     assert new.xi == 1
     assert new.x == pytest.approx(0.2)
@@ -53,7 +59,7 @@ def test_accepted_step_updates_scale_and_position():
 def test_rejected_step_shrinks_scale_only():
     config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
     state = ChainState(x=0.0, theta=1.0, xi=1, step=99)
-    rng = ScriptedRng([10.0], [0.9])  # ratio exp(-50) vs u = 0.9
+    rng = scripted_streams([10.0], [0.9])  # ratio exp(-50) vs u = 0.9
     new = amcmc_step(state, config, NORMAL, rng)
     assert new.xi == 0
     assert new.x == 0.0
@@ -65,8 +71,8 @@ def test_acceptance_probability_boundary():
     config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
     state = ChainState(x=0.0, theta=1.0, xi=0, step=0)
     threshold = math.exp(-0.5)
-    accepted = amcmc_step(state, config, NORMAL, ScriptedRng([1.0], [threshold - 1e-12]))
-    rejected = amcmc_step(state, config, NORMAL, ScriptedRng([1.0], [threshold + 1e-12]))
+    accepted = amcmc_step(state, config, NORMAL, scripted_streams([1.0], [threshold - 1e-12]))
+    rejected = amcmc_step(state, config, NORMAL, scripted_streams([1.0], [threshold + 1e-12]))
     assert accepted.xi == 1
     assert rejected.xi == 0
 
@@ -74,7 +80,7 @@ def test_acceptance_probability_boundary():
 def test_off_support_proposal_is_rejected():
     config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
     state = ChainState(x=1.0, theta=1.0, xi=0, step=0)
-    new = amcmc_step(state, config, make_target("exp"), ScriptedRng([-5.0], [1e-300]))
+    new = amcmc_step(state, config, make_target("exp"), scripted_streams([-5.0], [1e-300]))
     assert new.xi == 0
     assert new.x == 1.0
 
@@ -93,7 +99,7 @@ def test_run_amcmc_deterministic_and_sized():
 def test_single_step_run_equals_one_advanced_state():
     config = AdaptiveConfig(p=0.3, theta0=2.0, x0=0.7, n_samples=1, seed=9)
     trajectory = run_amcmc(config, NORMAL)
-    manual = amcmc_step(ChainState(0.7, 2.0, 0, 0), config, NORMAL, stream_rng(9))
+    manual = amcmc_step(ChainState(0.7, 2.0, 0, 0), config, NORMAL, chain_streams(9))
     assert trajectory.state(0) == manual
 
 
@@ -110,10 +116,11 @@ def test_formulations_coincide_under_shared_seed():
 
 def test_higher_benchmark_raises_acceptance_rate():
     # stochastic-approximation fixed point: theta shrinks until acceptance ~ p
-    for seed in range(10):
-        low = run_amcmc(AdaptiveConfig(p=0.10, theta0=1.0, n_samples=3000, seed=seed), NORMAL)
-        high = run_amcmc(AdaptiveConfig(p=0.75, theta0=1.0, n_samples=3000, seed=seed), NORMAL)
-        assert high.xi.mean() > low.xi.mean()
+    # (the chains of run_amcmc, seeds 0-9, run in lockstep)
+    low = run_chains(NORMAL, [(seed, 1.0, 0.10) for seed in range(10)], 3000)
+    high = run_chains(NORMAL, [(seed, 1.0, 0.75) for seed in range(10)], 3000)
+    for lo, hi in zip(low, high):
+        assert hi.xi.mean() > lo.xi.mean()
 
 
 def test_diminishing_adaptation_bound():
@@ -134,12 +141,9 @@ def test_theta_stays_positive():
 def test_reference_cell_ks_pvalue_scale():
     # starting scale 2.38, benchmark 0.5: retained-sample KS p-value is of
     # order 1e-2 (reference single run: D = 0.0153, p = 0.02883)
-    ps = []
-    for seed in range(5):
-        config = AdaptiveConfig(p=0.5, theta0=2.38, n_samples=10_000,
-                                burn_in=1_000, seed=seed)
-        trajectory = run_amcmc(config, NORMAL)
-        ps.append(chain_summary(trajectory.x, NORMAL, 1_000).p_value)
+    chains = run_chains(NORMAL, [(seed, 2.38, 0.5) for seed in range(5)], 10_000,
+                        x_only=True)
+    ps = [chain_summary(chain.x, NORMAL, 1_000).p_value for chain in chains]
     assert 3e-3 < float(np.median(ps)) < 0.2
 
 
@@ -163,15 +167,32 @@ def test_smcmc_reference_scale_esjd_band():
     assert 0.5 < summary.esjd < 0.9
 
 
+def _iact(x, c=5.0):
+    """Integrated autocorrelation time of a chain, 1 + 2 sum_k rho_k, summed
+    up to the first lag M >= c * tau(M) (Sokal's self-consistent window)."""
+    x = x - x.mean()
+    f = np.fft.rfft(x, 2 * x.size)
+    rho = np.fft.irfft(f * np.conj(f))[:x.size]
+    taus = 2.0 * np.cumsum(rho / rho[0]) - 1.0
+    return taus[np.argmax(np.arange(x.size) >= c * taus)]
+
+
 def test_smcmc_preserves_target_distribution():
-    # fixed scale 2.38 passes the KS test at level 0.001 in >= 8/10 replicates
-    passed = 0
-    for seed in range(10):
-        config = AdaptiveConfig(p=0.5, theta0=2.38, n_samples=100_000,
-                                burn_in=10_000, seed=seed)
-        summary = chain_summary(run_smcmc(config, NORMAL).x, NORMAL, 10_000)
-        passed += summary.p_value >= 0.001
+    # fixed scale 2.38 (the chains of run_smcmc, seeds 0-9, in lockstep)
+    # passes the KS test at level 0.001 in >= 8/10 replicates.  ks_pvalue
+    # takes its draws as independent, so the 90 000 retained draws count as
+    # 90 000 / tau, tau their integrated autocorrelation time (about 4.4).
+    # Scored against t2, the same draws must fail.
+    chains = run_chains(NORMAL, [(seed, 2.38, None) for seed in range(10)], 100_000,
+                        x_only=True)
+    passed = rejected = 0
+    for chain in chains:
+        x = chain.x[10_000:]
+        m = int(x.size / _iact(x))
+        passed += ks_pvalue(ks_statistic(x, NORMAL), m) >= 0.001
+        rejected += ks_pvalue(ks_statistic(x, T2), m) < 0.001
     assert passed >= 8
+    assert rejected == 10
 
 
 def test_embedded_config_validation():
@@ -245,22 +266,57 @@ def test_trajectory_state_accessors():
     p=st.floats(0.05, 0.95),
     theta0=st.floats(0.01, 50.0),
     x0=st.floats(-5.0, 5.0),
-    n=st.integers(1, 400),
+    n=st.one_of(st.integers(1, 400),
+                st.sampled_from((STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 7))),
 )
 def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
-    # run_amcmc's propose-then-accept chain runs on the shared per-step loop;
-    # amcmc_step, stepped by hand on the same stream, is its scalar oracle
+    # run_amcmc's propose-then-accept chain is the lockstep runner's
+    # one-chain case; amcmc_step, stepped by hand on the same two streams,
+    # is its scalar oracle.  A negative x0 starts exp off its support.
     target = make_target(kind)
-    if kind == "exp":
-        x0 = abs(x0)
     config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
     trajectory = run_amcmc(config, target)
-    rng = stream_rng(seed)
+    streams = chain_streams(seed)
     state = ChainState(x0, theta0, 0, 0)
     xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
     for i in range(n):
-        state = amcmc_step(state, config, target, rng)
+        state = amcmc_step(state, config, target, streams)
         xs[i], thetas[i], xis[i] = state.x, state.theta, state.xi
     assert trajectory.x.tobytes() == xs.tobytes()
     assert trajectory.theta.tobytes() == thetas.tobytes()
     assert trajectory.xi.tobytes() == xis.tobytes()
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(TARGET_KINDS),
+    p=st.floats(0.05, 0.95),
+    chains=st.lists(st.tuples(
+        st.floats(-5.0, 5.0),  # x: negative starts exp off its support
+        st.floats(0.01, 50.0),  # theta
+        st.integers(0, 10**6),  # steps taken so far
+        st.floats(-6.0, 6.0),  # eps
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),  # u
+    ), min_size=1, max_size=40),
+)
+def test_metropolis_step_matches_amcmc_step_oracle(kind, p, chains):
+    # the batch kernel plus the runner's gain update, fed the draws that
+    # amcmc_step reads from its streams, gives its states bit for bit
+    target = make_target(kind)
+    x, theta, step, eps, u = (np.array(column, float) for column in zip(*chains))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y, _, accept = metropolis_step(x, target.log_density(x), theta, eps, np.log(u),
+                                       target)
+    x_new = np.where(accept, y, x)
+    theta_new = theta * np.exp((accept - p) / np.sqrt(step + 1))
+    config = AdaptiveConfig(p=p, theta0=1.0, n_samples=1)
+    for c, (x0, theta0, n, e, v) in enumerate(chains):
+        state = amcmc_step(ChainState(x0, theta0, 0, n), config, target,
+                           scripted_streams([e], [v]))
+        assert state.xi == accept[c]
+        assert _bits(state.x) == _bits(x_new[c])
+        assert _bits(state.theta) == _bits(theta_new[c])

@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -67,19 +68,59 @@ def test_discrete_rows_deterministic():
     assert rows_a == rows_b
 
 
-def test_discrete_rows_stable_under_workers():
+def test_discrete_rows_stable_under_workers(monkeypatch):
+    # a block per chain, so the two workers share the grid
     sequential = run_experiment(small_discrete_spec())
+    monkeypatch.setattr(experiments, "DISCRETE_BLOCK_STEPS", 400)
     parallel = run_experiment(small_discrete_spec(workers=2))
     assert sequential == parallel
 
 
-def test_invalid_grid_rejected_before_any_work():
+def test_discrete_rows_do_not_depend_on_the_block_size(monkeypatch):
+    # 12 chains in one lockstep block, then each in a block of its own; the
+    # chains run past one chunk of draws
+    spec = small_discrete_spec(theta0_grid=(0.5, 2.0), p_grid=(0.3, 0.6), replicates=2,
+                               n_samples=600, burn_in=20, target="exp")
+    together, alone = io.StringIO(), io.StringIO()
+    blocks = []
+    run_block = experiments._discrete_block
+    monkeypatch.setattr(experiments, "_discrete_block",
+                        lambda jobs: blocks.append(len(jobs)) or run_block(jobs))
+    emit_csv(run_experiment(spec), together)
+    monkeypatch.setattr(experiments, "DISCRETE_BLOCK_STEPS", 1)
+    emit_csv(run_experiment(spec), alone)
+    assert blocks == [12] + [1] * 12
+    assert alone.getvalue() == together.getvalue()
+
+
+def test_discrete_default_grid_runs_in_bounded_blocks(monkeypatch):
+    # the blocks are recorded, not run: 330 chains of 10^4 steps
+    blocks = []
+    monkeypatch.setattr(experiments, "_discrete_block", lambda jobs: blocks.append(jobs) or [])
+    spec = ExperimentSpec(mode="discrete", target="normal")
+    assert run_experiment(spec) == []
+    assert [job for block in blocks for job in block] == experiments.discrete_jobs(spec)
+    assert max(len(block) for block in blocks) * spec.n_samples \
+        <= experiments.DISCRETE_BLOCK_STEPS
+    assert len(blocks) == -(-330 * spec.n_samples // experiments.DISCRETE_BLOCK_STEPS)
+
+
+def _no_work(jobs):
+    raise AssertionError("a block ran")
+
+
+def test_invalid_grid_rejected_before_any_work(monkeypatch):
+    for block in ("_discrete_block", "_sde_block", "_coeff_block"):
+        monkeypatch.setattr(experiments, block, _no_work)
     with pytest.raises(ValueError):
         run_experiment(small_discrete_spec(p_grid=(1.5,)))
     with pytest.raises(ValueError):
         run_experiment(small_discrete_spec(theta0_grid=(-1.0,)))
     with pytest.raises(ValueError):
         run_experiment(small_discrete_spec(replicates=0))
+    # the row's ESJD needs two retained draws
+    with pytest.raises(ValueError, match="at least two retained samples"):
+        run_experiment(small_discrete_spec(n_samples=10, burn_in=9, replicates=1))
     with pytest.raises(ValueError):
         run_experiment(small_sde_spec(hp_cells=((0.0, 1.0),)))
     with pytest.raises(ValueError, match="sde mode takes a single theta0"):
@@ -349,11 +390,12 @@ def test_map_jobs_bounds_the_pool(monkeypatch, workers, jobs, cores, expected):
 
 def test_many_workers_give_the_sequential_rows(monkeypatch):
     sequential = run_experiment(small_discrete_spec())
+    monkeypatch.setattr(experiments, "DISCRETE_BLOCK_STEPS", 400)  # a block per chain
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run_experiment(small_discrete_spec(workers=10_000)) == sequential
-    assert RecordingPool.sizes == [3]  # 4 jobs, 3 cores
+    assert RecordingPool.sizes == [3]  # 4 blocks, 3 cores
 
 
 def test_coeff_rows_stable_under_workers(monkeypatch):
@@ -518,8 +560,11 @@ def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, mes
              "sde": ["--paths", "5", "--replicates", "1"],
              "discrete": ["--n-samples", "100", "--burn-in", "10", "--replicates", "1"]}
     out = tmp_path / "rows.csv"
-    assert main([argv[0], "--target", "normal", *argv[1:], *small[argv[0]],
-                 "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], "--target", "normal", *argv[1:], *small[argv[0]],
+                     "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

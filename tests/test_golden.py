@@ -1,23 +1,40 @@
 """Golden digests of the CLI CSVs and of chain trajectories.
 
-Every digest was taken from the package before the chains moved onto the
-float fast path, and is pinned: any change in a random stream, a
+The coeff-* digests were taken from the package before the chains moved
+onto the float fast path, and are pinned: any change in a random stream, a
 log-density bit or a CSV field shows up here as a different sha256.
 
-The five sde-* CLI digests are the one exception.  They were regenerated
-with the Euler ensembles' one-stream contract: an ensemble draws its
-increments step-major from stream_rng(seed) instead of one stream per
-path, so every sde row changed.  The discrete, coeff and trajectory
-digests are the original pins.
+Two stream-contract changes regenerated the rest, each declared in
+CHANGES.md:
+
+* The five sde-* CLI digests, with the Euler ensembles' one-stream
+  contract: an ensemble draws its increments step-major from
+  stream_rng(seed) instead of one stream per path, so every sde row
+  changed.
+* The four discrete-* CLI digests and all 18 amcmc-*, smcmc-* and
+  embedded-* trajectory digests, with discrete contract v2: a chain draws
+  its normals from stream_rng(seed, 0) and its uniforms from
+  stream_rng(seed, 1) instead of both, interleaved, from one stream, and
+  retunes theta with numpy's exp and log rather than the math module's.
+  Every discrete chain changed.
+
+Those discrete digests hold numpy's float64 exp and log bits, and numpy
+picks those loops at run time from the CPU's features (AVX-512 code where
+the CPU has it, the C library's functions otherwise).  They were taken with
+numpy 2.4.6 on an x86-64 CPU where numpy.show_runtime() lists X86_V3,
+X86_V4, AVX512_ICL and AVX512_SPR as found; on a CPU without AVX-512 they
+may differ.
 """
 
 import hashlib
+import os
 
 import pytest
 
 from amcmc_lab import (
     AdaptiveConfig,
     EmbeddedConfig,
+    experiments,
     make_target,
     run_amcmc,
     run_embedded,
@@ -50,13 +67,13 @@ CLI_DIGESTS = {
     "coeff-t2":
         "2fe6f0958c1caf1865f598e12100423df8a6f720ebd28345623e620d90ecd085",
     "discrete-cauchy":
-        "33a40c4daacbe525beff9299318b1d264a392b6955d164037af7eaaf2440b57d",
+        "440cf5fb18797b7be9e96943616f9af18f79c5f1acb8125481fda3ccd484447b",
     "discrete-exp":
-        "17ec99529cfb851999303cdf41c2aa76f7a27140e917ce410a7c42869f0f1608",
+        "f9de39667e06fd9e532b86e0ea279c765f97e4c5f77af52b471e54428a48d24e",
     "discrete-normal":
-        "6519e0af113f8c5bc4fa15d22f01f2ec6d3309a1d0407528e83f6eebf694140c",
+        "dd91f1b2d59e47fcca32bbbd78aef2c6eee10d6c1ef22fd68633944543090409",
     "discrete-t2":
-        "31108f00cac8f1e89c0ad330eae5a3a003bcd782b06a49d9712fa9ce555c1d46",
+        "70a9c5c1be4562d99d9a5d54cc61c6c8fc87759f5a85cb5244f6ee5db0f3e947",
     "sde-cauchy":
         "9b9c504c52a5867378a889269896bbd055fe71037cdda493ee8f934c4434ab5a",
     "sde-exp":
@@ -71,41 +88,41 @@ CLI_DIGESTS = {
 
 TRAJECTORY_DIGESTS = {
     "amcmc-cauchy":
-        "b937a2096dbffe9a91d91f91396293527970bd01019cb5b7c4121886e9a264b9",
+        "2d8a275b8f75aca81534c89e7acc97ea59e1d4dd4e6be8c39d6d11fd0a93a91a",
     "amcmc-exp":
-        "f1dd9a648e808efd32a9eb5fee298e93f2505d066dff3efcb6e27137ad9d35ed",
+        "809629f632668c5fb40eb99785f0281c2eece31a86b6ee2b73506ac0613a0850",
     "amcmc-exp-off-support":
-        "7e667798cd23f42bc04010bdf4f77da32ec94e4dd205685ddb033cdade3e5ce3",
+        "b9f6b3491cbc4fd301a0866dfd64ccbf2ad1ef759f3b321ecac3ce914dc4f23b",
     "amcmc-normal":
-        "014af6fc8ab238e9ee107d80764edceb4c89b65a7078f6f5c41edc180f17886c",
+        "d53cbdb68e3ac24abd07d44defcb2dbeda5c0e02cec94565309b7b58374b3a53",
     "amcmc-t2":
-        "618744bb31104b68918c859f712c8a4fb7d55e7324980393d60cd865acd68f9b",
+        "b9eb7f742618115d711f19ce171bb48c14b3517dbb6bee932914e6236e2c9ddb",
     "embedded-adaptive-cauchy":
-        "0d195b14506a895749f73cb843186b2a1f23f93c7fd6265a8f5bf2c060e37ddb",
+        "06e22b986ee7c5f4ccd4a48c107e3b1e1d061632b67b41b8e8ff2f770c685410",
     "embedded-adaptive-exp":
-        "14897f955cc420aa0c5013c1d8fd187f3b979e4e4a6448d8bbd15effa52f37ed",
+        "5d978c8cd4edf974467a2a5bc3b7082d70967d14f3e477fe7ac0d9398fa57232",
     "embedded-adaptive-normal":
-        "7b229bb4e4c3edab154271c2287ab5a1164bc0696190ed18f17fdcda98c82c9d",
+        "7cdcbca18c0ddd7adbc03195f9bc5eda31abaa82b72811b176dd2255461e48c2",
     "embedded-adaptive-t2":
-        "9e0d6b9dc788eeff7e72b56e865fac953aede66fd527bf4f51063c2d3679d35a",
+        "c3547a83a819c2cc4141265b2c133b4a33ee2e5b590cd8f2fa33ada577057b2f",
     "embedded-fixed-cauchy":
-        "69d596540d5d2b2b419715fa6ca09b9f0dd2b3fe4086143aa066cb3d4ec6a0a4",
+        "461dc8444abcaf3454de96a53918af88776c397d935407103b4d135c667916d4",
     "embedded-fixed-exp":
-        "00f200ab4b1c2461e25b916d0e075fd624943a103b6f65153ccf70437d6a26e8",
+        "61d1ff283519bb304732e6e0d0232adc0faf4c6b3dc90f99f8aa2119cb5693e4",
     "embedded-fixed-normal":
-        "d40c4fa24a12d43bad0443b7c3bcd5c95b7947d96b5143f36f3b8e59b5a202ba",
+        "21d2f965e1f29802c4e97a460e6c7e02df613e93004a0a37b89c044c782b1bb6",
     "embedded-fixed-t2":
-        "0621aebeb39f2f1773c76dc03001d6089e53adb1b87d50c4df4576bf1a4f976a",
+        "26012390a2aac9fd7a08e712d29892c533a7f6cbbc68635031793397262cce49",
     "smcmc-cauchy":
-        "88f8507cc332f36c594ef3d1ef24618a0863a22fa97e7d3e2d7e8153f5529867",
+        "55f5269a43df185de224cd95c792fd8fdcc822f747c926b121b0a985603c1ba3",
     "smcmc-exp":
-        "63ea943a60b015ee03200006797ce03650fec6ef9457ed30b83e2003d0af02a5",
+        "1a126790137b0ea303fab5e56637d84feeffad2acabc8b28a88cc07d5b901485",
     "smcmc-exp-off-support":
-        "83782583be36a6d9fefb2decff15bdc0bc4367c368eebebe5a99c63081978cab",
+        "1415d71bab502f0fe69197945639e2485ba96f3286d35d5ca0bdafad6060d4b4",
     "smcmc-normal":
-        "05c07224035daec6cf9d8cb358f247c89c1d3ea557b9d4bea8879bfab88759a4",
+        "7c0381b3f71d529570aa0289643c1ff2f3d4afc73b1fc9ee75066268f2c34eba",
     "smcmc-t2":
-        "3dec00d7633914124242f8ddf9a1ca91e251cedda2a9ea075ab5ff1cf690fb60",
+        "05cb06ace71536cb61285862b82aec1970001a43345f7ee0a1ad5ea0d5aa4029",
 }
 
 
@@ -153,9 +170,22 @@ def test_cli_csv_digest(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["coeff-normal", "discrete-normal", "sde-normal"])
-def test_cli_csv_digest_under_workers(tmp_path, case):
+def test_cli_csv_digest_under_workers(tmp_path, monkeypatch, case):
+    # budgets of three chains and of two ensembles, so that every grid spans
+    # several blocks and a pool of two worker processes really shares them
+    monkeypatch.setattr(experiments, "DISCRETE_BLOCK_STEPS", 3 * 600)
+    monkeypatch.setattr(experiments, "SDE_BLOCK_PATHS", 2 * 50)
+    pools = []
+
+    class Pool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
     mode, target, extra = CLI_CASES[case]
     assert cli_digest(tmp_path, mode, target, (*extra, "--workers", "2")) == CLI_DIGESTS[case]
+    assert pools == [{"max_workers": 2}] or os.cpu_count() == 1
 
 
 @pytest.mark.parametrize("name", sorted(trajectory_runs()))
