@@ -6,7 +6,8 @@ min{1, psi(Y)/psi(x)}, and then retunes the proposal scale through
     theta_n = theta_{n-1} * exp((xi_n - p) / sqrt(n)),
 
 where xi_n is the acceptance indicator and p the benchmark acceptance
-level.  Two algebraically equivalent formulations are provided (propose
+level.  Every config spells the standard chain p = None: its theta stays
+at theta0.  Two algebraically equivalent formulations are provided (propose
 then accept, or draw the Bernoulli indicator first); both take one normal
 and one uniform draw per step from the chain's two streams, so
 trajectories under a shared seed coincide exactly, not just in
@@ -39,7 +40,7 @@ class ChainState(NamedTuple):
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Run parameters for the adaptive chain (and the fixed-scale variant)."""
+    """Run parameters for the adaptive chain, or (p None) the fixed-scale one."""
 
     p: float
     theta0: float
@@ -50,7 +51,7 @@ class AdaptiveConfig:
     formulation: str = "propose_then_accept"
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
+        if self.p is not None and not 0.0 < self.p < 1.0:
             raise ValueError("benchmark p must lie in (0, 1)")
         if not 0.0 < self.theta0 < math.inf:
             raise ValueError("theta0 must be positive and finite")
@@ -65,10 +66,12 @@ class AdaptiveConfig:
 
 
 def embedded_benchmark(p: float, n: int) -> float:
-    """Acceptance benchmark p_n = 1 - p/sqrt(n) of the chain at resolution n,
-    which must be at least 1 and large enough that p_n > 0."""
+    """Acceptance benchmark p_n = 1 - p/sqrt(n) (None for p None) of the chain
+    at resolution n, which must be at least 1 and large enough that p_n > 0."""
     if n < 1:
         raise ValueError(f"resolution n must be at least 1, got {n}")
+    if p is None:
+        return None
     p_n = 1.0 - p / math.sqrt(n)
     if p_n <= 0.0:
         raise ValueError(f"p/sqrt(n) = {p / math.sqrt(n):.3g} >= 1: "
@@ -78,7 +81,7 @@ def embedded_benchmark(p: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class EmbeddedConfig:
-    """Parameters of the n-th continuous-time approximation on a 1/n grid."""
+    """Parameters of the n-th approximation on a 1/n grid; p None fixes the scale."""
 
     n_resolution: int
     horizon_t: float
@@ -86,12 +89,11 @@ class EmbeddedConfig:
     theta0: float
     x0: float = 0.0
     seed: int = 0
-    adaptive: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.horizon_t < math.inf:
             raise ValueError("horizon_t must be positive and finite")
-        if not 0.0 < self.p < math.inf:
+        if self.p is not None and not 0.0 < self.p < math.inf:
             raise ValueError("benchmark p must be positive and finite")
         if not 0.0 < self.theta0 < math.inf:
             raise ValueError("theta0 must be positive and finite")
@@ -104,7 +106,7 @@ class EmbeddedConfig:
 
     @property
     def p_n(self) -> float:
-        """Grid-level acceptance benchmark 1 - p/sqrt(n)."""
+        """Grid-level acceptance benchmark 1 - p/sqrt(n), None at a fixed scale."""
         return embedded_benchmark(self.p, self.n_resolution)
 
     @property
@@ -139,10 +141,11 @@ def chain_streams(seed: int):
 
 def amcmc_step(state: ChainState, config: AdaptiveConfig, target: TargetModel,
                streams) -> ChainState:
-    """Advance the adaptive chain one step, drawing one standard normal and
-    one uniform from ``streams`` (a chain_streams pair) under either
+    """Advance the chain one step, drawing one standard normal and one
+    uniform from ``streams`` (a chain_streams pair) under either
     formulation.  The proposal scale is the incoming state's theta; the
-    returned state carries the retuned theta for iteration n = step + 1.
+    returned state carries the retuned theta for iteration n = step + 1,
+    or the same theta when config.p is None.
     """
     normals, uniforms = streams
     eps = normals.standard_normal()
@@ -160,8 +163,9 @@ def amcmc_step(state: ChainState, config: AdaptiveConfig, target: TargetModel,
     else:
         x_new = state.x + theta * (xi * eps)
 
-    theta_new = float(theta * np.exp((xi - config.p) / math.sqrt(n)))
-    return ChainState(x_new, theta_new, xi, n)
+    if config.p is not None:
+        theta = float(theta * np.exp((xi - config.p) / math.sqrt(n)))
+    return ChainState(x_new, theta, xi, n)
 
 
 def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel):
@@ -225,7 +229,7 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
 
 
 def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
-    """Adaptive chain: n_samples repeated steps from (x0, theta0).
+    """Chain of a config, adaptive or (p None) fixed-scale: n_samples steps.
 
     The propose-then-accept formulation is run_chains' one-chain case; the
     Bernoulli-first one steps through amcmc_step, so the two remain
@@ -243,19 +247,18 @@ def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
 
 
 def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
-    """Standard MH chain: identical mechanics, theta fixed at theta0."""
+    """Standard MH chain: identical mechanics, theta fixed at theta0 whatever p is."""
     return run_chains(target, [(config.seed, config.theta0, None)], config.n_samples,
                       config.x0)[0]
 
 
 def run_embedded(config: EmbeddedConfig, target: TargetModel) -> ChainTrajectory:
-    """Embedded chain on the 1/n grid, adaptive or fixed-scale ("X SMC").
+    """Embedded chain on the 1/n grid, adaptive or (p None) fixed-scale.
 
     Step i proposes x + (theta/sqrt(n)) * eps, accepts by density ratio, and
-    when adaptive retunes theta by exp((xi - p_n)/sqrt(n)) with
+    unless p is None retunes theta by exp((xi - p_n)/sqrt(n)) with
     p_n = 1 - p/sqrt(n).  Values between grid points are the previous grid
     value (piecewise-constant interpolation).
     """
-    benchmark = config.p_n if config.adaptive else None
-    return run_chains(target, [(config.seed, config.theta0, benchmark)], config.n_steps,
+    return run_chains(target, [(config.seed, config.theta0, config.p_n)], config.n_steps,
                       config.x0, sqrt_n=math.sqrt(config.n_resolution))[0]

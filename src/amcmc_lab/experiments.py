@@ -196,26 +196,29 @@ class Job:
     """One cell x replicate of a grid: its row coordinates and seeded config."""
 
     target: str
-    arm: str
     group: float  # theta0 (discrete) or h (sde)
-    p: float  # None on the standard arm
     seed: int  # the spec's seed, as the row reports it
     replicate: int
     ks_correction: str
     config: object  # AdaptiveConfig or EulerConfig, seeded for this replicate
 
+    @property
+    def arm(self) -> str:
+        """The row's arm, read off the config: p None is the fixed scale."""
+        return "standard" if self.config.p is None else "adaptive"
+
 
 def _jobs(spec: ExperimentSpec, cells, make_config):
-    """Jobs of (arm, group, p) cells in coordinate order, every replicate.
+    """Jobs of (group, p) cells in coordinate order, every replicate; p None
+    is the group's standard cell, which sorts last.
 
     The config of replicate r of the idx-th cell in that order is seeded
     with child_seed(spec.seed, idx, r).
     """
     return [
-        Job(spec.target, arm, group, p, spec.seed, rep, spec.ks_correction,
-            make_config(arm, group, p, child_seed(spec.seed, idx, rep)))
-        for idx, (arm, group, p) in enumerate(
-            sorted(cells, key=lambda c: (c[1], c[0], _p_key(c[2]))))
+        Job(spec.target, group, spec.seed, rep, spec.ks_correction,
+            make_config(group, p, child_seed(spec.seed, idx, rep)))
+        for idx, (group, p) in enumerate(sorted(cells, key=lambda c: (c[0], _p_key(c[1]))))
         for rep in range(spec.replicates)
     ]
 
@@ -235,10 +238,9 @@ def _blocks(jobs, size, budget, key=lambda job: None):
 
 def run_job_chains(jobs, x_only=False):
     """The chains of one spec's discrete jobs, advanced in lockstep."""
-    config = jobs[0].config
-    return run_chains(make_target(jobs[0].target),
-                      [(job.config.seed, job.config.theta0, job.p) for job in jobs],
-                      config.n_samples, config.x0, x_only=x_only)
+    configs = [job.config for job in jobs]
+    return run_chains(make_target(jobs[0].target), [(c.seed, c.theta0, c.p) for c in configs],
+                      configs[0].n_samples, configs[0].x0, x_only=x_only)
 
 
 def discrete_jobs(spec: ExperimentSpec):
@@ -260,13 +262,13 @@ def discrete_jobs(spec: ExperimentSpec):
     cells = []
     for theta0 in theta0_grid:
         if spec.arm in ("adaptive", "both"):
-            cells.extend(("adaptive", theta0, p) for p in p_grid)
+            cells.extend((theta0, p) for p in p_grid)
         if spec.arm in ("standard", "both"):
-            cells.append(("standard", theta0, None))
+            cells.append((theta0, None))
 
-    def make_config(arm, theta0, p, run_seed):
+    def make_config(theta0, p, run_seed):
         return AdaptiveConfig(
-            p=p if p is not None else 0.5,  # placeholder; the standard arm ignores p
+            p=p,
             theta0=theta0,
             n_samples=spec.n_samples,
             x0=spec.effective_x0(),
@@ -292,20 +294,19 @@ def sde_jobs(spec: ExperimentSpec):
 
     cells = []
     if spec.arm in ("adaptive", "both"):
-        cells.extend(("adaptive", h, p) for h, p in hp_cells)
+        cells.extend(hp_cells)
     if spec.arm in ("standard", "both"):
-        cells.extend(("standard", h, None) for h in sorted({h for h, _ in hp_cells}))
+        cells.extend((h, None) for h in sorted({h for h, _ in hp_cells}))
 
-    def make_config(arm, h, p, run_seed):
+    def make_config(h, p, run_seed):
         return EulerConfig(
             h=h,
             horizon_t=spec.horizon_t,
-            p=p if p is not None else 1.0,  # placeholder; the standard arm ignores p
+            p=p,
             theta0=theta0,
             x0=spec.effective_x0(),
             n_paths=spec.n_paths,
             seed=run_seed,
-            adaptive=(arm == "adaptive"),
             boundary_mode=spec.boundary_mode,
         )
 
@@ -360,8 +361,9 @@ def _discrete_block(jobs) -> list:
     rows = []
     for job, chain in zip(jobs, run_job_chains(jobs, x_only=True)):
         summary = chain_summary(chain.x, target, job.config.burn_in, job.ks_correction)
-        rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.p, job.seed,
-                                job.replicate, summary.d, summary.p_value, summary.esjd))
+        rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.config.p,
+                                job.seed, job.replicate, summary.d, summary.p_value,
+                                summary.esjd))
     return rows
 
 
@@ -373,13 +375,13 @@ def _sde_block(jobs) -> list:
     for job, result in zip(jobs, results):
         nan = int(np.isnan(result.x_t).sum())
         if nan:
-            p = "" if job.p is None else f", p={job.p!r}"
+            p = "" if job.config.p is None else f", p={job.config.p!r}"
             raise ValueError(f"sde cell h={job.group!r}, arm={job.arm}{p}: {nan} of "
                              f"{len(result.x_t)} terminal values are NaN (the "
                              "ensemble diverged)")
         d = ks_statistic(result.x_t, target)
         p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
-        rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.p, job.seed,
+        rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.config.p, job.seed,
                            job.replicate, d, p_value, result.theta_t_mean))
     return rows
 
@@ -482,17 +484,6 @@ def write_lines(lines, destination) -> None:
 _HEADER_TYPES = {header: row_type for row_type, header in _CSV_HEADERS.items()}
 
 
-def _parse_field(row_type, name, text):
-    if text == "":
-        return None
-    kind = {f.name: f.type for f in fields(row_type)}[name]
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    return text
-
-
 def load_csv(source):
     """Read back a CSV produced by emit_csv into typed rows."""
     if hasattr(source, "read"):
@@ -507,16 +498,15 @@ def load_csv(source):
     if header not in _HEADER_TYPES:
         raise ValueError(f"unrecognized CSV header: {header!r}")
     row_type = _HEADER_TYPES[header]
-    names = [f.name for f in fields(row_type)]
+    # one converter per column; an empty field reads None
+    parsers = [f.type if f.type in (int, float) else str for f in fields(row_type)]
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(names):
+        if len(parts) != len(parsers):
             raise ValueError(f"malformed CSV line: {line!r}")
-        rows.append(row_type(**{
-            name: _parse_field(row_type, name, part)
-            for name, part in zip(names, parts)
-        }))
+        rows.append(row_type(*[parse(part) if part else None
+                               for parse, part in zip(parsers, parts)]))
     return rows
 
 

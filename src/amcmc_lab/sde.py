@@ -6,8 +6,9 @@ The coupled dynamics are
     dtheta = theta * (p - theta/sqrt(2*pi) * |psi'|/psi (X)) dt
 
 with no Brownian term on theta (the diffusion matrix has a zero row).  The
-fixed-scale variant freezes theta at theta0, which for the normal target is
-an Ornstein-Uhlenbeck process with stationary variance 1 for every theta.
+fixed-scale variant, a config with p None, freezes theta at theta0: for the
+normal target an Ornstein-Uhlenbeck process of stationary variance 1 at
+every theta.
 
 For the exponential target the positive half-line is preserved by
 reflecting X across zero after each step (the default) or by holding the
@@ -35,7 +36,7 @@ class SdeState(NamedTuple):
 
 @dataclass(frozen=True)
 class EulerConfig:
-    """Mesh, horizon and drift parameters for an Euler run."""
+    """Mesh, horizon and drift parameters for an Euler run; p None fixes theta."""
 
     h: float
     horizon_t: float
@@ -44,7 +45,6 @@ class EulerConfig:
     x0: float = 0.0
     n_paths: int = 1
     seed: int = 0
-    adaptive: bool = True
     boundary_mode: str = "reflect"
 
     def __post_init__(self):
@@ -55,7 +55,7 @@ class EulerConfig:
         if not math.isfinite(self.horizon_t / self.h):
             raise ValueError(f"step count horizon_t/h = {self.horizon_t / self.h} "
                              "must be finite")
-        if not 0.0 < self.p < math.inf:
+        if self.p is not None and not 0.0 < self.p < math.inf:
             raise ValueError("drift benchmark p must be positive and finite")
         if not 0.0 < self.theta0 < math.inf:
             raise ValueError("theta0 must be positive and finite")
@@ -103,7 +103,7 @@ def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> 
     h = config.h
     sqrt_h = math.sqrt(h)
     s = target.score(state.x)
-    if config.adaptive:
+    if config.p is not None:
         theta = state.theta
         x_new = state.x + h * 0.5 * theta * theta * s + sqrt_h * theta * z
         theta_raw = theta + h * theta * (config.p - theta * np.abs(s) / SQRT_2PI)
@@ -138,8 +138,8 @@ _SHARED_FIELDS = ("h", "horizon_t", "x0", "theta0", "n_paths", "boundary_mode")
 def run_ensembles(target: TargetModel, configs) -> list:
     """Integrate ensembles that share a mesh as one wide array of paths.
 
-    The configs must agree on every field but ``seed``, ``p`` and
-    ``adaptive``.  An ensemble draws its Gaussian increments from the one
+    The configs must agree on every field but ``seed`` and ``p`` (None for
+    a fixed scale).  An ensemble draws its Gaussian increments from the one
     stream stream_rng(seed): one standard normal per path per step, in
     step-major order.  Each stream is read in order, STEP_CHUNK steps at a
     time into a reused buffer, so chunked draws give the bits of one whole
@@ -158,10 +158,10 @@ def run_ensembles(target: TargetModel, configs) -> list:
             raise ValueError(f"ensembles run together must share {name}")
 
     # Adaptive ensembles first, so the theta update touches a leading slice.
-    order = sorted(range(len(configs)), key=lambda i: not configs[i].adaptive)
+    order = sorted(range(len(configs)), key=lambda i: configs[i].p is None)
     ordered = [configs[i] for i in order]
     n, n_steps, h = first.n_paths, first.n_steps, first.h
-    n_adaptive = sum(c.adaptive for c in configs)
+    n_adaptive = sum(c.p is not None for c in configs)
     width, a = n * len(configs), n * n_adaptive  # a: paths of adaptive ensembles
     rngs = [stream_rng(c.seed) for c in ordered]
     z = np.empty((len(configs), min(STEP_CHUNK, n_steps), n))  # ensemble, step, path

@@ -213,8 +213,8 @@ def test_criterion_5_sde_reference_bands():
         cfg = EulerConfig(h=0.01, horizon_t=1.0, p=2.75, theta0=1.0,
                           n_paths=1000, seed=seed)
         adaptive_d.append(ks_statistic(run_ensemble(cauchy, cfg).x_t, cauchy))
-        cfg = EulerConfig(h=0.01, horizon_t=1.0, p=2.75, theta0=1.0,
-                          n_paths=1000, seed=1000 + seed, adaptive=False)
+        cfg = EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0,
+                          n_paths=1000, seed=1000 + seed)
         standard_d.append(ks_statistic(run_ensemble(cauchy, cfg).x_t, cauchy))
     med_adaptive = median(adaptive_d)
     med_standard = median(standard_d)
@@ -240,8 +240,8 @@ def test_criterion_6_ou_stationary_variance():
         # step at (h * theta^2, T * theta^2), so every leg gets the theta = 2.38
         # leg's theta^2 T ~ 1133: the time-average variance then has the same
         # spread (sd ~ sqrt(8 / (theta^2 T))) for every theta.
-        cfg = EulerConfig(h=0.01, horizon_t=200.0 * (2.38 / theta) ** 2, p=1.0,
-                          theta0=theta, n_paths=1, seed=0, adaptive=False)
+        cfg = EulerConfig(h=0.01, horizon_t=200.0 * (2.38 / theta) ** 2, p=None,
+                          theta0=theta, n_paths=1, seed=0)
         horizons[theta] = cfg.horizon_t
         n_steps = cfg.n_steps
         xs = np.empty((len(SEEDS_10), n_steps))

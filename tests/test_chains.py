@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from amcmc_lab import (
     run_embedded,
     run_smcmc,
 )
-from amcmc_lab.chains import chain_streams, metropolis_step, run_chains
+from amcmc_lab.chains import FORMULATIONS, chain_streams, metropolis_step, run_chains
 from amcmc_lab.seeding import STEP_CHUNK
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
@@ -151,6 +152,15 @@ def test_smcmc_theta_constant_and_p_ignored():
     config = AdaptiveConfig(p=0.9, theta0=0.7, n_samples=300, seed=8)
     trajectory = run_smcmc(config, NORMAL)
     assert np.all(trajectory.theta == 0.7)
+    # p None is the fixed-scale spelling: run_amcmc of it, under either
+    # formulation, gives the bytes of run_smcmc at any p
+    for formulation in FORMULATIONS:
+        fixed = run_amcmc(replace(config, p=None, formulation=formulation), NORMAL)
+        for p in (None, 0.3, 0.9):
+            standard = run_smcmc(replace(config, p=p), NORMAL)
+            assert fixed.x.tobytes() == standard.x.tobytes()
+            assert fixed.theta.tobytes() == standard.theta.tobytes()
+            assert fixed.xi.tobytes() == standard.xi.tobytes()
 
 
 def test_smcmc_small_scale_mixes_poorly():
@@ -198,6 +208,11 @@ def test_smcmc_preserves_target_distribution():
 def test_embedded_config_validation():
     with pytest.raises(ValueError):
         EmbeddedConfig(n_resolution=4, horizon_t=1.0, p=2.5, theta0=1.0)
+    # a fixed-scale chain (p None) has no benchmark p_n to refuse
+    fixed = EmbeddedConfig(n_resolution=4, horizon_t=1.0, p=None, theta0=1.0)
+    assert fixed.p_n is None and fixed.n_steps == 4
+    with pytest.raises(ValueError, match="resolution"):
+        EmbeddedConfig(n_resolution=0, horizon_t=1.0, p=None, theta0=1.0)
     config = EmbeddedConfig(n_resolution=100, horizon_t=1.0, p=0.5, theta0=1.0)
     assert config.p_n == pytest.approx(0.95)
     assert config.n_steps == 100
@@ -220,8 +235,7 @@ def test_embedded_adaptive_scale_update():
 
 def test_embedded_fixed_scale_increment_variance():
     n = 10_000
-    config = EmbeddedConfig(n_resolution=n, horizon_t=1.0, p=0.5, theta0=2.0,
-                            seed=21, adaptive=False)
+    config = EmbeddedConfig(n_resolution=n, horizon_t=1.0, p=None, theta0=2.0, seed=21)
     trajectory = run_embedded(config, NORMAL)
     assert np.all(trajectory.theta == 2.0)
     increments = np.diff(np.concatenate([[0.0], trajectory.x]))
@@ -247,6 +261,7 @@ def test_config_validation():
         AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, burn_in=10)
     with pytest.raises(ValueError):
         AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, formulation="other")
+    assert AdaptiveConfig(p=None, theta0=1.0, n_samples=10).p is None  # a fixed scale
 
 
 def test_trajectory_state_accessors():
@@ -259,11 +274,24 @@ def test_trajectory_state_accessors():
     assert state.step == 3
 
 
+def oracle_chain(target, seed, theta0, p, x0, n):
+    """(x, theta, xi) bytes of chain (seed, theta0, p) from x0: amcmc_step,
+    stepped by hand n times on chain_streams(seed)."""
+    config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
+    streams = chain_streams(seed)
+    state = ChainState(x0, theta0, 0, 0)
+    xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    for i in range(n):
+        state = amcmc_step(state, config, target, streams)
+        xs[i], thetas[i], xis[i] = state.x, state.theta, state.xi
+    return xs.tobytes(), thetas.tobytes(), xis.tobytes()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(TARGET_KINDS),
     seed=st.integers(0, 2**63),
-    p=st.floats(0.05, 0.95),
+    p=st.one_of(st.none(), st.floats(0.05, 0.95)),
     theta0=st.floats(0.01, 50.0),
     x0=st.floats(-5.0, 5.0),
     n=st.one_of(st.integers(1, 400),
@@ -271,20 +299,19 @@ def test_trajectory_state_accessors():
 )
 def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
     # run_amcmc's propose-then-accept chain is the lockstep runner's
-    # one-chain case; amcmc_step, stepped by hand on the same two streams,
-    # is its scalar oracle.  A negative x0 starts exp off its support.
+    # one-chain case, and a grid block mixes fixed-scale (None) and adaptive
+    # benchmarks in one batch; amcmc_step, stepped by hand on a chain's two
+    # streams, is the scalar oracle of each.  A negative x0 starts exp off
+    # its support.
     target = make_target(kind)
     config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
-    trajectory = run_amcmc(config, target)
-    streams = chain_streams(seed)
-    state = ChainState(x0, theta0, 0, 0)
-    xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
-    for i in range(n):
-        state = amcmc_step(state, config, target, streams)
-        xs[i], thetas[i], xis[i] = state.x, state.theta, state.xi
-    assert trajectory.x.tobytes() == xs.tobytes()
-    assert trajectory.theta.tobytes() == thetas.tobytes()
-    assert trajectory.xi.tobytes() == xis.tobytes()
+    block = [(seed, theta0, p), (seed + 1, theta0 / 2, None), (seed + 2, 2 * theta0, 0.3)]
+    trajectories = [run_amcmc(config, target)] + run_chains(target, block, n, x0)
+    for trajectory, chain in zip(trajectories, block[:1] + block):
+        xs, thetas, xis = oracle_chain(target, *chain, x0, n)
+        assert trajectory.x.tobytes() == xs
+        assert trajectory.theta.tobytes() == thetas
+        assert trajectory.xi.tobytes() == xis
 
 
 def _bits(value) -> bytes:
@@ -294,7 +321,7 @@ def _bits(value) -> bytes:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(TARGET_KINDS),
-    p=st.floats(0.05, 0.95),
+    p=st.one_of(st.none(), st.floats(0.05, 0.95)),
     chains=st.lists(st.tuples(
         st.floats(-5.0, 5.0),  # x: negative starts exp off its support
         st.floats(0.01, 50.0),  # theta
@@ -304,15 +331,16 @@ def _bits(value) -> bytes:
     ), min_size=1, max_size=40),
 )
 def test_metropolis_step_matches_amcmc_step_oracle(kind, p, chains):
-    # the batch kernel plus the runner's gain update, fed the draws that
-    # amcmc_step reads from its streams, gives its states bit for bit
+    # the batch kernel plus the runner's gain update (none at a fixed scale,
+    # p None), fed the draws that amcmc_step reads from its streams, gives
+    # its states bit for bit
     target = make_target(kind)
     x, theta, step, eps, u = (np.array(column, float) for column in zip(*chains))
     with np.errstate(invalid="ignore", divide="ignore"):
         y, _, accept = metropolis_step(x, target.log_density(x), theta, eps, np.log(u),
                                        target)
     x_new = np.where(accept, y, x)
-    theta_new = theta * np.exp((accept - p) / np.sqrt(step + 1))
+    theta_new = theta if p is None else theta * np.exp((accept - p) / np.sqrt(step + 1))
     config = AdaptiveConfig(p=p, theta0=1.0, n_samples=1)
     for c, (x0, theta0, n, e, v) in enumerate(chains):
         state = amcmc_step(ChainState(x0, theta0, 0, n), config, target,

@@ -59,7 +59,7 @@ def test_euler_step_zero_noise_zero_score():
 
 
 def test_euler_step_fixed_scale():
-    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0, adaptive=False)
+    config = EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0)
     new = euler_step(NORMAL, SdeState(1.0, 1.0), config, z=1.0)
     assert new.x == pytest.approx(1.0 - 0.005 + 0.1, abs=1e-15)
     assert new.theta == 1.0
@@ -133,8 +133,8 @@ def test_ensemble_reference_band_normal():
 def test_ensemble_fixed_well_tuned_scale_reaches_stationarity():
     # fixed scale 2.38 relaxes within T=1 (reference prints p-value 0.5273 at
     # this mesh; the unstated starting scale there is consistent with 2.38)
-    config = EulerConfig(h=0.0001, horizon_t=1.0, p=1.0, theta0=2.38,
-                         n_paths=400, seed=12, adaptive=False)
+    config = EulerConfig(h=0.0001, horizon_t=1.0, p=None, theta0=2.38,
+                         n_paths=400, seed=12)
     result = run_ensemble(NORMAL, config)
     d = ks_statistic(result.x_t, NORMAL)
     assert ks_pvalue(d, 400) > 0.01
@@ -162,8 +162,8 @@ def test_ou_stationary_variance_single_path():
     # 1 regardless of theta; checked where the time-average estimator is
     # tight enough for the band (the full theta sweep lives in acceptance)
     theta = 2.38
-    config = EulerConfig(h=0.01, horizon_t=200.0, p=1.0, theta0=theta,
-                         n_paths=1, seed=0, adaptive=False)
+    config = EulerConfig(h=0.01, horizon_t=200.0, p=None, theta0=theta,
+                         n_paths=1, seed=0)
     inside = 0
     for seed in range(10):
         state = SdeState(0.0, theta)
@@ -185,6 +185,8 @@ def test_euler_config_validation():
         EulerConfig(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, n_paths=0)
     with pytest.raises(ValueError):
         EulerConfig(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, boundary_mode="wrap")
+    # p None is the fixed-scale limit: no range check on p
+    assert EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0).p is None
 
 
 def whole_matrix_oracle(target, config):
@@ -196,7 +198,7 @@ def whole_matrix_oracle(target, config):
     floor_hits = 0
     for i in range(config.n_steps):
         state = euler_step(target, state, config, z[i])
-        if config.adaptive:
+        if config.p is not None:
             floor_hits += int(np.count_nonzero(state.theta == THETA_FLOOR))
     return state.x, state.theta, floor_hits
 
@@ -239,12 +241,13 @@ def assert_matches_oracle(target, configs):
 def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps, h, theta0,
                                                    x0, n_paths, ensembles):
     # chunked draws and one wide array per mesh give every bit of the
-    # whole-matrix loop over euler_step, field by field and ensemble by ensemble
+    # whole-matrix loop over euler_step, field by field and ensemble by
+    # ensemble; an ensemble drawn as not adaptive runs at a fixed scale
     target = make_target(kind)
     if kind == "exp":
         x0 = abs(x0)
-    configs = [EulerConfig(h=h, horizon_t=(n_steps - 0.5) * h, p=p, theta0=theta0, x0=x0,
-                           n_paths=n_paths, seed=seed, adaptive=adaptive,
+    configs = [EulerConfig(h=h, horizon_t=(n_steps - 0.5) * h, p=p if adaptive else None,
+                           theta0=theta0, x0=x0, n_paths=n_paths, seed=seed,
                            boundary_mode=boundary_mode)
                for adaptive, p, seed in ensembles]
     assert configs[0].n_steps == n_steps
@@ -253,9 +256,8 @@ def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps,
 
 def test_run_ensembles_count_floor_hits_per_ensemble():
     # on a mesh this coarse some paths of each adaptive ensemble clamp
-    configs = [EulerConfig(h=0.5, horizon_t=20.0, p=p, theta0=3.0, n_paths=20, seed=seed,
-                           adaptive=adaptive)
-               for adaptive, p, seed in ((False, 1.0, 1), (True, 0.001, 2), (True, 0.5, 3))]
+    configs = [EulerConfig(h=0.5, horizon_t=20.0, p=p, theta0=3.0, n_paths=20, seed=seed)
+               for p, seed in ((None, 1), (0.001, 2), (0.5, 3))]
     hits = [result.theta_floor_hits for result in run_ensembles(NORMAL, configs)]
     assert hits[0] == 0 and 0 < hits[1] != hits[2] > 0
     assert_matches_oracle(NORMAL, configs)
