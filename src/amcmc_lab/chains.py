@@ -189,6 +189,11 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
     grid), unless the benchmark is None.  A chain's float operations are
     amcmc_step's and its own, so its bits do not depend on the batch.  With
     x_only, theta and xi are not recorded (None).
+
+    A chunk's draws and both values of each retuning factor (xi = 1 and 0;
+    1.0 for a fixed scale) are laid out step-major, so each step reads and
+    records contiguous rows, and the recorded rows go chain-major once per
+    chunk.
     """
     seeds, theta0, benchmarks = zip(*chains)
     streams = [chain_streams(seed) for seed in seeds]
@@ -196,36 +201,40 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
     adapting = adapts.any()
     benchmark = np.array([0.0 if b is None else b for b in benchmarks])
     width, chunk = len(streams), min(STEP_CHUNK, n_steps)
-    eps, log_u = np.empty((width, chunk)), np.empty((width, chunk))
+    eps, log_u = np.empty((2, chunk, width))
     x, theta = np.full(width, float(x0)), np.array(theta0, float)
     lp_x = target.log_density(x)
-    xs = np.empty((width, n_steps))
-    if not x_only:
-        thetas, xis = np.empty((width, n_steps)), np.empty((width, n_steps), np.int8)
+    dtypes = (float,) if x_only else (float, float, np.int8)  # x, theta, xi
+    paths = [np.empty((width, n_steps), dtype) for dtype in dtypes]
+    rows = [np.empty((chunk, width), dtype) for dtype in dtypes]
 
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
-        for (normals, uniforms), e, u in zip(streams, eps, log_u):
-            normals.standard_normal(out=e[:m])
-            uniforms.random(out=u[:m])
-        np.log(log_u[:, :m], out=log_u[:, :m])
+        for c, (normals, uniforms) in enumerate(streams):
+            eps[:m, c], log_u[:m, c] = normals.standard_normal(m), uniforms.random(m)
+        np.log(log_u[:m], out=log_u[:m])
+        if adapting:
+            steps = np.arange(start + 1.0, start + m + 1.0)
+            r = np.sqrt(steps) if sqrt_n is None else np.full(m, sqrt_n)
+            up, down = (np.where(adapts, np.exp((xi - benchmark) / r[:, None]), 1.0)
+                        for xi in (1.0, 0.0))
         for j in range(m):
-            i = start + j
             scale = theta if sqrt_n is None else theta / sqrt_n
-            y, lp_y, accept = metropolis_step(x, lp_x, scale, eps[:, j], log_u[:, j],
-                                              target)
+            y, lp_y, accept = metropolis_step(x, lp_x, scale, eps[j], log_u[j], target)
             np.copyto(x, y, where=accept)
             np.copyto(lp_x, lp_y, where=accept)
             if adapting:
-                r = math.sqrt(i + 1) if sqrt_n is None else sqrt_n
-                np.multiply(theta, np.exp((accept - benchmark) / r), out=theta,
-                            where=adapts)
-            xs[:, i] = x
+                factor = down[j]  # this step's row, now xi's factor
+                np.copyto(factor, up[j], where=accept)
+                theta *= factor
+            rows[0][j] = x
             if not x_only:
-                thetas[:, i], xis[:, i] = theta, accept
+                rows[1][j], rows[2][j] = theta, accept
+        for path, row in zip(paths, rows):
+            path[:, start:start + m] = row[:m].T
     if x_only:
-        return [ChainTrajectory(x, None, None) for x in xs]
-    return [ChainTrajectory(*arrays) for arrays in zip(xs, thetas, xis)]
+        return [ChainTrajectory(x, None, None) for x in paths[0]]
+    return [ChainTrajectory(*arrays) for arrays in zip(*paths)]
 
 
 def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:

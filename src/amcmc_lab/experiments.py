@@ -77,7 +77,10 @@ SDE_THETA0_GRID = (1.0,)  # sde mode takes a single theta0
 # (about 34 MB of increment buffer at 8192 paths) on the default
 # 11-replicate grid, whose widest mesh holds 44 000 paths.
 SDE_BLOCK_PATHS = 8192
-DISCRETE_BLOCK_STEPS = 150_000  # chain-steps of a lockstep block: 1.2 MB of positions
+# Chain-steps of a lockstep block: 16 MB of recorded positions.  The default
+# 330-chain grid of 10^4 steps packs into blocks of 200 and 130 chains, wide
+# enough to spread the fixed cost of a step's numpy calls.
+DISCRETE_BLOCK_STEPS = 2_000_000
 
 COEFF_THETA_GRID = (0.5, 1.0, 2.0)
 COEFF_X_GRIDS = {
@@ -176,10 +179,14 @@ def _common_checks(spec: ExperimentSpec):
         raise ValueError("workers must be at least 1")
 
 
+def _processes(workers: int) -> int:
+    # A pool starts every worker up front: never more than the cores to run them.
+    return min(workers, os.cpu_count() or 1)
+
+
 def _map_jobs(fn, payloads, workers: int):
-    # A pool starts every worker up front: never more than there are jobs
-    # or cores to run them.
-    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    # ... and never more than there are jobs.
+    workers = min(_processes(workers), len(payloads))
     if workers <= 1:
         return [fn(payload) for payload in payloads]
     chunk = max(1, len(payloads) // (workers * 4))
@@ -208,6 +215,12 @@ class Job:
         return "standard" if self.config.p is None else "adaptive"
 
 
+def _reject_none_p(ps):
+    if any(p is None for p in ps):
+        raise ValueError("p None is the fixed scale, which a grid asks for with "
+                         "arm='standard', not with a None p")
+
+
 def _jobs(spec: ExperimentSpec, cells, make_config):
     """Jobs of (group, p) cells in coordinate order, every replicate; p None
     is the group's standard cell, which sorts last.
@@ -223,10 +236,12 @@ def _jobs(spec: ExperimentSpec, cells, make_config):
     ]
 
 
-def _blocks(jobs, size, budget, key=lambda job: None):
+def _blocks(jobs, size, budget, parts, key=lambda job: None):
     """Consecutive jobs of equal key packed into blocks of at most budget
-    units, each job `size` units (one job if a single job is larger)."""
-    per_block = max(1, budget // size)
+    units, each job `size` units (one job if a single job is larger), and
+    of at most len(jobs) // parts jobs, so that there are at least `parts`
+    blocks for `parts` processes to share whenever there are that many jobs."""
+    per_block = max(1, min(budget // size, len(jobs) // parts))
     blocks = []
     for job in jobs:
         if blocks and len(blocks[-1]) < per_block and key(blocks[-1][0]) == key(job):
@@ -250,6 +265,7 @@ def discrete_jobs(spec: ExperimentSpec):
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
     theta0_grid = tuple(sorted(set(spec.theta0_grid))) or DISCRETE_THETA0_GRID
+    _reject_none_p(spec.p_grid)
     p_grid = tuple(sorted(set(spec.p_grid))) or DISCRETE_P_GRIDS[spec.target]
     # The configs check every other value; the standard arm's never see p.
     if any(not 0.0 < p < 1.0 for p in p_grid):
@@ -284,6 +300,7 @@ def sde_jobs(spec: ExperimentSpec):
     _common_checks(spec)
     if spec.mode != "sde":
         raise ValueError("spec.mode must be 'sde'")
+    _reject_none_p(p for _, p in spec.hp_cells)
     hp_cells = tuple(sorted(set(spec.hp_cells))) or default_sde_cells(spec.target)
     if len(spec.theta0_grid) > 1:
         raise ValueError("sde mode takes a single theta0")
@@ -401,15 +418,19 @@ def run_experiment(spec: ExperimentSpec):
     A mode splits its grid into blocks, the unit of work of one process: a
     run of discrete jobs of at most DISCRETE_BLOCK_STEPS chain-steps, a run
     of same-h sde jobs of at most SDE_BLOCK_PATHS paths, or a coeff cell.
+    Discrete and sde grids split into at least as many blocks as there are
+    processes to run them (see _blocks).
     Every block is built, and so the grid's input checked, before any of
     them runs; a coeff n or kind is checked in its block, before any draw.
     Discrete and sde rows come in coordinate order, coeff rows kind-major.
     """
+    parts = _processes(spec.workers)
     if spec.mode == "discrete":
-        blocks = _blocks(discrete_jobs(spec), spec.n_samples, DISCRETE_BLOCK_STEPS)
+        blocks = _blocks(discrete_jobs(spec), spec.n_samples, DISCRETE_BLOCK_STEPS, parts)
         run_block = _discrete_block
     elif spec.mode == "sde":
-        blocks = _blocks(sde_jobs(spec), spec.n_paths, SDE_BLOCK_PATHS, lambda job: job.group)
+        blocks = _blocks(sde_jobs(spec), spec.n_paths, SDE_BLOCK_PATHS, parts,
+                         lambda job: job.group)
         run_block = _sde_block
     else:
         blocks, run_block = coeff_cells(spec), _coeff_block

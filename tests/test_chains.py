@@ -18,7 +18,13 @@ from amcmc_lab import (
     run_embedded,
     run_smcmc,
 )
-from amcmc_lab.chains import FORMULATIONS, chain_streams, metropolis_step, run_chains
+from amcmc_lab.chains import (
+    FORMULATIONS,
+    chain_streams,
+    embedded_benchmark,
+    metropolis_step,
+    run_chains,
+)
 from amcmc_lab.seeding import STEP_CHUNK
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
@@ -309,6 +315,54 @@ def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
     trajectories = [run_amcmc(config, target)] + run_chains(target, block, n, x0)
     for trajectory, chain in zip(trajectories, block[:1] + block):
         xs, thetas, xis = oracle_chain(target, *chain, x0, n)
+        assert trajectory.x.tobytes() == xs
+        assert trajectory.theta.tobytes() == thetas
+        assert trajectory.xi.tobytes() == xis
+
+
+def embedded_oracle_chain(target, seed, theta0, p_n, x0, n, sqrt_n):
+    """(x, theta, xi) bytes of the 1/n-grid chain (seed, theta0, p_n) from x0:
+    amcmc_step's float operations, stepped by hand n times on
+    chain_streams(seed), at proposal scale theta/sqrt_n and retuning
+    exponent (xi - p_n)/sqrt_n."""
+    normals, uniforms = chain_streams(seed)
+    x, theta = x0, theta0
+    xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    for i in range(n):
+        eps, u = normals.standard_normal(), uniforms.random()
+        log_u = float(np.log(u)) if u > 0.0 else -math.inf
+        y = x + (theta / sqrt_n) * eps
+        xi = 1 if log_u < target.log_density(y) - target.log_density(x) else 0
+        x = y if xi else x
+        if p_n is not None:
+            theta = float(theta * np.exp((xi - p_n) / sqrt_n))
+        xs[i], thetas[i], xis[i] = x, theta, xi
+    return xs.tobytes(), thetas.tobytes(), xis.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
+                               2 * STEP_CHUNK + 7])
+@pytest.mark.parametrize("embedded", [False, True])
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
+    # run_chains builds both retuning factors of every step of a chunk up
+    # front, 1.0 for a fixed scale; a block mixing adaptive and fixed-scale
+    # chains, run across the chunk edges, is each chain's scalar loop bit
+    # for bit, on the plain and on the 1/n grid
+    target = make_target(kind)
+    block = [(11, 1.3, 0.25), (12, 0.4, None), (13, 2.5, 0.7), (14, 6.0, None)]
+    x0 = 0.5
+    if embedded:
+        n_resolution = 400
+        block = [(seed, theta0, embedded_benchmark(p, n_resolution))
+                 for seed, theta0, p in block]
+        sqrt_n = math.sqrt(n_resolution)
+        oracles = [embedded_oracle_chain(target, *chain, x0, n, sqrt_n) for chain in block]
+    else:
+        sqrt_n = None
+        oracles = [oracle_chain(target, *chain, x0, n) for chain in block]
+    for trajectory, (xs, thetas, xis) in zip(run_chains(target, block, n, x0, sqrt_n),
+                                             oracles):
         assert trajectory.x.tobytes() == xs
         assert trajectory.theta.tobytes() == thetas
         assert trajectory.xi.tobytes() == xis

@@ -94,7 +94,8 @@ def test_discrete_rows_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_discrete_default_grid_runs_in_bounded_blocks(monkeypatch):
-    # the blocks are recorded, not run: 330 chains of 10^4 steps
+    # the blocks are recorded, not run: 330 chains of 10^4 steps, at most
+    # 200 to a block of the budget, so two blocks in one process
     blocks = []
     monkeypatch.setattr(experiments, "_discrete_block", lambda jobs: blocks.append(jobs) or [])
     spec = ExperimentSpec(mode="discrete", target="normal")
@@ -102,7 +103,47 @@ def test_discrete_default_grid_runs_in_bounded_blocks(monkeypatch):
     assert [job for block in blocks for job in block] == experiments.discrete_jobs(spec)
     assert max(len(block) for block in blocks) * spec.n_samples \
         <= experiments.DISCRETE_BLOCK_STEPS
-    assert len(blocks) == -(-330 * spec.n_samples // experiments.DISCRETE_BLOCK_STEPS)
+    assert [len(block) for block in blocks] == [200, 130]
+
+
+def test_discrete_grid_splits_across_workers_at_the_default_budget(tmp_path, monkeypatch):
+    # 30 chains fit one block of the default budget; two processes get a
+    # block of 15 each, and the file has the same bytes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    packed, pools = [], []
+    pack = experiments._blocks
+    monkeypatch.setattr(experiments, "_blocks",
+                        lambda *args: packed.append(pack(*args)) or packed[-1])
+
+    class Pool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    files = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.csv"
+        assert main(["discrete", "--target", "exp", "--replicates", "1", "--n-samples", "2000",
+                     "--burn-in", "200", "--workers", workers, "--out", str(out)]) == 0
+        files.append(out.read_bytes())
+    assert [[len(block) for block in blocks] for blocks in packed] == [[30], [15, 15]]
+    assert pools == [{"max_workers": 2}]
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("jobs,per_block,parts,expected", [
+    (330, 200, 1, [200, 130]),
+    (330, 200, 2, [165, 165]),
+    (30, 200, 2, [15, 15]),
+    (31, 200, 2, [15, 15, 1]),
+    (5, 200, 4, [1] * 5),  # at least `parts` blocks, never an empty one
+    (3, 200, 8, [1] * 3),
+    (10, 4, 2, [4, 4, 2]),  # the budget binds before the split
+])
+def test_blocks_split_for_the_processes(jobs, per_block, parts, expected):
+    assert [len(block) for block in experiments._blocks(list(range(jobs)), 10, 10 * per_block,
+                                                        parts)] == expected
 
 
 def _no_work(jobs):
@@ -125,6 +166,13 @@ def test_invalid_grid_rejected_before_any_work(monkeypatch):
         run_experiment(small_sde_spec(hp_cells=((0.0, 1.0),)))
     with pytest.raises(ValueError, match="sde mode takes a single theta0"):
         run_experiment(small_sde_spec(theta0_grid=(1.0, 2.0)))
+    # p None is the fixed scale, which arm="standard" asks for
+    for p_grid in ((None,), (0.5, None)):
+        with pytest.raises(ValueError, match="arm='standard'"):
+            run_experiment(small_discrete_spec(p_grid=p_grid))
+    for hp_cells in (((0.01, None),), ((0.01, 2.0), (0.01, None))):
+        with pytest.raises(ValueError, match="arm='standard'"):
+            run_experiment(small_sde_spec(hp_cells=hp_cells))
     with pytest.raises(ValueError, match="coeff mode takes a single p"):
         run_experiment(ExperimentSpec(mode="coeff", target="normal", p_grid=(0.3, 0.7)))
 
