@@ -19,10 +19,7 @@ from .chains import (
 from .coeffs import (
     COEFF_KINDS,
     CoeffRow,
-    CoefficientEstimate,
     EvalPoint,
-    convergence_report,
-    estimate_coefficient,
     limit_coefficient,
 )
 from .experiments import (
@@ -54,7 +51,6 @@ __all__ = [
     "ChainTrajectory",
     "CoeffRow",
     "COEFF_KINDS",
-    "CoefficientEstimate",
     "DiscreteRow",
     "EmbeddedConfig",
     "EnsembleResult",
@@ -68,11 +64,9 @@ __all__ = [
     "TargetModel",
     "amcmc_step",
     "chain_summary",
-    "convergence_report",
     "drift",
     "emit_csv",
     "esjd",
-    "estimate_coefficient",
     "euler_step",
     "ks_pvalue",
     "ks_statistic",

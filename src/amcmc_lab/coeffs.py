@@ -12,10 +12,9 @@ the limiting dynamics:
     B1 -> theta^2/2 * psi'/psi,  B2 -> theta (p - theta/sqrt(2 pi) |psi'|/psi),
     A11 -> theta^2,              A22 -> 0,  A12 -> 0.
 
-estimate_coefficient draws independent one-step transitions from a fixed
-state and averages the requested scaled moment; coeff_row sets an estimate
-against its analytic limit, and convergence_report tabulates such rows along
-a grid of resolutions.
+simulate_moments draws independent one-step transitions from a fixed state,
+averages the requested scaled moments over them, and sets each against its
+analytic limit in a row.
 """
 
 import math
@@ -44,6 +43,8 @@ class EvalPoint:
     target: TargetModel
 
     def __post_init__(self):
+        if self.p is None:
+            raise ValueError("benchmark p is None: coeff mode has no fixed-scale arm")
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
         if not 0.0 < self.p < math.inf:
@@ -55,15 +56,6 @@ class EvalPoint:
         if self.target.kind == "exp" and self.x == 0.0:
             # the limits need the two-sided score, which the boundary lacks
             raise ValueError("x=0.0 is the boundary of the exp target; the limits need x > 0")
-
-
-@dataclass(frozen=True)
-class CoefficientEstimate:
-    kind: str
-    n: int
-    estimate: float
-    std_error: float
-    n_draws: int
 
 
 @dataclass(frozen=True)
@@ -103,14 +95,18 @@ class _RunningMoment:
         return math.sqrt(max(var, 0.0) / self.count)
 
 
+# No overflow warning: a row that overflowed is not finite, and is refused below.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                      kinds=COEFF_KINDS) -> dict:
-    """Estimate several scaled moments from one shared set of transitions.
+    """Rows of several scaled moments, in kinds order, estimated from one
+    shared set of transitions and set against their analytic limits.
 
     Each transition is one metropolis_step from the fixed state.  Batch b
     of draws comes from the stream (seed, b) with a fixed batch size, so
-    each kind's estimate is identical whether computed alone or together
-    with the others.
+    each kind's row is identical whether computed alone or together with
+    the others.  A row whose estimate, standard error or limit is not
+    finite raises ValueError.
     """
     if n_draws < _MIN_DRAWS:
         raise ValueError(f"n_draws must be at least {_MIN_DRAWS}")
@@ -147,16 +143,21 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 values = n * dx * dtheta
             acc[kind].add(values)
 
-    return {
-        kind: CoefficientEstimate(kind, n, acc[kind].mean(), acc[kind].std_error(), n_draws)
-        for kind in kinds
-    }
-
-
-def estimate_coefficient(kind: str, point: EvalPoint, n: int, n_draws: int,
-                         seed: int = 0) -> CoefficientEstimate:
-    """Monte-Carlo estimate of one n-scaled one-step moment at a state."""
-    return simulate_moments(point, n, n_draws, seed, kinds=(kind,))[kind]
+    rows = {}
+    for kind in kinds:
+        estimate, std_error = acc[kind].mean(), acc[kind].std_error()
+        limit = limit_coefficient(kind, point)
+        if not all(map(math.isfinite, (estimate, std_error, limit))):
+            raise ValueError(f"coeff cell x={x!r}, theta={theta!r}, p={point.p!r}, n={n}, "
+                             f"kind {kind}: estimate {estimate!r}, std_error "
+                             f"{std_error!r}, limit {limit!r} are not all finite")
+        if std_error > 0.0:
+            z = (estimate - limit) / std_error
+        else:
+            z = 0.0 if estimate == limit else math.inf
+        rows[kind] = CoeffRow(kind, target.kind, x, theta, point.p, n, estimate, std_error,
+                              limit, z)
+    return rows
 
 
 def limit_coefficient(kind: str, point: EvalPoint) -> float:
@@ -172,27 +173,3 @@ def limit_coefficient(kind: str, point: EvalPoint) -> float:
     b_x, b_theta = drift(point.target, SdeState(point.x, theta), point.p)
     return float(b_x if kind == "B1" else b_theta)
 
-
-def coeff_row(point: EvalPoint, estimate: CoefficientEstimate) -> CoeffRow:
-    """The row of an estimate at a point: its analytic limit and z-score."""
-    limit = limit_coefficient(estimate.kind, point)
-    if estimate.std_error > 0.0:
-        z = (estimate.estimate - limit) / estimate.std_error
-    else:
-        z = 0.0 if estimate.estimate == limit else math.inf
-    return CoeffRow(estimate.kind, point.target.kind, point.x, point.theta, point.p,
-                    estimate.n, estimate.estimate, estimate.std_error, limit, z)
-
-
-def convergence_report(kind: str, point: EvalPoint, n_grid, n_draws: int,
-                       seed: int = 0) -> list:
-    """Estimates along an ascending resolution grid, with limit and z-score.
-
-    The same seed is reused for every n (common random numbers), so the
-    rows differ only through the resolution.
-    """
-    n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly ascending")
-    return [coeff_row(point, estimate_coefficient(kind, point, n, n_draws, seed))
-            for n in n_grid]

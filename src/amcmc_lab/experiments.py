@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chains import AdaptiveConfig, run_chains
-from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, coeff_row, simulate_moments
+from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, simulate_moments
 from .sde import EulerConfig, run_ensembles
 from .seeding import child_seed
 from .stats import chain_summary, format_pvalue, ks_pvalue, ks_statistic
@@ -352,6 +352,9 @@ def coeff_cells(spec: ExperimentSpec):
         raise ValueError("coeff mode takes a single p")
     x_grid = tuple(sorted(set(spec.x_grid))) or COEFF_X_GRIDS[spec.target]
     theta_grid = tuple(sorted(set(spec.theta0_grid))) or COEFF_THETA_GRID
+    for n in spec.n_grid:
+        if not (isinstance(n, int) or float(n).is_integer()):
+            raise ValueError(f"resolution n must be a whole number, got {n!r}")
     n_grid = tuple(sorted(set(int(n) for n in spec.n_grid))) or COEFF_N_GRID
     p = spec.p_grid[0] if spec.p_grid else 0.5
     kinds = tuple(dict.fromkeys(spec.kinds)) or COEFF_KINDS
@@ -407,8 +410,7 @@ def _coeff_block(cell: CoeffCell) -> list:
     """Rows of one coeff cell; the kinds of a draw budget share transitions."""
     rows = []
     for draws, kinds in cell.budgets:
-        estimates = simulate_moments(cell.point, cell.n, draws, cell.seed, kinds)
-        rows.extend(coeff_row(cell.point, estimates[kind]) for kind in kinds)
+        rows.extend(simulate_moments(cell.point, cell.n, draws, cell.seed, kinds).values())
     return rows
 
 

@@ -1,5 +1,6 @@
 import errno
 import io
+import math
 import os
 import warnings
 
@@ -175,6 +176,11 @@ def test_invalid_grid_rejected_before_any_work(monkeypatch):
             run_experiment(small_sde_spec(hp_cells=hp_cells))
     with pytest.raises(ValueError, match="coeff mode takes a single p"):
         run_experiment(ExperimentSpec(mode="coeff", target="normal", p_grid=(0.3, 0.7)))
+    with pytest.raises(ValueError, match="coeff mode has no fixed-scale arm"):
+        run_experiment(ExperimentSpec(mode="coeff", target="normal", p_grid=(None,)))
+    for n in (2.5, math.inf):
+        with pytest.raises(ValueError, match=f"whole number, got {n!r}"):
+            run_experiment(ExperimentSpec(mode="coeff", target="normal", n_grid=(100, n)))
 
 
 def test_sde_single_cell_rows():
@@ -602,6 +608,9 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
     # a diverged ensemble is named before it is scored
     (["sde", "--h", "0.5", "--p", "1", "--theta0", "100", "--horizon", "200",
       "--arm", "standard"], "sde cell h=0.5, arm=standard: 5 of 5 terminal values are NaN"),
+    # so is a moment or limit that overflows
+    (["coeff", "--n", "100", "--x", "0.5", "--theta0", "1e200"],
+     "coeff cell x=0.5, theta=1e+200, p=0.5, n=100, kind B1"),
 ])
 def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, message):
     small = {"coeff": ["--kind", "B1", "--draws", "1000"],
