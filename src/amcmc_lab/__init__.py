@@ -10,10 +10,8 @@ from .chains import (
     AdaptiveConfig,
     ChainState,
     ChainTrajectory,
-    EmbeddedConfig,
     amcmc_step,
     run_amcmc,
-    run_embedded,
     run_smcmc,
 )
 from .coeffs import (
@@ -52,7 +50,6 @@ __all__ = [
     "CoeffRow",
     "COEFF_KINDS",
     "DiscreteRow",
-    "EmbeddedConfig",
     "EnsembleResult",
     "EulerConfig",
     "EvalPoint",
@@ -75,7 +72,6 @@ __all__ = [
     "make_target",
     "print_summary",
     "run_amcmc",
-    "run_embedded",
     "run_ensemble",
     "run_ensembles",
     "run_experiment",

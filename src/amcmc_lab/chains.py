@@ -13,10 +13,6 @@ and one uniform draw per step from the chain's two streams, so
 trajectories under a shared seed coincide exactly, not just in
 distribution.  Chains run in lockstep batches through one array step,
 metropolis_step; amcmc_step is its scalar oracle.
-
-The time-embedded versions run on a 1/n grid with 1/sqrt(n)-scaled
-increments and benchmark p_n = 1 - p/sqrt(n); they are the discrete
-approximations whose limits the diffusion simulator integrates.
 """
 
 import math
@@ -63,55 +59,6 @@ class AdaptiveConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_samples")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"formulation must be one of {FORMULATIONS}")
-
-
-def embedded_benchmark(p: float, n: int) -> float:
-    """Acceptance benchmark p_n = 1 - p/sqrt(n) (None for p None) of the chain
-    at resolution n, which must be at least 1 and large enough that p_n > 0."""
-    if n < 1:
-        raise ValueError(f"resolution n must be at least 1, got {n}")
-    if p is None:
-        return None
-    p_n = 1.0 - p / math.sqrt(n)
-    if p_n <= 0.0:
-        raise ValueError(f"p/sqrt(n) = {p / math.sqrt(n):.3g} >= 1: "
-                         "resolution too small for the chosen benchmark p")
-    return p_n
-
-
-@dataclass(frozen=True)
-class EmbeddedConfig:
-    """Parameters of the n-th approximation on a 1/n grid; p None fixes the scale."""
-
-    n_resolution: int
-    horizon_t: float
-    p: float
-    theta0: float
-    x0: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.horizon_t < math.inf:
-            raise ValueError("horizon_t must be positive and finite")
-        if self.p is not None and not 0.0 < self.p < math.inf:
-            raise ValueError("benchmark p must be positive and finite")
-        if not 0.0 < self.theta0 < math.inf:
-            raise ValueError("theta0 must be positive and finite")
-        if not math.isfinite(self.x0):
-            raise ValueError("x0 must be finite")
-        embedded_benchmark(self.p, self.n_resolution)
-        if not math.isfinite(self.n_resolution * self.horizon_t):
-            raise ValueError(f"step count n*horizon_t = {self.n_resolution * self.horizon_t} "
-                             "must be finite")
-
-    @property
-    def p_n(self) -> float:
-        """Grid-level acceptance benchmark 1 - p/sqrt(n), None at a fixed scale."""
-        return embedded_benchmark(self.p, self.n_resolution)
-
-    @property
-    def n_steps(self) -> int:
-        return math.ceil(self.n_resolution * self.horizon_t)
 
 
 @dataclass
@@ -180,15 +127,15 @@ def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel):
 # An off-support start gives -inf - -inf, and a uniform of 0 gives log(0).
 @np.errstate(invalid="ignore", divide="ignore")
 def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
-               sqrt_n: float = None, x_only: bool = False) -> list:
+               x_only: bool = False) -> list:
     """Trajectories of (seed, theta0, benchmark) chains advanced in lockstep
     from x0, each reading chain_streams(seed) STEP_CHUNK steps at a time.
 
-    Step i proposes with scale theta (theta/sqrt_n on the 1/n grid) and
-    retunes theta by exp((xi - benchmark)/r), r = sqrt(i + 1) (sqrt_n on the
-    grid), unless the benchmark is None.  A chain's float operations are
-    amcmc_step's and its own, so its bits do not depend on the batch.  With
-    x_only, theta and xi are not recorded (None).
+    Step i proposes with scale theta and retunes theta by
+    exp((xi - benchmark)/sqrt(i + 1)), unless the benchmark is None.  A
+    chain's float operations are amcmc_step's and its own, so its bits do
+    not depend on the batch.  With x_only, theta and xi are not recorded
+    (None).
 
     A chunk's draws and both values of each retuning factor (xi = 1 and 0;
     1.0 for a fixed scale) are laid out step-major, so each step reads and
@@ -214,13 +161,11 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
             eps[:m, c], log_u[:m, c] = normals.standard_normal(m), uniforms.random(m)
         np.log(log_u[:m], out=log_u[:m])
         if adapting:
-            steps = np.arange(start + 1.0, start + m + 1.0)
-            r = np.sqrt(steps) if sqrt_n is None else np.full(m, sqrt_n)
+            r = np.sqrt(np.arange(start + 1.0, start + m + 1.0))
             up, down = (np.where(adapts, np.exp((xi - benchmark) / r[:, None]), 1.0)
                         for xi in (1.0, 0.0))
         for j in range(m):
-            scale = theta if sqrt_n is None else theta / sqrt_n
-            y, lp_y, accept = metropolis_step(x, lp_x, scale, eps[j], log_u[j], target)
+            y, lp_y, accept = metropolis_step(x, lp_x, theta, eps[j], log_u[j], target)
             np.copyto(x, y, where=accept)
             np.copyto(lp_x, lp_y, where=accept)
             if adapting:
@@ -259,15 +204,3 @@ def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
     """Standard MH chain: identical mechanics, theta fixed at theta0 whatever p is."""
     return run_chains(target, [(config.seed, config.theta0, None)], config.n_samples,
                       config.x0)[0]
-
-
-def run_embedded(config: EmbeddedConfig, target: TargetModel) -> ChainTrajectory:
-    """Embedded chain on the 1/n grid, adaptive or (p None) fixed-scale.
-
-    Step i proposes x + (theta/sqrt(n)) * eps, accepts by density ratio, and
-    unless p is None retunes theta by exp((xi - p_n)/sqrt(n)) with
-    p_n = 1 - p/sqrt(n).  Values between grid points are the previous grid
-    value (piecewise-constant interpolation).
-    """
-    return run_chains(target, [(config.seed, config.theta0, config.p_n)], config.n_steps,
-                      config.x0, sqrt_n=math.sqrt(config.n_resolution))[0]

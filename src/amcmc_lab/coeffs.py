@@ -12,17 +12,20 @@ the limiting dynamics:
     B1 -> theta^2/2 * psi'/psi,  B2 -> theta (p - theta/sqrt(2 pi) |psi'|/psi),
     A11 -> theta^2,              A22 -> 0,  A12 -> 0.
 
+The chain at resolution n proposes with scale theta/sqrt(n) and retunes
+theta by exp((xi - p_n)/sqrt(n)); embedded_benchmark gives p_n = 1 - p/sqrt(n).
 simulate_moments draws independent one-step transitions from a fixed state,
 averages the requested scaled moments over them, and sets each against its
 analytic limit in a row.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import embedded_benchmark, metropolis_step
+from .chains import metropolis_step
 from .sde import SdeState, drift
 from .seeding import stream_rng
 from .targets import TargetModel
@@ -93,6 +96,22 @@ class _RunningMoment:
             return 0.0
         var = (self.total_sq - self.total * self.total / self.count) / (self.count - 1)
         return math.sqrt(max(var, 0.0) / self.count)
+
+
+def embedded_benchmark(p: float, n: int) -> float:
+    """Acceptance benchmark p_n = 1 - p/sqrt(n) of the chain at resolution n,
+    which must be at least 1, at most the largest float, and large enough
+    that p_n > 0."""
+    if n < 1:
+        raise ValueError(f"resolution n must be at least 1, got {n}")
+    if not n <= sys.float_info.max:
+        raise ValueError(f"resolution n must be at most {sys.float_info.max:.6g}, "
+                         "the largest float")
+    p_n = 1.0 - p / math.sqrt(n)
+    if p_n <= 0.0:
+        raise ValueError(f"p/sqrt(n) = {p / math.sqrt(n):.3g} >= 1: "
+                         "resolution too small for the chosen benchmark p")
+    return p_n
 
 
 # No overflow warning: a row that overflowed is not finite, and is refused below.

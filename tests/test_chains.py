@@ -11,20 +11,12 @@ from amcmc_lab import (
     TARGET_KINDS,
     AdaptiveConfig,
     ChainState,
-    EmbeddedConfig,
     amcmc_step,
     make_target,
     run_amcmc,
-    run_embedded,
     run_smcmc,
 )
-from amcmc_lab.chains import (
-    FORMULATIONS,
-    chain_streams,
-    embedded_benchmark,
-    metropolis_step,
-    run_chains,
-)
+from amcmc_lab.chains import FORMULATIONS, chain_streams, metropolis_step, run_chains
 from amcmc_lab.seeding import STEP_CHUNK
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
@@ -211,53 +203,6 @@ def test_smcmc_preserves_target_distribution():
     assert rejected == 10
 
 
-def test_embedded_config_validation():
-    with pytest.raises(ValueError):
-        EmbeddedConfig(n_resolution=4, horizon_t=1.0, p=2.5, theta0=1.0)
-    # a fixed-scale chain (p None) has no benchmark p_n to refuse
-    fixed = EmbeddedConfig(n_resolution=4, horizon_t=1.0, p=None, theta0=1.0)
-    assert fixed.p_n is None and fixed.n_steps == 4
-    with pytest.raises(ValueError, match="resolution"):
-        EmbeddedConfig(n_resolution=0, horizon_t=1.0, p=None, theta0=1.0)
-    config = EmbeddedConfig(n_resolution=100, horizon_t=1.0, p=0.5, theta0=1.0)
-    assert config.p_n == pytest.approx(0.95)
-    assert config.n_steps == 100
-
-
-def test_embedded_adaptive_scale_update():
-    # accepted step at resolution 100 multiplies theta by exp(0.005)
-    config = EmbeddedConfig(n_resolution=100, horizon_t=0.02, p=0.5, theta0=1.0,
-                            x0=0.0, seed=13)
-    trajectory = run_embedded(config, NORMAL)
-    assert len(trajectory) == 2
-    factors = trajectory.theta / np.concatenate([[1.0], trajectory.theta[:-1]])
-    expected = {
-        1: math.exp((1 - config.p_n) / 10.0),
-        0: math.exp(-config.p_n / 10.0),
-    }
-    for xi, factor in zip(trajectory.xi, factors):
-        assert factor == pytest.approx(expected[int(xi)], rel=1e-12)
-
-
-def test_embedded_fixed_scale_increment_variance():
-    n = 10_000
-    config = EmbeddedConfig(n_resolution=n, horizon_t=1.0, p=None, theta0=2.0, seed=21)
-    trajectory = run_embedded(config, NORMAL)
-    assert np.all(trajectory.theta == 2.0)
-    increments = np.diff(np.concatenate([[0.0], trajectory.x]))
-    bound = config.theta0 ** 2 / n
-    assert np.max(increments ** 2) <= bound * 25  # single jump is theta/sqrt(n) * eps
-    assert np.mean(increments ** 2) <= bound * 1.1
-
-
-def test_embedded_deterministic():
-    config = EmbeddedConfig(n_resolution=50, horizon_t=2.0, p=1.0, theta0=1.0, seed=4)
-    a = run_embedded(config, make_target("cauchy"))
-    b = run_embedded(config, make_target("cauchy"))
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.theta, b.theta)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         AdaptiveConfig(p=1.5, theta0=1.0, n_samples=10)
@@ -320,49 +265,20 @@ def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
         assert trajectory.xi.tobytes() == xis
 
 
-def embedded_oracle_chain(target, seed, theta0, p_n, x0, n, sqrt_n):
-    """(x, theta, xi) bytes of the 1/n-grid chain (seed, theta0, p_n) from x0:
-    amcmc_step's float operations, stepped by hand n times on
-    chain_streams(seed), at proposal scale theta/sqrt_n and retuning
-    exponent (xi - p_n)/sqrt_n."""
-    normals, uniforms = chain_streams(seed)
-    x, theta = x0, theta0
-    xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
-    for i in range(n):
-        eps, u = normals.standard_normal(), uniforms.random()
-        log_u = float(np.log(u)) if u > 0.0 else -math.inf
-        y = x + (theta / sqrt_n) * eps
-        xi = 1 if log_u < target.log_density(y) - target.log_density(x) else 0
-        x = y if xi else x
-        if p_n is not None:
-            theta = float(theta * np.exp((xi - p_n) / sqrt_n))
-        xs[i], thetas[i], xis[i] = x, theta, xi
-    return xs.tobytes(), thetas.tobytes(), xis.tobytes()
-
-
+# the ids keep the kind-False-n names under which these cases are tracked
 @pytest.mark.parametrize("n", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
-                               2 * STEP_CHUNK + 7])
-@pytest.mark.parametrize("embedded", [False, True])
+                               2 * STEP_CHUNK + 7], ids=lambda n: f"False-{n}")
 @pytest.mark.parametrize("kind", TARGET_KINDS)
-def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
+def test_retuning_factor_tables_match_the_scalar_oracles(kind, n):
     # run_chains builds both retuning factors of every step of a chunk up
     # front, 1.0 for a fixed scale; a block mixing adaptive and fixed-scale
     # chains, run across the chunk edges, is each chain's scalar loop bit
-    # for bit, on the plain and on the 1/n grid
+    # for bit
     target = make_target(kind)
     block = [(11, 1.3, 0.25), (12, 0.4, None), (13, 2.5, 0.7), (14, 6.0, None)]
     x0 = 0.5
-    if embedded:
-        n_resolution = 400
-        block = [(seed, theta0, embedded_benchmark(p, n_resolution))
-                 for seed, theta0, p in block]
-        sqrt_n = math.sqrt(n_resolution)
-        oracles = [embedded_oracle_chain(target, *chain, x0, n, sqrt_n) for chain in block]
-    else:
-        sqrt_n = None
-        oracles = [oracle_chain(target, *chain, x0, n) for chain in block]
-    for trajectory, (xs, thetas, xis) in zip(run_chains(target, block, n, x0, sqrt_n),
-                                             oracles):
+    oracles = [oracle_chain(target, *chain, x0, n) for chain in block]
+    for trajectory, (xs, thetas, xis) in zip(run_chains(target, block, n, x0), oracles):
         assert trajectory.x.tobytes() == xs
         assert trajectory.theta.tobytes() == thetas
         assert trajectory.xi.tobytes() == xis

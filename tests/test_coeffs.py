@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amcmc_lab import EvalPoint, limit_coefficient, make_target
-from amcmc_lab.coeffs import COEFF_KINDS, simulate_moments
+from amcmc_lab.coeffs import COEFF_KINDS, embedded_benchmark, simulate_moments
 from amcmc_lab.sde import SQRT_2PI
 
 NORMAL = make_target("normal")
@@ -58,9 +58,15 @@ def test_estimate_matches_shared_simulation():
 
 
 def test_estimate_requires_feasible_resolution():
+    assert embedded_benchmark(0.5, 100) == pytest.approx(0.95)
     with pytest.raises(ValueError):
         simulate_moments(EvalPoint(x=1.0, theta=1.0, p=2.5, target=NORMAL), 4, 2_000, 0,
                          ("B1",))
+    with pytest.raises(ValueError, match="resolution"):
+        simulate_moments(POINT, 0, 2_000, 0, ("B1",))
+    # a whole number past the largest float is refused before it is converted
+    with pytest.raises(ValueError, match="resolution n must be at most"):
+        simulate_moments(POINT, 10**400, 2_000, 0, ("B1",))
     with pytest.raises(ValueError):
         simulate_moments(POINT, 100, 10, 0, ("B1",))
 

@@ -611,6 +611,9 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
     # so is a moment or limit that overflows
     (["coeff", "--n", "100", "--x", "0.5", "--theta0", "1e200"],
      "coeff cell x=0.5, theta=1e+200, p=0.5, n=100, kind B1"),
+    # a whole-number n past the largest float, refused before it is converted
+    (["coeff", "--n", "1" + "0" * 400, "--x", "0.5", "--theta0", "1.0"],
+     "resolution n must be at most"),
 ])
 def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, message):
     small = {"coeff": ["--kind", "B1", "--draws", "1000"],

@@ -11,12 +11,11 @@ CHANGES.md:
   contract: an ensemble draws its increments step-major from
   stream_rng(seed) instead of one stream per path, so every sde row
   changed.
-* The four discrete-* CLI digests and all 18 amcmc-*, smcmc-* and
-  embedded-* trajectory digests, with discrete contract v2: a chain draws
-  its normals from stream_rng(seed, 0) and its uniforms from
-  stream_rng(seed, 1) instead of both, interleaved, from one stream, and
-  retunes theta with numpy's exp and log rather than the math module's.
-  Every discrete chain changed.
+* The four discrete-* CLI digests and the amcmc-* and smcmc-* trajectory
+  digests, with discrete contract v2: a chain draws its normals from
+  stream_rng(seed, 0) and its uniforms from stream_rng(seed, 1) instead of
+  both, interleaved, from one stream, and retunes theta with numpy's exp
+  and log rather than the math module's.  Every discrete chain changed.
 
 Those discrete digests hold numpy's float64 exp and log bits, and numpy
 picks those loops at run time from the CPU's features (AVX-512 code where
@@ -32,15 +31,7 @@ import os
 
 import pytest
 
-from amcmc_lab import (
-    AdaptiveConfig,
-    EmbeddedConfig,
-    experiments,
-    make_target,
-    run_amcmc,
-    run_embedded,
-    run_smcmc,
-)
+from amcmc_lab import AdaptiveConfig, experiments, make_target, run_amcmc, run_smcmc
 from amcmc_lab.cli import main
 
 _DISCRETE = ("--theta0", "1.0", "--theta0", "10.0", "--p", "0.25", "--p", "0.5",
@@ -98,22 +89,6 @@ TRAJECTORY_DIGESTS = {
         "d53cbdb68e3ac24abd07d44defcb2dbeda5c0e02cec94565309b7b58374b3a53",
     "amcmc-t2":
         "b9eb7f742618115d711f19ce171bb48c14b3517dbb6bee932914e6236e2c9ddb",
-    "embedded-adaptive-cauchy":
-        "06e22b986ee7c5f4ccd4a48c107e3b1e1d061632b67b41b8e8ff2f770c685410",
-    "embedded-adaptive-exp":
-        "5d978c8cd4edf974467a2a5bc3b7082d70967d14f3e477fe7ac0d9398fa57232",
-    "embedded-adaptive-normal":
-        "7cdcbca18c0ddd7adbc03195f9bc5eda31abaa82b72811b176dd2255461e48c2",
-    "embedded-adaptive-t2":
-        "c3547a83a819c2cc4141265b2c133b4a33ee2e5b590cd8f2fa33ada577057b2f",
-    "embedded-fixed-cauchy":
-        "461dc8444abcaf3454de96a53918af88776c397d935407103b4d135c667916d4",
-    "embedded-fixed-exp":
-        "61d1ff283519bb304732e6e0d0232adc0faf4c6b3dc90f99f8aa2119cb5693e4",
-    "embedded-fixed-normal":
-        "21d2f965e1f29802c4e97a460e6c7e02df613e93004a0a37b89c044c782b1bb6",
-    "embedded-fixed-t2":
-        "26012390a2aac9fd7a08e712d29892c533a7f6cbbc68635031793397262cce49",
     "smcmc-cauchy":
         "55f5269a43df185de224cd95c792fd8fdcc822f747c926b121b0a985603c1ba3",
     "smcmc-exp":
@@ -153,11 +128,6 @@ def trajectory_runs():
         config = AdaptiveConfig(p=0.3, theta0=2.0, x0=_x0(kind), n_samples=700, seed=5)
         runs[f"amcmc-{kind}"] = lambda c=config, t=target: run_amcmc(c, t)
         runs[f"smcmc-{kind}"] = lambda c=config, t=target: run_smcmc(c, t)
-        for arm, p in (("adaptive", 1.0), ("fixed", None)):
-            embedded = EmbeddedConfig(n_resolution=100, horizon_t=6.0, p=p, theta0=1.5,
-                                      x0=_x0(kind), seed=8)
-            name = f"embedded-{arm}-{kind}"
-            runs[name] = lambda c=embedded, t=target: run_embedded(c, t)
     # a start off the exponential's support: every ratio reads -inf or nan
     off = AdaptiveConfig(p=0.3, theta0=0.4, x0=-0.5, n_samples=200, seed=6)
     runs["smcmc-exp-off-support"] = lambda: run_smcmc(off, make_target("exp"))
