@@ -17,6 +17,7 @@ from amcmc_lab import (
     run_smcmc,
 )
 from amcmc_lab.chains import FORMULATIONS, chain_streams, metropolis_step, run_chains
+from amcmc_lab.coeffs import EvalPoint, embedded_benchmark, simulate_moments
 from amcmc_lab.seeding import STEP_CHUNK
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
@@ -203,6 +204,32 @@ def test_smcmc_preserves_target_distribution():
     assert rejected == 10
 
 
+def test_embedded_config_validation():
+    # the 1/n-grid benchmark p_n = 1 - p/sqrt(n) that coeff mode runs at
+    with pytest.raises(ValueError):
+        embedded_benchmark(2.5, 4)
+    with pytest.raises(ValueError, match="resolution"):
+        embedded_benchmark(0.5, 0)
+    assert embedded_benchmark(0.5, 100) == pytest.approx(0.95)
+
+
+def test_embedded_adaptive_scale_update():
+    # a one-step transition at resolution 100 multiplies theta by
+    # exp((1 - p_n)/10) when accepted and by exp(-p_n/10) when rejected, so
+    # dtheta takes two values only: B2 fixes the share a of accepted steps,
+    # and A22 must then be a v_acc^2 + (1 - a) v_rej^2
+    n, theta = 100, 1.5
+    p_n = embedded_benchmark(0.5, n)
+    point = EvalPoint(x=1.0, theta=theta, p=0.5, target=NORMAL)
+    rows = simulate_moments(point, n, 20_000, 13, ("B2", "A22"))
+    v_acc = theta * (math.exp((1 - p_n) / 10.0) - 1.0)
+    v_rej = theta * (math.exp(-p_n / 10.0) - 1.0)
+    a = (rows["B2"].estimate / n - v_rej) / (v_acc - v_rej)
+    assert 0.0 < a < 1.0
+    assert rows["A22"].estimate / n == pytest.approx(a * v_acc ** 2 + (1 - a) * v_rej ** 2,
+                                                     rel=1e-9)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AdaptiveConfig(p=1.5, theta0=1.0, n_samples=10)
@@ -265,17 +292,20 @@ def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
         assert trajectory.xi.tobytes() == xis
 
 
-# the ids keep the kind-False-n names under which these cases are tracked
 @pytest.mark.parametrize("n", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
-                               2 * STEP_CHUNK + 7], ids=lambda n: f"False-{n}")
+                               2 * STEP_CHUNK + 7])
+@pytest.mark.parametrize("embedded", [False, True])
 @pytest.mark.parametrize("kind", TARGET_KINDS)
-def test_retuning_factor_tables_match_the_scalar_oracles(kind, n):
+def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
     # run_chains builds both retuning factors of every step of a chunk up
     # front, 1.0 for a fixed scale; a block mixing adaptive and fixed-scale
     # chains, run across the chunk edges, is each chain's scalar loop bit
-    # for bit
+    # for bit, at benchmarks p and at the 1/n-grid's p_n near 1 (n = 400)
     target = make_target(kind)
     block = [(11, 1.3, 0.25), (12, 0.4, None), (13, 2.5, 0.7), (14, 6.0, None)]
+    if embedded:
+        block = [(seed, theta0, None if p is None else embedded_benchmark(p, 400))
+                 for seed, theta0, p in block]
     x0 = 0.5
     oracles = [oracle_chain(target, *chain, x0, n) for chain in block]
     for trajectory, (xs, thetas, xis) in zip(run_chains(target, block, n, x0), oracles):
