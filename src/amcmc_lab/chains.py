@@ -21,10 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import STEP_CHUNK, stream_rng
+from .seeding import stream_rng
 from .targets import TargetModel
 
 FORMULATIONS = ("propose_then_accept", "bernoulli_first")
+STEP_CHUNK = 512  # steps of draws run_chains reads from each of its streams at a time
 
 
 class ChainState(NamedTuple):

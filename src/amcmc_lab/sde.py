@@ -16,17 +16,20 @@ previous position when a step would exit the support.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import STEP_CHUNK, stream_rng
+from .seeding import stream_rng
 from .targets import TargetModel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
 BOUNDARY_MODES = ("reflect", "hold")
+EULER_CHUNK = 256  # steps of draws per buffer; run_ensembles keeps two
 
 
 class SdeState(NamedTuple):
@@ -141,9 +144,14 @@ def run_ensembles(target: TargetModel, configs) -> list:
     The configs must agree on every field but ``seed`` and ``p`` (None for
     a fixed scale).  An ensemble draws its Gaussian increments from the one
     stream stream_rng(seed): one standard normal per path per step, in
-    step-major order.  Each stream is read in order, STEP_CHUNK steps at a
-    time into a reused buffer, so chunked draws give the bits of one whole
-    (n_steps, n_paths) draw; every path takes the float operations of
+    step-major order.  Each stream is read EULER_CHUNK steps at a time into
+    two buffers: while the calling thread steps one chunk, one helper
+    thread draws up to half of the next chunk's ensembles, and the calling
+    thread draws the rest once it has stepped.  An ensemble's chunk is
+    drawn by one thread, after its previous chunk, so chunked draws give
+    the bits of one whole (n_steps, n_paths) draw whichever thread makes
+    them and whatever the chunk size.  The helper is joined before the call
+    returns or raises.  Every path takes the float operations of
     ``euler_step`` in the same order, so each result is identical however
     the ensembles are grouped or scheduled.  Memory is bounded by the
     chunk, not by the horizon.  Returns one EnsembleResult per config, in
@@ -164,7 +172,17 @@ def run_ensembles(target: TargetModel, configs) -> list:
     n_adaptive = sum(c.p is not None for c in configs)
     width, a = n * len(configs), n * n_adaptive  # a: paths of adaptive ensembles
     rngs = [stream_rng(c.seed) for c in ordered]
-    z = np.empty((len(configs), min(STEP_CHUNK, n_steps), n))  # ensemble, step, path
+    # ensemble, step, path; chunk k is drawn into buffers[k % 2].  Two arrays,
+    # not one of twice the size: the allocator can place each in heap memory
+    # that earlier blocks freed, which keeps the peak RSS down.
+    buffers = [np.empty((len(configs), min(EULER_CHUNK, n_steps), n)) for _ in range(2)]
+    n_chunks = math.ceil(n_steps / EULER_CHUNK)
+
+    def draw(k, ensembles):
+        m = min(EULER_CHUNK, n_steps - k * EULER_CHUNK)
+        for i in ensembles:  # an iterator both threads share: each i goes to one
+            rngs[i].standard_normal(out=buffers[k % 2][i, :m])
+        return m
 
     x = np.full(width, first.x0)
     x_new = np.empty(width)
@@ -184,44 +202,56 @@ def run_ensembles(target: TargetModel, configs) -> list:
     keep = np.empty(width, bool)
     floor_hits = np.zeros(n_adaptive, np.int64)
 
-    for start in range(0, n_steps, STEP_CHUNK):
-        m = min(STEP_CHUNK, n_steps - start)
-        for rng, slab in zip(rngs, z):
-            rng.standard_normal(out=slab[:m])
-        for j in range(m):
-            # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
-            # euler_step evaluates it, so every path gets the same bits
-            s = target.score(x)
-            if a:
-                np.multiply(half_h, theta_a, out=drift_scale[:a])
-                drift_scale[:a] *= theta_a
-                np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
-            np.multiply(drift_scale, s, out=term)
-            np.add(x, term, out=x_new)
-            np.multiply(noise_rows, z[:, j], out=term_rows)
-            x_new += term
-            if boundary == "reflect":
-                np.abs(x_new, out=x)
-            elif boundary == "hold":
-                np.greater_equal(x_new, 0.0, out=keep)
-                np.copyto(x, x_new, where=keep)
-            else:
-                x, x_new = x_new, x
-            if a:
-                # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
-                np.abs(s[:a], out=rate)
-                np.multiply(theta_a, rate, out=rate)
-                rate /= SQRT_2PI
-                np.subtract(p, rate, out=rate)
-                np.multiply(h, theta_a, out=gain)
-                gain *= rate
-                theta_a += gain
-                # Clamps and floor hits need a minimum (NaN aside) at or
-                # below the floor; checking it first costs one pass, not two.
-                if np.fmin.reduce(theta_a) <= THETA_FLOOR:
-                    theta_a[theta_a <= 0.0] = THETA_FLOOR
-                    floor_hits += np.count_nonzero(
-                        (theta_a == THETA_FLOOR).reshape(n_adaptive, n), axis=1)
+    # While this thread steps chunk k, the helper draws ensembles of chunk
+    # k + 1, at most half of them; this thread then draws the ones left.
+    # The wall time is then this thread's own share whenever the helper
+    # gets part of a second core, and a helper that gets none holds up only
+    # the ensemble it is drawing.  Leaving the with block, on return or
+    # raise, joins the helper.
+    helper_share = (len(configs) + 1) // 2
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = iter(range(len(configs)))
+        ahead = helper.submit(draw, 0, islice(pending, helper_share))
+        for k in range(n_chunks):
+            m, z = draw(k, pending), buffers[k % 2]
+            ahead.result()
+            if k + 1 < n_chunks:
+                pending = iter(range(len(configs)))
+                ahead = helper.submit(draw, k + 1, islice(pending, helper_share))
+            for j in range(m):
+                # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
+                # euler_step evaluates it, so every path gets the same bits
+                s = target.score(x)
+                if a:
+                    np.multiply(half_h, theta_a, out=drift_scale[:a])
+                    drift_scale[:a] *= theta_a
+                    np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
+                np.multiply(drift_scale, s, out=term)
+                np.add(x, term, out=x_new)
+                np.multiply(noise_rows, z[:, j], out=term_rows)
+                x_new += term
+                if boundary == "reflect":
+                    np.abs(x_new, out=x)
+                elif boundary == "hold":
+                    np.greater_equal(x_new, 0.0, out=keep)
+                    np.copyto(x, x_new, where=keep)
+                else:
+                    x, x_new = x_new, x
+                if a:
+                    # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
+                    np.abs(s[:a], out=rate)
+                    np.multiply(theta_a, rate, out=rate)
+                    rate /= SQRT_2PI
+                    np.subtract(p, rate, out=rate)
+                    np.multiply(h, theta_a, out=gain)
+                    gain *= rate
+                    theta_a += gain
+                    # Clamps and floor hits need a minimum (NaN aside) at or
+                    # below the floor; checking it first costs one pass, not two.
+                    if np.fmin.reduce(theta_a) <= THETA_FLOOR:
+                        theta_a[theta_a <= 0.0] = THETA_FLOOR
+                        floor_hits += np.count_nonzero(
+                            (theta_a == THETA_FLOOR).reshape(n_adaptive, n), axis=1)
 
     results = [None] * len(configs)
     for slot, i in enumerate(order):

@@ -8,7 +8,6 @@ how the surrounding work is scheduled.
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-STEP_CHUNK = 512  # steps of draws a kernel reads from each of its streams at a time
 
 
 def _normalize(value) -> int:

@@ -16,9 +16,9 @@ from amcmc_lab import (
     run_amcmc,
     run_smcmc,
 )
-from amcmc_lab.chains import FORMULATIONS, chain_streams, metropolis_step, run_chains
+from amcmc_lab.chains import (FORMULATIONS, STEP_CHUNK, chain_streams, metropolis_step,
+                              run_chains)
 from amcmc_lab.coeffs import EvalPoint, embedded_benchmark, simulate_moments
-from amcmc_lab.seeding import STEP_CHUNK
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
 

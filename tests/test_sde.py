@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amcmc_lab.sde
 from amcmc_lab import (
     TARGET_KINDS,
     EulerConfig,
@@ -18,7 +21,7 @@ from amcmc_lab import (
     run_ensemble,
     run_ensembles,
 )
-from amcmc_lab.sde import BOUNDARY_MODES, SQRT_2PI, STEP_CHUNK, THETA_FLOOR
+from amcmc_lab.sde import BOUNDARY_MODES, EULER_CHUNK, SQRT_2PI, THETA_FLOOR
 from amcmc_lab.seeding import stream_rng
 
 NORMAL = make_target("normal")
@@ -225,8 +228,8 @@ def assert_matches_oracle(target, configs):
 @given(
     kind=st.sampled_from(TARGET_KINDS),
     boundary_mode=st.sampled_from(BOUNDARY_MODES),
-    n_steps=st.sampled_from((1, 2, 37, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
-                             2 * STEP_CHUNK + 7)),
+    n_steps=st.sampled_from((1, 2, 37, EULER_CHUNK - 1, EULER_CHUNK, EULER_CHUNK + 1,
+                             2 * EULER_CHUNK + 7)),
     h=st.sampled_from((1e-3, 0.01, 0.05, 0.5)),
     theta0=st.floats(0.1, 100.0),
     x0=st.floats(-3.0, 3.0),
@@ -235,7 +238,7 @@ def assert_matches_oracle(target, configs):
                        min_size=1, max_size=4),
 )
 # a coarse mesh with a small p: theta clamps at the floor on the first step
-@example(kind="normal", boundary_mode="reflect", n_steps=STEP_CHUNK + 1, h=0.5,
+@example(kind="normal", boundary_mode="reflect", n_steps=EULER_CHUNK + 1, h=0.5,
          theta0=100.0, x0=3.0, n_paths=3,
          ensembles=[(False, 1.0, 5), (True, 0.001, 6), (True, 0.01, 7)])
 def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps, h, theta0,
@@ -272,6 +275,79 @@ def test_run_ensembles_reject_configs_that_do_not_share_a_mesh(field, value):
     configs = [EulerConfig(**base, seed=1), EulerConfig(**{**base, field: value}, seed=2)]
     with pytest.raises(ValueError, match=field):
         run_ensembles(NORMAL, configs)
+
+
+class FailingScore:
+    """The normal target, but its score raises on call number fail_at; the
+    thread count at that moment is kept in threads_at_failure."""
+
+    boundary_policy = "none"
+
+    def __init__(self, fail_at):
+        self.calls, self.fail_at = 0, fail_at
+        self.error, self.threads_at_failure = RuntimeError("score failed"), None
+
+    def score(self, x):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.threads_at_failure = threading.active_count()
+            raise self.error
+        return NORMAL.score(x)
+
+
+def test_run_ensembles_join_their_draw_thread_on_return_and_on_raise():
+    # one helper thread draws while the call runs, and none is left after it,
+    # also when the score raises midway through chunk 2 as chunk 3 is drawn
+    h = 0.01
+    config = EulerConfig(h=h, horizon_t=(3 * EULER_CHUNK - 0.5) * h, p=2.0, theta0=1.0,
+                         n_paths=1000, seed=5)
+    before = threading.active_count()
+    run_ensemble(NORMAL, config)
+    assert threading.active_count() == before
+
+    target = FailingScore(fail_at=EULER_CHUNK + EULER_CHUNK // 2)
+    with pytest.raises(RuntimeError) as raised:
+        run_ensemble(target, config)
+    assert raised.value is target.error
+    assert target.threads_at_failure == before + 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("slow_side", ["helper", "caller"])
+def test_run_ensembles_split_each_chunk_of_draws_between_the_threads(monkeypatch, slow_side):
+    # the helper draws at most half of a chunk's ensembles (3 of 5), the
+    # calling thread draws the ones the helper has not taken, and no bit
+    # depends on which thread drew an ensemble's chunk
+    caller = threading.get_ident()
+    drawn_on_caller = {}  # seed: one flag per chunk, in order
+
+    class SlowStream:
+        """stream_rng(seed), but its draws sleep first on the slow side."""
+
+        def __init__(self, seed):
+            self.rng, self.flags = stream_rng(seed), drawn_on_caller.setdefault(seed, [])
+
+        def standard_normal(self, out):
+            on_caller = threading.get_ident() == caller
+            if on_caller == (slow_side == "caller"):
+                time.sleep(0.2 if slow_side == "helper" else 0.02)
+            self.flags.append(on_caller)
+            self.rng.standard_normal(out=out)
+
+    h = 0.01
+    configs = [EulerConfig(h=h, horizon_t=(2 * EULER_CHUNK + 7) * h, p=p, theta0=1.0,
+                           n_paths=3, seed=seed)
+               for seed, p in ((1, None), (2, 2.0), (3, 0.5), (4, 2.0), (5, 1.0))]
+    expected = run_ensembles(NORMAL, configs)
+    monkeypatch.setattr(amcmc_lab.sde, "stream_rng", SlowStream)
+    for got, want in zip(run_ensembles(NORMAL, configs), expected):
+        assert same_bits(got.x_t, want.x_t) and same_bits(got.theta_t_all, want.theta_t_all)
+    per_chunk = [sum(flags[k] for flags in drawn_on_caller.values()) for k in range(3)]
+    assert all(len(flags) == 3 for flags in drawn_on_caller.values())
+    assert all(on_caller >= 2 for on_caller in per_chunk)
+    if slow_side == "helper":
+        # a helper asleep in the first ensemble it takes leaves the rest
+        assert all(on_caller >= 4 for on_caller in per_chunk)
 
 
 def test_run_ensemble_memory_is_flat_in_the_horizon():
