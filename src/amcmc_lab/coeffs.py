@@ -16,12 +16,21 @@ The chain at resolution n proposes with scale theta/sqrt(n) and retunes
 theta by exp((xi - p_n)/sqrt(n)); embedded_benchmark gives p_n = 1 - p/sqrt(n).
 simulate_moments draws independent one-step transitions from a fixed state,
 averages the requested scaled moments over them, and sets each against its
-analytic limit in a row.
+analytic limit in a row.  The transitions come in batches of _BATCH draws,
+batch b from the stream (seed, b).  A batch is stepped and its moment
+values formed in L2-sized slices, but each kind is summed once over the
+whole batch, so the rows are bit for bit those of whole-batch arrays.  One
+helper thread takes at most half of a call's batches; each thread holds one
+batch's normals, uniforms and accept mask, so a call's memory is bounded by
+two batches whatever its number of draws.
 """
 
 import math
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +42,12 @@ from .targets import TargetModel
 COEFF_KINDS = ("B1", "B2", "A11", "A22", "A12")
 
 _BATCH = 1 << 19
+_SLICE = 1 << 14  # draws per pass of the step and of the moment values: about L2
 _MIN_DRAWS = 1_000
+
+# Each kind's value is n times its factors, multiplied in this order.
+_FACTORS = {"B1": ("dx",), "B2": ("dtheta",), "A11": ("dx", "dx"),
+            "A22": ("dtheta", "dtheta"), "A12": ("dx", "dtheta")}
 
 
 @dataclass(frozen=True)
@@ -83,10 +97,10 @@ class _RunningMoment:
         self.total = 0.0
         self.total_sq = 0.0
 
-    def add(self, values: np.ndarray):
-        self.count += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
+    def add(self, count: int, total: float, total_sq: float):
+        self.count += count
+        self.total += total
+        self.total_sq += total_sq
 
     def mean(self) -> float:
         return self.total / self.count
@@ -124,8 +138,14 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     Each transition is one metropolis_step from the fixed state.  Batch b
     of draws comes from the stream (seed, b) with a fixed batch size, so
     each kind's row is identical whether computed alone or together with
-    the others.  A row whose estimate, standard error or limit is not
-    finite raises ValueError.
+    the others.  A batch is stepped and its moment values are formed
+    _SLICE draws at a time, but each kind's sums are taken over the whole
+    batch, so the rows are those of summing whole-batch arrays.  One
+    helper thread takes at most half of the batches, the calling thread
+    the rest, and the batch sums are folded in batch order, so no bit
+    depends on which thread ran a batch.  The helper is joined before the
+    call returns or raises.  A row whose estimate, standard error or
+    limit is not finite raises ValueError.
     """
     if n_draws < _MIN_DRAWS:
         raise ValueError(f"n_draws must be at least {_MIN_DRAWS}")
@@ -137,30 +157,71 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     target = point.target
     x, theta = point.x, point.theta
     sqrt_n = math.sqrt(n)
+    scale = theta / sqrt_n
     lp_x = target.log_density(x)
-    acc = {kind: _RunningMoment() for kind in kinds}
+    # dtheta = theta expm1((xi - p_n)/sqrt(n)) at xi = 0 and at xi = 1
+    d0, d1 = theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)
+    factors = [_FACTORS[kind] for kind in kinds]
+    reads_dx = any("dx" in kind_factors for kind_factors in factors)
+    width = min(_BATCH, n_draws)
 
-    for batch, start in enumerate(range(0, n_draws, _BATCH)):
-        m = min(_BATCH, n_draws - start)
-        rng = stream_rng(seed, batch)
-        eps = rng.standard_normal(m)
-        with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(m))
-        _, _, xi = metropolis_step(x, lp_x, theta / sqrt_n, eps, log_u, target)
-        dx = (theta / sqrt_n) * np.where(xi, eps, 0.0)
-        dtheta = theta * np.expm1((xi.astype(float) - p_n) / sqrt_n)
-        for kind in kinds:
-            if kind == "B1":
-                values = n * dx
-            elif kind == "B2":
-                values = n * dtheta
-            elif kind == "A11":
-                values = n * dx * dx
-            elif kind == "A22":
-                values = n * dtheta * dtheta
-            else:
-                values = n * dx * dtheta
-            acc[kind].add(values)
+    # Pool threads start from numpy's default errstate, so it is set here.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def run(pending):
+        """(count, total, total_sq) per kind of each batch this thread takes."""
+        sums = {}
+        for batch, start in pending:
+            if not sums:  # this thread's one buffer set
+                eps, values, xi = np.empty(width), np.empty(width), np.empty(width, bool)
+            m = min(_BATCH, n_draws - start)
+            rng = stream_rng(seed, batch)
+            rng.standard_normal(out=eps[:m])
+            rng.random(out=values[:m])
+            slices = [slice(lo, min(lo + _SLICE, m)) for lo in range(0, m, _SLICE)]
+            for s in slices:
+                log_u = np.log(values[s], out=values[s])
+                xi[s] = metropolis_step(x, lp_x, scale, eps[s], log_u, target)[2]
+                if reads_dx:  # the step has read eps: it holds dx from here on
+                    np.multiply(scale, np.where(xi[s], eps[s], 0.0), out=eps[s])
+            # The uniforms are spent too: values takes each kind's in turn.
+            sums[batch] = []
+            for kind_factors in factors:
+                for s in slices:
+                    terms = {"dx": eps[s]}
+                    if "dtheta" in kind_factors:
+                        terms["dtheta"] = np.where(xi[s], d1, d0)
+                    np.multiply(n, terms[kind_factors[0]], out=values[s])
+                    for factor in kind_factors[1:]:
+                        values[s] *= terms[factor]
+                # One sum over the whole batch: numpy's pairwise sum of the
+                # same values in the same order, so never slice by slice.
+                batch_values = values[:m]
+                total = float(batch_values.sum())
+                total_sq = float(np.square(batch_values, out=batch_values).sum())
+                sums[batch].append((m, total, total_sq))
+        return sums
+
+    # The helper takes batches from the iterator this thread also reads, but
+    # at most half of them: the wall time is then this thread's own share
+    # whenever the helper gets part of a second core, and a helper that gets
+    # none holds up only the batch it is on.  enumerate and islice are C
+    # iterators, each next() one step under the interpreter lock, so each
+    # batch goes to one thread.  Leaving the with block, on return or raise,
+    # joins the helper.
+    n_batches = math.ceil(n_draws / _BATCH)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = enumerate(range(0, n_draws, _BATCH))
+        theirs = helper.submit(run, islice(pending, n_batches // 2))
+        try:
+            sums = run(pending)
+        finally:
+            deque(pending, maxlen=0)  # a raise here leaves the helper no more batches
+        sums.update(theirs.result())
+
+    acc = {kind: _RunningMoment() for kind in kinds}
+    for batch in range(n_batches):
+        for kind, batch_sums in zip(kinds, sums[batch]):
+            acc[kind].add(*batch_sums)
 
     rows = {}
     for kind in kinds:

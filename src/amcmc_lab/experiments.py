@@ -407,7 +407,9 @@ def _sde_block(jobs) -> list:
 
 
 def _coeff_block(cell: CoeffCell) -> list:
-    """Rows of one coeff cell; the kinds of a draw budget share transitions."""
+    """Rows of one coeff cell: one simulate_moments call per draw budget,
+    whose kinds share its transitions and whose batches the calling thread
+    shares with one helper thread."""
     rows = []
     for draws, kinds in cell.budgets:
         rows.extend(simulate_moments(cell.point, cell.n, draws, cell.seed, kinds).values())
