@@ -20,9 +20,10 @@ analytic limit in a row.  The transitions come in batches of _BATCH draws,
 batch b from the stream (seed, b).  A batch is stepped and its moment
 values formed in L2-sized slices, but each kind is summed once over the
 whole batch, so the rows are bit for bit those of whole-batch arrays.  One
-helper thread takes at most half of a call's batches; each thread holds one
-batch's normals, uniforms and accept mask, so a call's memory is bounded by
-two batches whatever its number of draws.
+helper thread and the calling thread take a call's batches one at a time
+until none is left; each thread holds one batch's normals, uniforms and
+accept mask, so a call's memory is bounded by two batches whatever its
+number of draws.
 """
 
 import math
@@ -30,7 +31,6 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -141,8 +141,8 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     the others.  A batch is stepped and its moment values are formed
     _SLICE draws at a time, but each kind's sums are taken over the whole
     batch, so the rows are those of summing whole-batch arrays.  One
-    helper thread takes at most half of the batches, the calling thread
-    the rest, and the batch sums are folded in batch order, so no bit
+    helper thread and the calling thread each take the next batch until
+    none is left, and the batch sums are folded in batch order, so no bit
     depends on which thread ran a batch.  The helper is joined before the
     call returns or raises.  A row whose estimate, standard error or
     limit is not finite raises ValueError.
@@ -201,17 +201,15 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 sums[batch].append((m, total, total_sq))
         return sums
 
-    # The helper takes batches from the iterator this thread also reads, but
-    # at most half of them: the wall time is then this thread's own share
-    # whenever the helper gets part of a second core, and a helper that gets
-    # none holds up only the batch it is on.  enumerate and islice are C
-    # iterators, each next() one step under the interpreter lock, so each
-    # batch goes to one thread.  Leaving the with block, on return or raise,
-    # joins the helper.
+    # The helper takes batches from the iterator this thread also reads until
+    # it is empty, so a helper that gets no core holds up only the batch it
+    # is on.  enumerate is a C iterator, each next() one step under the
+    # interpreter lock, so each batch goes to one thread.  Leaving the with
+    # block, on return or raise, joins the helper.
     n_batches = math.ceil(n_draws / _BATCH)
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = enumerate(range(0, n_draws, _BATCH))
-        theirs = helper.submit(run, islice(pending, n_batches // 2))
+        theirs = helper.submit(run, pending)
         try:
             sums = run(pending)
         finally:

@@ -74,13 +74,16 @@ SDE_CELL_GRIDS = {
 SDE_THETA0_GRID = (1.0,)  # sde mode takes a single theta0
 
 # Paths of same-h ensembles advanced as one array: bounds a block's memory
-# (about 34 MB of increment buffer at 8192 paths) on the default
+# (about 8.4 MB of increment buffers at 8192 paths) on the default
 # 11-replicate grid, whose widest mesh holds 44 000 paths.
 SDE_BLOCK_PATHS = 8192
 # Chain-steps of a lockstep block: 16 MB of recorded positions.  The default
 # 330-chain grid of 10^4 steps packs into blocks of 200 and 130 chains, wide
 # enough to spread the fixed cost of a step's numpy calls.
 DISCRETE_BLOCK_STEPS = 2_000_000
+# Bytes of recorded positions of one chain, 8 a step.  A longer chain would
+# run alone in a block of its own, so discrete_jobs refuses it instead.
+DISCRETE_CHAIN_BYTES = 1 << 30
 
 COEFF_THETA_GRID = (0.5, 1.0, 2.0)
 COEFF_X_GRIDS = {
@@ -274,6 +277,10 @@ def discrete_jobs(spec: ExperimentSpec):
     if not 0 <= spec.burn_in <= spec.n_samples - 2:
         raise ValueError("burn_in must leave at least two retained samples "
                          "(0 <= burn_in <= n_samples - 2)")
+    if 8 * spec.n_samples > DISCRETE_CHAIN_BYTES:
+        raise ValueError(f"n_samples={spec.n_samples} would record {8 * spec.n_samples} "
+                         f"bytes of positions per chain, past the cap of "
+                         f"{DISCRETE_CHAIN_BYTES} ({DISCRETE_CHAIN_BYTES // 8} steps)")
 
     cells = []
     for theta0 in theta0_grid:

@@ -306,6 +306,19 @@ def test_print_summary_flags_best_cell():
     assert len(flagged) == 1
 
 
+def test_discrete_chain_past_the_memory_cap_is_refused_before_any_work(monkeypatch, capsys):
+    # the jobs are built, not run: a chain of cap/8 steps is accepted and
+    # one step more is refused, and the CLI ends in one error line
+    monkeypatch.setattr(experiments, "_discrete_block", _no_work)
+    steps = experiments.DISCRETE_CHAIN_BYTES // 8
+    assert len(experiments.discrete_jobs(small_discrete_spec(n_samples=steps))) == 4
+    with pytest.raises(ValueError, match="past the cap of"):
+        experiments.discrete_jobs(small_discrete_spec(n_samples=steps + 1))
+    assert main(["discrete", "--target", "normal", "--n-samples", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_samples=1000000000000 ") and err.count("\n") == 1
+
+
 def test_cli_discrete_writes_csv(tmp_path):
     out = tmp_path / "cli.csv"
     code = main(["discrete", "--target", "normal", "--theta0", "1.0",

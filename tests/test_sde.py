@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -315,9 +316,9 @@ def test_run_ensembles_join_their_draw_thread_on_return_and_on_raise():
 
 @pytest.mark.parametrize("slow_side", ["helper", "caller"])
 def test_run_ensembles_split_each_chunk_of_draws_between_the_threads(monkeypatch, slow_side):
-    # the helper draws at most half of a chunk's ensembles (3 of 5), the
-    # calling thread draws the ones the helper has not taken, and no bit
-    # depends on which thread drew an ensemble's chunk
+    # the helper draws a chunk's ensembles until none is left, the calling
+    # thread draws the ones the helper has not taken, each ensemble's chunk
+    # is drawn once, and no bit depends on which thread drew it
     caller = threading.get_ident()
     drawn_on_caller = {}  # seed: one flag per chunk, in order
 
@@ -330,7 +331,7 @@ def test_run_ensembles_split_each_chunk_of_draws_between_the_threads(monkeypatch
         def standard_normal(self, out):
             on_caller = threading.get_ident() == caller
             if on_caller == (slow_side == "caller"):
-                time.sleep(0.2 if slow_side == "helper" else 0.02)
+                time.sleep(0.2)
             self.flags.append(on_caller)
             self.rng.standard_normal(out=out)
 
@@ -343,11 +344,59 @@ def test_run_ensembles_split_each_chunk_of_draws_between_the_threads(monkeypatch
     for got, want in zip(run_ensembles(NORMAL, configs), expected):
         assert same_bits(got.x_t, want.x_t) and same_bits(got.theta_t_all, want.theta_t_all)
     per_chunk = [sum(flags[k] for flags in drawn_on_caller.values()) for k in range(3)]
+    assert sorted(drawn_on_caller) == [1, 2, 3, 4, 5]
     assert all(len(flags) == 3 for flags in drawn_on_caller.values())
-    assert all(on_caller >= 2 for on_caller in per_chunk)
     if slow_side == "helper":
         # a helper asleep in the first ensemble it takes leaves the rest
         assert all(on_caller >= 4 for on_caller in per_chunk)
+    else:
+        # a calling thread asleep in an ensemble leaves the helper the rest
+        assert all(on_caller <= 1 for on_caller in per_chunk)
+
+
+def test_each_ensemble_chunk_is_drawn_once_under_fast_switching(monkeypatch):
+    # 300 one-path ensembles over 3 chunks and a thread switch every
+    # microsecond: both threads read one iterator per chunk, and each
+    # ensemble's chunk is still drawn by one of them, once, in order
+    drawn = []  # (seed, rows drawn so far by that stream)
+
+    class RecordingStream:
+        def __init__(self, seed):
+            self.rng, self.seed, self.rows = stream_rng(seed), seed, 0
+
+        def standard_normal(self, out):
+            drawn.append((self.seed, self.rows))
+            self.rows += len(out)
+            self.rng.standard_normal(out=out)
+
+    h = 0.01
+    configs = [EulerConfig(h=h, horizon_t=(2 * EULER_CHUNK + 7) * h, p=2.0, theta0=1.0,
+                           seed=seed) for seed in range(300)]
+    expected = run_ensembles(NORMAL, configs)
+    monkeypatch.setattr(amcmc_lab.sde, "stream_rng", RecordingStream)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_ensembles(NORMAL, configs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(same_bits(g.x_t, e.x_t) for g, e in zip(got, expected))
+    assert sorted(drawn) == [(seed, k * EULER_CHUNK) for seed in range(300) for k in range(3)]
+
+
+def test_run_ensembles_memory_is_two_chunks_of_draws():
+    # 5 ensembles of 1000 paths over 300 steps hold two 64-step chunks of
+    # normals, 5.1 MB; 256-step chunks held 20.5 MB
+    h = 0.01
+    configs = [EulerConfig(h=h, horizon_t=300 * h, p=p, theta0=1.0, n_paths=1000, seed=seed)
+               for seed, p in ((1, None), (2, 2.0), (3, 0.5), (4, 2.0), (5, 1.0))]
+    tracemalloc.start()
+    try:
+        run_ensembles(NORMAL, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 5 * 64 * 1000 * 8 + (1 << 20)
 
 
 def test_run_ensemble_memory_is_flat_in_the_horizon():
