@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 TARGET_KINDS = ("normal", "cauchy", "t2", "exp")
 
@@ -19,9 +18,96 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _LOG_2SQRT2 = math.log(2.0 * math.sqrt(2.0))
 
+# Cephes ndtr/erf/erfc coefficients, highest degree first.  P/Q and R/S are
+# erfc's rationals on [1, 8) and [8, inf); T/U is erf's rational in x^2 on
+# |x| < 1.  Q, S and U omit their leading coefficient 1 (p1evl).
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+# Cephes erfc returns 0 once -z*z < -MAXLOG.  In float64 that is exactly
+# z > sqrt(MAXLOG): the square of sqrt(MAXLOG) rounds to at most MAXLOG and
+# that of the next float above it to more.
+_ERFC_UNDERFLOW_Z = math.sqrt(_MAXLOG)
+
 
 def _maybe_scalar(arr):
-    return float(arr) if np.ndim(arr) == 0 else arr
+    # numpy scalars and arrays both carry .ndim; np.ndim would go through
+    # the array-function dispatcher on every density, score and CDF call
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _polevl(x, coef):
+    # Horner in Cephes polevl's order, in place
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    # as _polevl with a leading coefficient 1 (Cephes p1evl)
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf_small(x):
+    """Cephes erf on |x| <= 1."""
+    w = x * x
+    return x * _polevl(w, _NDTR_T) / _p1evl(w, _NDTR_U)
+
+
+def _erfc_large(z, num, den):
+    """Cephes erfc on 1 <= z <= sqrt(MAXLOG) with the rational num/den.
+
+    exp(-z^2) is the C library's exp, the one Cephes calls: numpy's own
+    vectorised exp differs from it in the last bit for some arguments.
+    """
+    e = np.fromiter(map(math.exp, (-z * z).tolist()), float, count=z.size)
+    return (e * _polevl(z, num)) / _p1evl(z, den)
+
+
+def _ndtr(a):
+    """Standard normal CDF of the float array a, bit for bit Cephes ``ndtr``.
+
+    These are scipy.special.ndtr's values: scipy compiles the same Cephes code.
+
+    Each element evaluates only its own branch: 0.5 + 0.5 erf(x) for
+    |x| < sqrt(1/2) with x = a sqrt(1/2), else 0.5 erfc(|x|), reflected to
+    1 - y for x > 0.  NaN stays NaN; erfc underflows to 0 past sqrt(MAXLOG).
+    """
+    x = a.ravel() * _SQRT1_2
+    z = np.abs(x)
+    y = np.full_like(x, np.nan)
+    central = z < _SQRT1_2
+    y[central] = 0.5 + 0.5 * _erf_small(x[central])
+    near = ~central & (z < 1.0)
+    y[near] = 0.5 * (1.0 - _erf_small(z[near]))
+    mid = (z >= 1.0) & (z < 8.0)
+    y[mid] = 0.5 * _erfc_large(z[mid], _NDTR_P, _NDTR_Q)
+    far = (z >= 8.0) & (z <= _ERFC_UNDERFLOW_Z)
+    y[far] = 0.5 * _erfc_large(z[far], _NDTR_R, _NDTR_S)
+    y[z > _ERFC_UNDERFLOW_Z] = 0.0
+    upper = ~central & (x > 0.0)
+    y[upper] = 1.0 - y[upper]
+    return y.reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -79,7 +165,7 @@ class TargetModel:
     def cdf(self, x):
         x = np.asarray(x, float)
         if self.kind == "normal":
-            out = ndtr(x)
+            out = _ndtr(x)
         elif self.kind == "cauchy":
             out = 0.5 + np.arctan(x) / math.pi
         elif self.kind == "t2":

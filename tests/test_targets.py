@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,3 +157,61 @@ def test_float_log_density_matches_array_path_bit_for_bit(kind, x, seed):
             vector = target.log_density(np.array([value]))[0]
         assert type(fast) is float
         assert struct.pack("<d", fast) == struct.pack("<d", vector), value
+
+
+def _ndtr_oracle_pieces():
+    rng = np.random.default_rng(20240517)
+    edges = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 1e-300, math.inf]
+    yield np.array(edges + [-e for e in edges] + [math.nan])
+    # 64 ulps either side of each branch switch and of erfc's underflow
+    # point, a = sqrt(2 MAXLOG)
+    for switch in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)):
+        near = switch + np.spacing(switch) * np.arange(-64, 65)
+        yield np.concatenate([near, -near])
+    band = np.linspace(37.0, 39.0, 200_001)
+    yield band
+    yield -band
+    yield from np.array_split(np.linspace(-60.0, 60.0, 2_400_001), 4)
+    for scale in (0.3, 1.0, 3.0, 10.0, 30.0):
+        yield scale * rng.standard_normal(500_000)
+
+
+def test_normal_cdf_matches_scipy_ndtr_bit_for_bit():
+    # scipy's compiled ndtr is the oracle: the port must give the same bits
+    # on the branch edges (sqrt(1/2), 1 and 8 in x = a / sqrt 2), erfc's
+    # underflow band, a dense grid and random points at several scales
+    from scipy.special import ndtr
+    cdf = make_target("normal").cdf
+    checked = 0
+    for points in _ndtr_oracle_pieces():
+        got, want = cdf(points), ndtr(points)
+        mismatched = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert mismatched.size == 0, points[mismatched[:10]]
+        checked += points.size
+    assert checked >= 5_000_000
+
+
+def test_normal_cdf_special_values_and_shapes():
+    from scipy.special import ndtr
+    cdf = make_target("normal").cdf
+    assert cdf(0.0) == 0.5 and cdf(-0.0) == 0.5
+    assert cdf(math.inf) == 1.0 and cdf(-math.inf) == 0.0
+    assert math.isnan(cdf(math.nan))
+    for x in (-1.5, 0.2, 40.0):
+        assert type(cdf(x)) is float
+        assert struct.pack("<d", cdf(x)) == struct.pack("<d", float(ndtr(x)))
+        assert struct.pack("<d", cdf(np.array(x))) == struct.pack("<d", float(ndtr(x)))
+    grid = np.linspace(-9.0, 9.0, 24).reshape(2, 3, 4)
+    batch = cdf(grid)
+    assert batch.shape == grid.shape
+    assert batch.view(np.uint64).tolist() == ndtr(grid).view(np.uint64).tolist()
+    assert cdf(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # the package needs only numpy at run time; scipy is the tests' oracle
+    code = "import sys, amcmc_lab.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
