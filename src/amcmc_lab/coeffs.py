@@ -17,12 +17,16 @@ theta by exp((xi - p_n)/sqrt(n)); embedded_benchmark gives p_n = 1 - p/sqrt(n).
 simulate_moments draws independent one-step transitions from a fixed state,
 averages the requested scaled moments over them, and sets each against its
 analytic limit in a row.  The transitions come in batches of _BATCH draws,
-batch b from the stream (seed, b).  A batch is stepped and its moment
-values formed in L2-sized slices, but each kind is summed once over the
-whole batch, so the rows are bit for bit those of whole-batch arrays.  One
-helper thread and the calling thread take a call's batches one at a time
-until none is left; each thread holds one batch's normals, uniforms and
-accept mask, so a call's memory is bounded by two batches whatever its
+batch b from the stream (seed, b).  A batch is stepped, and its moment
+values formed and summed, piece by piece: the pieces are the ones numpy's
+pairwise sum splits the batch into (halve, rounding the first half down to
+a multiple of 8, until a piece holds at most _SLICE values), and the piece
+sums are added back along the same split.  Each piece sum is the subtree
+numpy's sum computes for those values, so each batch total is bit for bit
+the sum of a whole-batch array.  One helper thread and the calling thread
+take a call's batches one at a time until none is left; each thread holds
+one batch's normals, 8 bytes a draw, and piece-sized uniforms and values,
+so a call's memory is bounded by two batches of normals whatever its
 number of draws.
 """
 
@@ -42,7 +46,7 @@ from .targets import TargetModel
 COEFF_KINDS = ("B1", "B2", "A11", "A22", "A12")
 
 _BATCH = 1 << 19
-_SLICE = 1 << 14  # draws per pass of the step and of the moment values: about L2
+_SLICE = 1 << 14  # most draws of a piece: about L2
 _MIN_DRAWS = 1_000
 
 # Each kind's value is n times its factors, multiplied in this order.
@@ -112,6 +116,37 @@ class _RunningMoment:
         return math.sqrt(max(var, 0.0) / self.count)
 
 
+def _half(m: int) -> int:
+    """Where numpy's pairwise sum splits m values: at half, rounded down to
+    a multiple of its 8-wide unroll."""
+    half = m // 2
+    return half - half % 8
+
+
+def _pieces(m: int) -> list:
+    """(lo, hi) bounds of the pieces of m values: numpy's pairwise split,
+    applied until a piece holds at most _SLICE values.  A full batch gives
+    32 pieces of _SLICE."""
+    if m <= _SLICE:
+        return [(0, m)]
+    half = _half(m)
+    return _pieces(half) + [(half + lo, half + hi) for lo, hi in _pieces(m - half)]
+
+
+def _fold(sums, m: int):
+    """The sums of the _pieces(m), in order, added along the split that made
+    them: the sum numpy gives the m values, bit for bit."""
+    sums = iter(sums)
+
+    def fold(m):
+        if m <= _SLICE:
+            return next(sums)
+        half = _half(m)
+        return fold(half) + fold(m - half)
+
+    return fold(m)
+
+
 def embedded_benchmark(p: float, n: int) -> float:
     """Acceptance benchmark p_n = 1 - p/sqrt(n) of the chain at resolution n,
     which must be at least 1, at most the largest float, and large enough
@@ -138,12 +173,12 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     Each transition is one metropolis_step from the fixed state.  Batch b
     of draws comes from the stream (seed, b) with a fixed batch size, so
     each kind's row is identical whether computed alone or together with
-    the others.  A batch is stepped and its moment values are formed
-    _SLICE draws at a time, but each kind's sums are taken over the whole
-    batch, so the rows are those of summing whole-batch arrays.  One
-    helper thread and the calling thread each take the next batch until
-    none is left, and the batch sums are folded in batch order, so no bit
-    depends on which thread ran a batch.  The helper is joined before the
+    the others.  A batch is stepped, and its moment values formed and
+    summed, one of its _pieces at a time; _fold adds the piece sums along
+    numpy's pairwise split, so the rows are those of summing whole-batch
+    arrays.  One helper thread and the calling thread each take the next
+    batch until none is left, and the batch sums are folded in batch
+    order, so no bit depends on which thread ran a batch.  The helper is joined before the
     call returns or raises.  A row whose estimate, standard error or
     limit is not finite raises ValueError.
     """
@@ -163,7 +198,9 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     d0, d1 = theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)
     factors = [_FACTORS[kind] for kind in kinds]
     reads_dx = any("dx" in kind_factors for kind_factors in factors)
+    reads_dtheta = any("dtheta" in kind_factors for kind_factors in factors)
     width = min(_BATCH, n_draws)
+    piece = min(_SLICE, width)
 
     # Pool threads start from numpy's default errstate, so it is set here.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -172,33 +209,35 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
         sums = {}
         for batch, start in pending:
             if not sums:  # this thread's one buffer set
-                eps, values, xi = np.empty(width), np.empty(width), np.empty(width, bool)
+                eps, u, values = np.empty(width), np.empty(piece), np.empty((len(kinds), piece))
             m = min(_BATCH, n_draws - start)
             rng = stream_rng(seed, batch)
             rng.standard_normal(out=eps[:m])
-            rng.random(out=values[:m])
-            slices = [slice(lo, min(lo + _SLICE, m)) for lo in range(0, m, _SLICE)]
-            for s in slices:
-                log_u = np.log(values[s], out=values[s])
-                xi[s] = metropolis_step(x, lp_x, scale, eps[s], log_u, target)[2]
+            piece_sums = []
+            for lo, hi in _pieces(m):
+                # Uniforms drawn piece by piece continue the stream: the
+                # bits of one draw of m.
+                log_u = np.log(rng.random(out=u[:hi - lo]), out=u[:hi - lo])
+                step = eps[lo:hi]
+                xi = metropolis_step(x, lp_x, scale, step, log_u, target)[2]
+                terms = {}
                 if reads_dx:  # the step has read eps: it holds dx from here on
-                    np.multiply(scale, np.where(xi[s], eps[s], 0.0), out=eps[s])
-            # The uniforms are spent too: values takes each kind's in turn.
-            sums[batch] = []
-            for kind_factors in factors:
-                for s in slices:
-                    terms = {"dx": eps[s]}
-                    if "dtheta" in kind_factors:
-                        terms["dtheta"] = np.where(xi[s], d1, d0)
-                    np.multiply(n, terms[kind_factors[0]], out=values[s])
+                    terms["dx"] = np.multiply(scale, np.where(xi, step, 0.0), out=step)
+                if reads_dtheta:
+                    terms["dtheta"] = np.where(xi, d1, d0)
+                rows = values[:, :hi - lo]
+                for row, kind_factors in zip(rows, factors):
+                    np.multiply(n, terms[kind_factors[0]], out=row)
                     for factor in kind_factors[1:]:
-                        values[s] *= terms[factor]
-                # One sum over the whole batch: numpy's pairwise sum of the
-                # same values in the same order, so never slice by slice.
-                batch_values = values[:m]
-                total = float(batch_values.sum())
-                total_sq = float(np.square(batch_values, out=batch_values).sum())
-                sums[batch].append((m, total, total_sq))
+                        row *= terms[factor]
+                # Each row's sum is numpy's pairwise sum of that row alone.
+                piece_sum = np.empty((2, len(kinds)))
+                rows.sum(axis=1, out=piece_sum[0])
+                np.square(rows, out=rows).sum(axis=1, out=piece_sum[1])
+                piece_sums.append(piece_sum)
+            totals, totals_sq = _fold(piece_sums, m)
+            sums[batch] = [(m, float(total), float(total_sq))
+                           for total, total_sq in zip(totals, totals_sq)]
         return sums
 
     # The helper takes batches from the iterator this thread also reads until

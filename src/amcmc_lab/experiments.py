@@ -315,6 +315,10 @@ def sde_jobs(spec: ExperimentSpec):
     # The configs check every other value; the standard arm's never see p.
     if any(not 0.0 < p < math.inf for _, p in hp_cells):
         raise ValueError("sde-mode p values must be positive and finite")
+    # The score is read at x0 on the first Euler step, inside a block.
+    x0 = spec.effective_x0()
+    if math.isfinite(x0) and not make_target(spec.target).in_support(x0):
+        raise ValueError(f"x0={x0} outside the support of the {spec.target} target")
 
     cells = []
     if spec.arm in ("adaptive", "both"):
@@ -328,7 +332,7 @@ def sde_jobs(spec: ExperimentSpec):
             horizon_t=spec.horizon_t,
             p=p,
             theta0=theta0,
-            x0=spec.effective_x0(),
+            x0=x0,
             n_paths=spec.n_paths,
             seed=run_seed,
             boundary_mode=spec.boundary_mode,

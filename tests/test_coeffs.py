@@ -15,8 +15,11 @@ from amcmc_lab import EvalPoint, limit_coefficient, make_target
 from amcmc_lab.chains import metropolis_step
 from amcmc_lab.coeffs import (
     _BATCH,
+    _SLICE,
     COEFF_KINDS,
     CoeffRow,
+    _fold,
+    _pieces,
     embedded_benchmark,
     simulate_moments,
 )
@@ -202,24 +205,73 @@ def bits(rows):
             for kind, row in rows.items()}
 
 
-# Two full batches and a partial one, whose last slice is partial too.
-ORACLE_DRAWS = 2 * _BATCH + 12_345
-
-
-@pytest.mark.parametrize("point, n", [
-    (POINT, 10_000),
-    (EvalPoint(x=2.0, theta=1.5, p=0.5, target=make_target("cauchy")), 1_000_000),
-    (EvalPoint(x=-1.0, theta=2.38, p=0.25, target=make_target("t2")), 100),
-    (EvalPoint(x=1.0, theta=0.5, p=0.5, target=make_target("exp")), 10_000),
+ORACLE_CELLS = {
+    "normal": (POINT, 10_000),
+    "cauchy": (EvalPoint(x=2.0, theta=1.5, p=0.5, target=make_target("cauchy")), 1_000_000),
+    "t2": (EvalPoint(x=-1.0, theta=2.38, p=0.25, target=make_target("t2")), 100),
+    "exp": (EvalPoint(x=1.0, theta=0.5, p=0.5, target=make_target("exp")), 10_000),
     # near the boundary: about 40% of the proposals leave the support
-    (EvalPoint(x=0.05, theta=2.0, p=0.5, target=make_target("exp")), 100),
-], ids=["normal", "cauchy", "t2", "exp", "exp-boundary"])
-def test_rows_match_the_plain_estimator_bit_for_bit(point, n):
-    expected = bits(plain_moments(point, n, ORACLE_DRAWS, 41))
-    assert bits(simulate_moments(point, n, ORACLE_DRAWS, 41)) == expected
+    "exp-boundary": (EvalPoint(x=0.05, theta=2.0, p=0.5, target=make_target("exp")), 100),
+}
+# Two full batches and a partial one, which is a single piece.
+ORACLE_DRAWS = 2 * _BATCH + 12_345
+# Two full batches and a partial one longer than _SLICE and not a multiple
+# of 8, which splits into uneven pieces.
+UNEVEN_DRAWS = 2 * _BATCH + 3 * _SLICE + 12_345
+
+
+@pytest.mark.parametrize("point, n, n_draws", [
+    pytest.param(point, n, n_draws, id=name + suffix)
+    for suffix, n_draws in [("", ORACLE_DRAWS), ("-uneven", UNEVEN_DRAWS)]
+    for name, (point, n) in ORACLE_CELLS.items()
+])
+def test_rows_match_the_plain_estimator_bit_for_bit(point, n, n_draws):
+    expected = bits(plain_moments(point, n, n_draws, 41))
+    assert bits(simulate_moments(point, n, n_draws, 41)) == expected
     for kinds in [(kind,) for kind in COEFF_KINDS] + [("B1", "A11", "A22", "A12")]:
-        got = bits(simulate_moments(point, n, ORACLE_DRAWS, 41, kinds))
+        got = bits(simulate_moments(point, n, n_draws, 41, kinds))
         assert got == {kind: expected[kind] for kind in kinds}
+
+
+def awkward_values(rng, m):
+    """Mixed signs, magnitudes from 1e-300 to 1e300, and signed zeros."""
+    values = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-300.0, 300.0, m)
+    zeros = rng.random(m) < 0.05
+    values[zeros] = np.copysign(0.0, values[zeros])
+    return values
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+SPLIT_LENGTHS = ([1, 7, 8, 129, _SLICE, _SLICE + 1, 3 * _SLICE + 5, 330_016, 475_712, _BATCH]
+                 + np.random.default_rng(67).integers(1, _BATCH + 1, 50).tolist())
+
+
+@pytest.mark.parametrize("m", SPLIT_LENGTHS)
+def test_piece_sums_fold_to_numpys_sum_bit_for_bit(m):
+    # simulate_moments sums a batch one (kinds, piece) view at a time and
+    # folds the piece sums; that is ndarray.sum() of the whole batch only if
+    # the pieces follow numpy's own pairwise split, and each row of the view
+    # is summed as that row alone
+    pieces = _pieces(m)
+    assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+    assert pieces[-1][1] == m and all(0 < hi - lo <= _SLICE for lo, hi in pieces)
+    rng = np.random.default_rng(m)
+    batch = np.stack([awkward_values(rng, m), awkward_values(rng, m), rng.standard_normal(m)])
+    values = np.empty((3, _SLICE))
+    piece_sums = []
+    for lo, hi in pieces:
+        rows = values[:, :hi - lo]
+        rows[...] = batch[:, lo:hi]
+        piece_sums.append(rows.sum(axis=1))
+        assert float_bits(piece_sums[-1]) == float_bits(row.sum() for row in rows)
+    assert float_bits(_fold(piece_sums, m)) == float_bits(row.sum() for row in batch)
+
+
+def test_a_full_batch_is_32_even_pieces():
+    assert _pieces(_BATCH) == [(lo, lo + _SLICE) for lo in range(0, _BATCH, _SLICE)]
 
 
 class FailingDensity:
@@ -321,12 +373,14 @@ def test_an_overflow_in_either_thread_ends_in_one_clean_error():
 
 
 def test_simulate_moments_memory_is_two_buffer_sets():
-    # each thread holds normals, uniforms and an accept mask of one batch,
-    # 17 bytes a draw; the whole-array estimator peaked at 37 MiB here
+    # each thread holds the normals of one batch, 8 bytes a draw, and
+    # piece-sized buffers; whole-batch normals, uniforms and accept mask,
+    # 17 bytes a draw, peaked at 17.8 MiB here, and the whole-array
+    # estimator at 37 MiB
     tracemalloc.start()
     try:
         simulate_moments(POINT, 10_000, 2_000_000, 47, ("B1", "A11", "A22", "A12"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 17 * _BATCH + (3 << 20)
+    assert peak <= 2 * 8 * _BATCH + (3 << 20)

@@ -183,6 +183,17 @@ def test_invalid_grid_rejected_before_any_work(monkeypatch):
             run_experiment(ExperimentSpec(mode="coeff", target="normal", n_grid=(100, n)))
 
 
+def test_sde_start_off_the_support_is_refused_before_any_block_runs(monkeypatch):
+    # the exponential's score is first read on the first Euler step, inside
+    # a block with its draw helper running: the grid is refused before that
+    monkeypatch.setattr(experiments, "_sde_block", _no_work)
+    with pytest.raises(ValueError, match="x0=-1.0 outside the support of the exp target"):
+        run_experiment(small_sde_spec(target="exp", x0=-1.0))
+    # the boundary itself is a start a reflected or held path can take
+    monkeypatch.undo()
+    assert len(run_experiment(small_sde_spec(target="exp", x0=0.0, replicates=1))) == 2
+
+
 def test_sde_single_cell_rows():
     rows = run_experiment(small_sde_spec(replicates=1))
     assert len(rows) == 2

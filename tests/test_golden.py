@@ -2,7 +2,10 @@
 
 The coeff-* digests were taken from the package before the chains moved
 onto the float fast path, and are pinned: any change in a random stream, a
-log-density bit or a CSV field shows up here as a different sha256.
+log-density bit or a CSV field shows up here as a different sha256.  Their
+2000 draws are one piece of one batch, so coeff-cauchy-batches, a full
+batch and a partial one of uneven pieces, was added, taken while each
+batch was still summed as one whole array.
 
 Two stream-contract changes regenerated the rest, each declared in
 CHANGES.md:
@@ -48,10 +51,15 @@ CLI_CASES = {
     for suffix, extra in [("", grid)] + ([("-hold", grid + ("--boundary", "hold"))]
                                          if (mode, target) == ("sde", "exp") else [])
 }
+# The bench coeff workload's scale: batches of several pieces each.
+CLI_CASES["coeff-cauchy-batches"] = ("coeff", "cauchy", ("--x", "2.0", "--theta0", "1.0",
+                                                         "--n", "100", "--draws", "600000"))
 
 CLI_DIGESTS = {
     "coeff-cauchy":
         "0e48898e13b4ce6fc317c633e07be5956e4e68cdb6adb253b3de99bec77c5ff4",
+    "coeff-cauchy-batches":
+        "2ef827d4e02a307ce1eb4e4950c395bac622e37797187c00b570dc2b7265f751",
     "coeff-exp":
         "2d1b2415f855d41532742ec334394be89c27080e5d6be7886d0ef028eb7a6bcd",
     "coeff-normal":
