@@ -23,8 +23,8 @@ pairwise sum splits the batch into (halve, rounding the first half down to
 a multiple of 8, until a piece holds at most _SLICE values), and the piece
 sums are added back along the same split.  Each piece sum is the subtree
 numpy's sum computes for those values, so each batch total is bit for bit
-the sum of a whole-batch array.  One helper thread and the calling thread
-take a call's batches one at a time until none is left; each thread holds
+the sum of a whole-batch array.  The calling thread and a seeding.Helper
+thread take a call's batches one at a time until none is left; each holds
 one batch's normals, 8 bytes a draw, and piece-sized uniforms and values,
 so a call's memory is bounded by two batches of normals whatever its
 number of draws.
@@ -32,15 +32,13 @@ number of draws.
 
 import math
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import metropolis_step
 from .sde import SdeState, drift
-from .seeding import stream_rng
+from .seeding import Helper, stream_rng
 from .targets import TargetModel
 
 COEFF_KINDS = ("B1", "B2", "A11", "A22", "A12")
@@ -93,29 +91,6 @@ class CoeffRow:
     z: float
 
 
-class _RunningMoment:
-    """Streaming count/sum/sum-of-squares accumulator."""
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, count: int, total: float, total_sq: float):
-        self.count += count
-        self.total += total
-        self.total_sq += total_sq
-
-    def mean(self) -> float:
-        return self.total / self.count
-
-    def std_error(self) -> float:
-        if self.count < 2:
-            return 0.0
-        var = (self.total_sq - self.total * self.total / self.count) / (self.count - 1)
-        return math.sqrt(max(var, 0.0) / self.count)
-
-
 def _half(m: int) -> int:
     """Where numpy's pairwise sum splits m values: at half, rounded down to
     a multiple of its 8-wide unroll."""
@@ -163,8 +138,9 @@ def embedded_benchmark(p: float, n: int) -> float:
     return p_n
 
 
-# No overflow warning: a row that overflowed is not finite, and is refused below.
-@np.errstate(over="ignore", invalid="ignore")
+# No overflow warning: a row that overflowed is not finite, and is refused
+# below.  The helper thread runs under the same errstate.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                      kinds=COEFF_KINDS) -> dict:
     """Rows of several scaled moments, in kinds order, estimated from one
@@ -176,11 +152,10 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     the others.  A batch is stepped, and its moment values formed and
     summed, one of its _pieces at a time; _fold adds the piece sums along
     numpy's pairwise split, so the rows are those of summing whole-batch
-    arrays.  One helper thread and the calling thread each take the next
-    batch until none is left, and the batch sums are folded in batch
-    order, so no bit depends on which thread ran a batch.  The helper is joined before the
-    call returns or raises.  A row whose estimate, standard error or
-    limit is not finite raises ValueError.
+    arrays.  The calling thread and a seeding.Helper thread each take the
+    next batch until none is left, and the batch sums are added in batch
+    order, so no bit depends on which thread ran a batch.  A row whose
+    estimate, standard error or limit is not finite raises ValueError.
     """
     if n_draws < _MIN_DRAWS:
         raise ValueError(f"n_draws must be at least {_MIN_DRAWS}")
@@ -202,10 +177,9 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     width = min(_BATCH, n_draws)
     piece = min(_SLICE, width)
 
-    # Pool threads start from numpy's default errstate, so it is set here.
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def run(pending):
-        """(count, total, total_sq) per kind of each batch this thread takes."""
+        """The (2, kinds) sums and sums of squares of each batch this thread
+        takes, by batch."""
         sums = {}
         for batch, start in pending:
             if not sums:  # this thread's one buffer set
@@ -235,34 +209,23 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 rows.sum(axis=1, out=piece_sum[0])
                 np.square(rows, out=rows).sum(axis=1, out=piece_sum[1])
                 piece_sums.append(piece_sum)
-            totals, totals_sq = _fold(piece_sums, m)
-            sums[batch] = [(m, float(total), float(total_sq))
-                           for total, total_sq in zip(totals, totals_sq)]
+            sums[batch] = _fold(piece_sums, m)
         return sums
 
-    # The helper takes batches from the iterator this thread also reads until
-    # it is empty, so a helper that gets no core holds up only the batch it
-    # is on.  enumerate is a C iterator, each next() one step under the
-    # interpreter lock, so each batch goes to one thread.  Leaving the with
-    # block, on return or raise, joins the helper.
-    n_batches = math.ceil(n_draws / _BATCH)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = enumerate(range(0, n_draws, _BATCH))
-        theirs = helper.submit(run, pending)
-        try:
-            sums = run(pending)
-        finally:
-            deque(pending, maxlen=0)  # a raise here leaves the helper no more batches
-        sums.update(theirs.result())
-
-    acc = {kind: _RunningMoment() for kind in kinds}
-    for batch in range(n_batches):
-        for kind, batch_sums in zip(kinds, sums[batch]):
-            acc[kind].add(*batch_sums)
+    with Helper() as helper:
+        sums, theirs = helper.share(run, enumerate(range(0, n_draws, _BATCH)))()
+    sums.update(theirs)
+    # batch by batch, in batch order; not sum(), whose compensation would
+    # change the bits
+    totals = np.zeros((2, len(kinds)))
+    for batch in range(len(sums)):
+        totals += sums[batch]
 
     rows = {}
-    for kind in kinds:
-        estimate, std_error = acc[kind].mean(), acc[kind].std_error()
+    for kind, total, total_sq in zip(kinds, *totals.tolist()):
+        estimate = total / n_draws
+        var = (total_sq - total * total / n_draws) / (n_draws - 1)
+        std_error = math.sqrt(max(var, 0.0) / n_draws)
         limit = limit_coefficient(kind, point)
         if not all(map(math.isfinite, (estimate, std_error, limit))):
             raise ValueError(f"coeff cell x={x!r}, theta={theta!r}, p={point.p!r}, n={n}, "

@@ -327,7 +327,7 @@ def sde_jobs(spec: ExperimentSpec):
         cells.extend((h, None) for h in sorted({h for h, _ in hp_cells}))
 
     def make_config(h, p, run_seed):
-        return EulerConfig(
+        config = EulerConfig(
             h=h,
             horizon_t=spec.horizon_t,
             p=p,
@@ -337,6 +337,12 @@ def sde_jobs(spec: ExperimentSpec):
             seed=run_seed,
             boundary_mode=spec.boundary_mode,
         )
+        # n_steps rounds up: a horizon between mesh points would be overrun
+        if not math.isclose(config.n_steps * h, spec.horizon_t, rel_tol=1e-9):
+            raise ValueError(f"horizon_t={spec.horizon_t!r} is not a whole number of steps "
+                             f"of h={h!r}: n_steps={config.n_steps} would reach "
+                             f"T={config.n_steps * h!r}")
+        return config
 
     return _jobs(spec, cells, make_config)
 

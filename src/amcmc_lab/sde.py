@@ -15,20 +15,19 @@ reflecting X across zero after each step (the default) or by holding the
 previous position when a step would exit the support.
 
 run_ensembles steps ensembles that share a mesh as one array, EULER_CHUNK
-steps at a time, while one helper thread draws the normals of the next
-chunk: the calling thread's wall time is the stepping plus the draws the
-helper has not taken.
+steps at a time, while a seeding.Helper thread draws the normals of the
+next chunk: the calling thread's wall time is the stepping plus the draws
+the helper has not taken.
 """
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import stream_rng
+from .seeding import Helper, stream_rng
 from .targets import TargetModel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -150,18 +149,15 @@ def run_ensembles(target: TargetModel, configs) -> list:
     a fixed scale).  An ensemble draws its Gaussian increments from the one
     stream stream_rng(seed): one standard normal per path per step, in
     step-major order.  Each stream is read EULER_CHUNK steps at a time into
-    two buffers: while the calling thread steps one chunk, one helper
-    thread draws the next chunk's ensembles one at a time until none is
-    left, and the calling thread draws any the helper has not taken once
-    it has stepped.  An ensemble's chunk is drawn by one thread, after its
+    two buffers: while the calling thread steps one chunk, the next
+    chunk's ensembles are shared out, one at a time, through a
+    seeding.Helper.  An ensemble's chunk is drawn by one thread, after its
     previous chunk, so chunked draws give the bits of one whole
     (n_steps, n_paths) draw whichever thread makes them and whatever the
-    chunk size.  The helper is joined before the call returns or raises,
-    and a raise leaves it no further ensemble to draw.  Every path takes
-    the float operations of ``euler_step`` in the same order, so each
-    result is identical however the ensembles are grouped or scheduled.
-    Memory is bounded by the chunk, not by the horizon.  Returns one
-    EnsembleResult per config, in the order given.
+    chunk size.  Every path takes the float operations of ``euler_step``
+    in the same order, so each result is identical however the ensembles
+    are grouped or scheduled.  Memory is bounded by the chunk, not by the
+    horizon.  Returns one EnsembleResult per config, in the order given.
     """
     configs = list(configs)
     if not configs:
@@ -208,59 +204,48 @@ def run_ensembles(target: TargetModel, configs) -> list:
     keep = np.empty(width, bool)
     floor_hits = np.zeros(n_adaptive, np.int64)
 
-    # While this thread steps chunk k, the helper draws ensembles of chunk
-    # k + 1 from the shared iterator until it is empty; this thread then
-    # draws whatever is left.  A range iterator's next() is one step under
-    # the interpreter lock, so each ensemble goes to one thread.  The wall
-    # time is the stepping plus what the helper has not drawn, and a helper
-    # that gets no core holds up only the ensemble it is drawing: on a
-    # raise the iterator is drained, and leaving the with block joins it.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = iter(range(len(configs)))
-        ahead = helper.submit(draw, 0, pending)
-        try:
-            for k in range(n_chunks):
-                m, z = draw(k, pending), buffers[k % 2]
-                ahead.result()
-                if k + 1 < n_chunks:
-                    pending = iter(range(len(configs)))
-                    ahead = helper.submit(draw, k + 1, pending)
-                for j in range(m):
-                    # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
-                    # euler_step evaluates it, so every path gets the same bits
-                    s = target.score(x)
-                    if a:
-                        np.multiply(half_h, theta_a, out=drift_scale[:a])
-                        drift_scale[:a] *= theta_a
-                        np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
-                    np.multiply(drift_scale, s, out=term)
-                    np.add(x, term, out=x_new)
-                    np.multiply(noise_rows, z[:, j], out=term_rows)
-                    x_new += term
-                    if boundary == "reflect":
-                        np.abs(x_new, out=x)
-                    elif boundary == "hold":
-                        np.greater_equal(x_new, 0.0, out=keep)
-                        np.copyto(x, x_new, where=keep)
-                    else:
-                        x, x_new = x_new, x
-                    if a:
-                        # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
-                        np.abs(s[:a], out=rate)
-                        np.multiply(theta_a, rate, out=rate)
-                        rate /= SQRT_2PI
-                        np.subtract(p, rate, out=rate)
-                        np.multiply(h, theta_a, out=gain)
-                        gain *= rate
-                        theta_a += gain
-                        # Clamps and floor hits need a minimum (NaN aside) at or
-                        # below the floor; checking it first costs one pass, not two.
-                        if np.fmin.reduce(theta_a) <= THETA_FLOOR:
-                            theta_a[theta_a <= 0.0] = THETA_FLOOR
-                            floor_hits += np.count_nonzero(
-                                (theta_a == THETA_FLOOR).reshape(n_adaptive, n), axis=1)
-        finally:
-            deque(pending, maxlen=0)  # the helper takes no further ensemble
+    # While this thread steps chunk k, the helper draws chunk k + 1 (see
+    # seeding.Helper); this thread draws what it has left once it has stepped.
+    with Helper() as helper:
+        finish = helper.share(partial(draw, 0), range(len(configs)))
+        for k in range(n_chunks):
+            m, z = finish()[0], buffers[k % 2]
+            if k + 1 < n_chunks:
+                finish = helper.share(partial(draw, k + 1), range(len(configs)))
+            for j in range(m):
+                # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
+                # euler_step evaluates it, so every path gets the same bits
+                s = target.score(x)
+                if a:
+                    np.multiply(half_h, theta_a, out=drift_scale[:a])
+                    drift_scale[:a] *= theta_a
+                    np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
+                np.multiply(drift_scale, s, out=term)
+                np.add(x, term, out=x_new)
+                np.multiply(noise_rows, z[:, j], out=term_rows)
+                x_new += term
+                if boundary == "reflect":
+                    np.abs(x_new, out=x)
+                elif boundary == "hold":
+                    np.greater_equal(x_new, 0.0, out=keep)
+                    np.copyto(x, x_new, where=keep)
+                else:
+                    x, x_new = x_new, x
+                if a:
+                    # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
+                    np.abs(s[:a], out=rate)
+                    np.multiply(theta_a, rate, out=rate)
+                    rate /= SQRT_2PI
+                    np.subtract(p, rate, out=rate)
+                    np.multiply(h, theta_a, out=gain)
+                    gain *= rate
+                    theta_a += gain
+                    # Clamps and floor hits need a minimum (NaN aside) at or
+                    # below the floor; checking it first costs one pass, not two.
+                    if np.fmin.reduce(theta_a) <= THETA_FLOOR:
+                        theta_a[theta_a <= 0.0] = THETA_FLOOR
+                        floor_hits += np.count_nonzero(
+                            (theta_a == THETA_FLOOR).reshape(n_adaptive, n), axis=1)
 
     results = [None] * len(configs)
     for slot, i in enumerate(order):

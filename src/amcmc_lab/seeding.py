@@ -1,9 +1,14 @@
-"""Deterministic RNG stream derivation.
+"""Deterministic RNG stream derivation, and the one helper thread that
+shares a call's units of work with the calling thread.
 
 Every stochastic routine in the package draws from a generator built here,
 so that identical (seed, key) always reproduces identical output no matter
 how the surrounding work is scheduled.
 """
+
+import contextvars
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,3 +28,34 @@ def child_seed(*key) -> int:
     """Collision-resistant 64-bit seed derived from an integer key tuple."""
     ss = np.random.SeedSequence([_normalize(k) for k in key])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+class Helper:
+    """One helper thread that takes units of work beside the calling thread.
+
+    ``finish = helper.share(work, units)`` starts ``work(pending)`` on the
+    helper, where ``pending`` is one iterator over ``units`` (a range, or an
+    enumerate of one) that the calling thread reads too; ``finish()`` runs
+    ``work(pending)`` here, waits for the helper and returns ``(mine,
+    theirs)``.  The iterator is a C one, each next() one step under the
+    interpreter lock, so each unit goes to one thread, and a thread that
+    gets no core holds up only the unit it is on.  The helper runs in a
+    copy of the caller's context, so it keeps the caller's ``np.errstate``.
+    Which thread ran a unit varies; the caller folds the results in a fixed
+    order.  Leaving the ``with`` block, on return or on raise, empties the
+    last shared iterator, so the helper takes no further unit, and joins it.
+    """
+
+    def __enter__(self):
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._pending = iter(())
+        return self
+
+    def share(self, work, units):
+        pending = self._pending = iter(units)
+        theirs = self._pool.submit(contextvars.copy_context().run, work, pending)
+        return lambda: (work(pending), theirs.result())
+
+    def __exit__(self, *exc_info):
+        deque(self._pending, maxlen=0)
+        self._pool.shutdown()

@@ -638,6 +638,11 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
     # a whole-number n past the largest float, refused before it is converted
     (["coeff", "--n", "1" + "0" * 400, "--x", "0.5", "--theta0", "1.0"],
      "resolution n must be at most"),
+    # ceil(horizon/h) steps would run past the horizon
+    (["sde", "--h", "0.3", "--p", "1", "--horizon", "1"],
+     "horizon_t=1.0 is not a whole number of steps of h=0.3: n_steps=4 would reach T=1.2"),
+    (["sde", "--h", "0.5", "--p", "1", "--horizon", "1e-300"],
+     "horizon_t=1e-300 is not a whole number of steps of h=0.5: n_steps=1 would reach T=0.5"),
 ])
 def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, message):
     small = {"coeff": ["--kind", "B1", "--draws", "1000"],
@@ -653,6 +658,16 @@ def test_cli_rejects_non_finite_and_degenerate_input(tmp_path, capsys, argv, mes
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_sde_jobs_take_horizons_that_are_whole_numbers_of_steps():
+    # 0.3 / 0.1 is 2.9999999999999996: three steps of 0.1 reach 0.3
+    (job,) = experiments.sde_jobs(small_sde_spec(hp_cells=((0.1, 1.0),), horizon_t=0.3,
+                                                 replicates=1, arm="adaptive"))
+    assert job.config.n_steps == 3
+    # every reference mesh divides the default horizon
+    for target in experiments.SDE_CELL_GRIDS:
+        assert experiments.sde_jobs(ExperimentSpec(mode="sde", target=target, replicates=1))
 
 
 @pytest.mark.parametrize("mode", ["discrete", "sde", "coeff"])
