@@ -17,6 +17,7 @@ import argparse
 import sys
 from dataclasses import fields
 
+from .chains import run_amcmc
 from .coeffs import COEFF_KINDS
 from .experiments import (
     ARMS,
@@ -25,7 +26,6 @@ from .experiments import (
     emit_csv,
     print_summary,
     run_experiment,
-    run_job_chains,
     sde_jobs,
     write_lines,
 )
@@ -138,7 +138,7 @@ def _dump_job(spec, args):
 
 def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
-    trajectory = run_job_chains([job])[0]
+    trajectory = run_amcmc(job.config, make_target(job.target))
     lines = ["step,x,theta,xi"]
     for i in range(len(trajectory)):
         state = trajectory.state(i)

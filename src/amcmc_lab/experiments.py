@@ -29,7 +29,7 @@ import numpy as np
 
 from .chains import AdaptiveConfig, run_chains
 from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, simulate_moments
-from .sde import EulerConfig, run_ensembles
+from .sde import EULER_CHUNK, EulerConfig, run_ensembles
 from .seeding import child_seed
 from .stats import chain_summary, format_pvalue, ks_pvalue, ks_statistic
 from .targets import TARGET_KINDS, make_target
@@ -84,6 +84,9 @@ DISCRETE_BLOCK_STEPS = 2_000_000
 # Bytes of recorded positions of one chain, 8 a step.  A longer chain would
 # run alone in a block of its own, so discrete_jobs refuses it instead.
 DISCRETE_CHAIN_BYTES = 1 << 30
+# Bytes of an ensemble's two chunk buffers of draws, 8 a path per step, in
+# run_ensembles: sde_jobs refuses more paths than fit.
+SDE_BUFFER_BYTES = 1 << 30
 
 COEFF_THETA_GRID = (0.5, 1.0, 2.0)
 COEFF_X_GRIDS = {
@@ -224,13 +227,18 @@ def _reject_none_p(ps):
                          "arm='standard', not with a None p")
 
 
-def _jobs(spec: ExperimentSpec, cells, make_config):
-    """Jobs of (group, p) cells in coordinate order, every replicate; p None
-    is the group's standard cell, which sorts last.
+def _jobs(spec: ExperimentSpec, adaptive_cells, make_config):
+    """Jobs of the spec's arms in coordinate order, every replicate: the
+    adaptive (group, p) cells unless spec.arm is 'standard', and unless it
+    is 'adaptive' one standard (group, None) cell per group, which sorts last.
 
     The config of replicate r of the idx-th cell in that order is seeded
     with child_seed(spec.seed, idx, r).
     """
+    adaptive_cells = tuple(adaptive_cells)  # read twice: an iterator would be spent
+    cells = set() if spec.arm == "standard" else set(adaptive_cells)
+    if spec.arm != "adaptive":
+        cells.update((group, None) for group, _ in adaptive_cells)
     return [
         Job(spec.target, group, spec.seed, rep, spec.ks_correction,
             make_config(group, p, child_seed(spec.seed, idx, rep)))
@@ -254,13 +262,6 @@ def _blocks(jobs, size, budget, parts, key=lambda job: None):
     return blocks
 
 
-def run_job_chains(jobs, x_only=False):
-    """The chains of one spec's discrete jobs, advanced in lockstep."""
-    configs = [job.config for job in jobs]
-    return run_chains(make_target(jobs[0].target), [(c.seed, c.theta0, c.p) for c in configs],
-                      configs[0].n_samples, configs[0].x0, x_only=x_only)
-
-
 def discrete_jobs(spec: ExperimentSpec):
     """One job per (theta0, p) adaptive cell and per theta0 standard cell,
     per replicate."""
@@ -282,13 +283,6 @@ def discrete_jobs(spec: ExperimentSpec):
                          f"bytes of positions per chain, past the cap of "
                          f"{DISCRETE_CHAIN_BYTES} ({DISCRETE_CHAIN_BYTES // 8} steps)")
 
-    cells = []
-    for theta0 in theta0_grid:
-        if spec.arm in ("adaptive", "both"):
-            cells.extend((theta0, p) for p in p_grid)
-        if spec.arm in ("standard", "both"):
-            cells.append((theta0, None))
-
     def make_config(theta0, p, run_seed):
         return AdaptiveConfig(
             p=p,
@@ -299,7 +293,7 @@ def discrete_jobs(spec: ExperimentSpec):
             seed=run_seed,
         )
 
-    return _jobs(spec, cells, make_config)
+    return _jobs(spec, itertools.product(theta0_grid, p_grid), make_config)
 
 
 def sde_jobs(spec: ExperimentSpec):
@@ -320,31 +314,18 @@ def sde_jobs(spec: ExperimentSpec):
     if math.isfinite(x0) and not make_target(spec.target).in_support(x0):
         raise ValueError(f"x0={x0} outside the support of the {spec.target} target")
 
-    cells = []
-    if spec.arm in ("adaptive", "both"):
-        cells.extend(hp_cells)
-    if spec.arm in ("standard", "both"):
-        cells.extend((h, None) for h in sorted({h for h, _ in hp_cells}))
+    buffer_bytes = 2 * EULER_CHUNK * 8 * spec.n_paths
+    if buffer_bytes > SDE_BUFFER_BYTES:
+        raise ValueError(f"n_paths={spec.n_paths} would draw into {buffer_bytes} bytes of "
+                         f"buffers per ensemble, past the cap of {SDE_BUFFER_BYTES} "
+                         f"({SDE_BUFFER_BYTES // (2 * EULER_CHUNK * 8)} paths)")
 
     def make_config(h, p, run_seed):
-        config = EulerConfig(
-            h=h,
-            horizon_t=spec.horizon_t,
-            p=p,
-            theta0=theta0,
-            x0=x0,
-            n_paths=spec.n_paths,
-            seed=run_seed,
-            boundary_mode=spec.boundary_mode,
-        )
-        # n_steps rounds up: a horizon between mesh points would be overrun
-        if not math.isclose(config.n_steps * h, spec.horizon_t, rel_tol=1e-9):
-            raise ValueError(f"horizon_t={spec.horizon_t!r} is not a whole number of steps "
-                             f"of h={h!r}: n_steps={config.n_steps} would reach "
-                             f"T={config.n_steps * h!r}")
-        return config
+        return EulerConfig(h=h, horizon_t=spec.horizon_t, p=p, theta0=theta0, x0=x0,
+                           n_paths=spec.n_paths, seed=run_seed,
+                           boundary_mode=spec.boundary_mode)
 
-    return _jobs(spec, cells, make_config)
+    return _jobs(spec, hp_cells, make_config)
 
 
 @dataclass(frozen=True)
@@ -395,8 +376,11 @@ def coeff_cells(spec: ExperimentSpec):
 def _discrete_block(jobs) -> list:
     """Rows of a run of discrete jobs, whose chains advance in lockstep."""
     target = make_target(jobs[0].target)
+    configs = [job.config for job in jobs]
+    chains = run_chains(target, [(c.seed, c.theta0, c.p) for c in configs],
+                        configs[0].n_samples, configs[0].x0, x_only=True)
     rows = []
-    for job, chain in zip(jobs, run_job_chains(jobs, x_only=True)):
+    for job, chain in zip(jobs, chains):
         summary = chain_summary(chain.x, target, job.config.burn_in, job.ks_correction)
         rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.config.p,
                                 job.seed, job.replicate, summary.d, summary.p_value,

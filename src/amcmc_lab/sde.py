@@ -72,10 +72,17 @@ class EulerConfig:
             raise ValueError("n_paths must be at least 1")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+        # n_steps steps of h must reach the horizon, not stop short of it or
+        # pass it; the message names the steps that rounding up would take
+        if not math.isclose(self.n_steps * self.h, self.horizon_t, rel_tol=1e-9):
+            ceil = math.ceil(self.horizon_t / self.h)
+            raise ValueError(f"horizon_t={self.horizon_t!r} is not a whole number of steps "
+                             f"of h={self.h!r}: n_steps={ceil} would reach "
+                             f"T={ceil * self.h!r}")
 
     @property
     def n_steps(self) -> int:
-        return math.ceil(self.horizon_t / self.h)
+        return round(self.horizon_t / self.h)
 
 
 @dataclass

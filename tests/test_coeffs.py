@@ -363,8 +363,8 @@ def test_each_batch_goes_to_one_thread_under_fast_switching(monkeypatch):
 
 
 def test_an_overflow_in_either_thread_ends_in_one_clean_error():
-    # each batch overflows (n dx)^2; pool threads start from numpy's default
-    # errstate, so the helper sets its own, and no warning reaches a filter
+    # each batch overflows (n dx)^2; the helper thread inherits the caller's
+    # errstate (seeding.Helper), and no warning reaches a filter
     point = EvalPoint(x=0.5, theta=1e200, p=0.5, target=NORMAL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

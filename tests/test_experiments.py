@@ -330,6 +330,23 @@ def test_discrete_chain_past_the_memory_cap_is_refused_before_any_work(monkeypat
     assert err.startswith("error: n_samples=1000000000000 ") and err.count("\n") == 1
 
 
+def test_sde_paths_past_the_memory_cap_are_refused_before_any_work(monkeypatch, capsys,
+                                                                   tmp_path):
+    # an ensemble of cap/(2 EULER_CHUNK 8) paths is accepted, one path more
+    # is refused before a block runs, and the CLI ends in one error line
+    monkeypatch.setattr(experiments, "_sde_block", _no_work)
+    paths = experiments.SDE_BUFFER_BYTES // (2 * experiments.EULER_CHUNK * 8)
+    assert paths == 1_048_576
+    assert len(experiments.sde_jobs(small_sde_spec(n_paths=paths))) == 4
+    out = tmp_path / "rows.csv"
+    assert main(["sde", "--target", "normal", "--h", "0.01", "--p", "1",
+                 "--paths", str(paths + 1), "--replicates", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_paths={paths + 1} ") and err.count("\n") == 1
+    assert "past the cap of" in err
+    assert not out.exists()
+
+
 def test_cli_discrete_writes_csv(tmp_path):
     out = tmp_path / "cli.csv"
     code = main(["discrete", "--target", "normal", "--theta0", "1.0",
@@ -668,6 +685,14 @@ def test_sde_jobs_take_horizons_that_are_whole_numbers_of_steps():
     # every reference mesh divides the default horizon
     for target in experiments.SDE_CELL_GRIDS:
         assert experiments.sde_jobs(ExperimentSpec(mode="sde", target=target, replicates=1))
+
+
+def test_cli_runs_a_decimal_horizon(tmp_path):
+    # 0.07 / 0.01 is 7.000000000000001: rounding up would take an eighth step
+    out = tmp_path / "rows.csv"
+    assert main(["sde", "--target", "normal", "--h", "0.01", "--p", "1", "--horizon", "0.07",
+                 "--paths", "5", "--replicates", "1", "--out", str(out)]) == 0
+    assert len(load_csv(out)) == 2
 
 
 @pytest.mark.parametrize("mode", ["discrete", "sde", "coeff"])

@@ -27,6 +27,11 @@ numpy 2.4.6 on an x86-64 CPU where numpy.show_runtime() lists X86_V3,
 X86_V4, AVX512_ICL and AVX512_SPR as found; on a CPU without AVX-512 they
 may differ.  The CI workflow prints numpy.show_runtime() before the tests,
 so a digest failure on a runner can be read against the runner's dispatch.
+
+The one-arm digests of the discrete and sde normal grids and DUMP_DIGESTS
+were added, taken before each grid mode's arms became cells through one
+rule and before the dumped chain ran through run_amcmc: those paths were
+rewritten to keep these bytes.
 """
 
 import hashlib
@@ -54,6 +59,21 @@ CLI_CASES = {
 # The bench coeff workload's scale: batches of several pieces each.
 CLI_CASES["coeff-cauchy-batches"] = ("coeff", "cauchy", ("--x", "2.0", "--theta0", "1.0",
                                                          "--n", "100", "--draws", "600000"))
+# Each arm on its own: the cells of one arm, seeded as in the two-arm grid.
+for _mode, _grid in (("discrete", _DISCRETE), ("sde", _SDE)):
+    for _arm in ("adaptive", "standard"):
+        CLI_CASES[f"{_mode}-normal-{_arm}"] = (_mode, "normal", _grid + ("--arm", _arm))
+
+# Single-cell grids whose replicate 0 a dump writes: a discrete chain's
+# trajectory, an sde ensemble's terminal sample.
+_DUMPS = {
+    "trajectory": ("discrete", "--dump-trajectory",
+                   ("--theta0", "1.0", "--p", "0.5", "--n-samples", "600", "--burn-in", "100",
+                    "--replicates", "2")),
+    "terminal": ("sde", "--dump-terminal",
+                 ("--h", "0.01", "--p", "5.0", "--paths", "50", "--horizon", "0.5",
+                  "--replicates", "2")),
+}
 
 CLI_DIGESTS = {
     "coeff-cauchy":
@@ -72,6 +92,10 @@ CLI_DIGESTS = {
         "f9de39667e06fd9e532b86e0ea279c765f97e4c5f77af52b471e54428a48d24e",
     "discrete-normal":
         "dd91f1b2d59e47fcca32bbbd78aef2c6eee10d6c1ef22fd68633944543090409",
+    "discrete-normal-adaptive":
+        "fb4ec3c16afe6a35b1e71d13e8b79eed147d755de3c1efc38535a777ec49512b",
+    "discrete-normal-standard":
+        "291651942ad95507ad9705b45f8fd5fc848ce75866f375eddd5255547187b6d7",
     "discrete-t2":
         "70a9c5c1be4562d99d9a5d54cc61c6c8fc87759f5a85cb5244f6ee5db0f3e947",
     "sde-cauchy":
@@ -82,8 +106,23 @@ CLI_DIGESTS = {
         "2ba4cf8f87d3b3eb0e7b1b17fb165e0544e5978e595375561eb2b132ae6e54b0",
     "sde-normal":
         "eb1cb5a37c34be3de611e2e5cc1bb75b1629fd4c601fc75766f852636c2cc5da",
+    "sde-normal-adaptive":
+        "e34251245e72c069cb677b9452cc5421c0fa4fff7883e9e427619ba69bfb9d73",
+    "sde-normal-standard":
+        "654eed4c4dd63b6776ac6220df054b47abd462c148fcc5f66b29b012d377d7b0",
     "sde-t2":
         "5e5955bfc9b74a906e8bedbaf611bea5691283c1415e00ed0fd39bd70830886c",
+}
+
+DUMP_DIGESTS = {
+    "terminal-adaptive":
+        "5d171e1d1fe0f3a86c8381243d533c25c1b2f502ead1d4d2676699b9772b269a",
+    "terminal-standard":
+        "1e1ae05e6aad9224a6b93a170a28dcc815b98bf9458654d6425f25576edd0cdc",
+    "trajectory-adaptive":
+        "73ceeae523b277130a8aea89b25640a764d5e2134edd003504af1020fe4739d1",
+    "trajectory-standard":
+        "c9f3896f68101fa8703ca18925311d05decf9c297bdec79284bedcdf913c9d23",
 }
 
 TRAJECTORY_DIGESTS = {
@@ -122,6 +161,15 @@ def cli_digest(tmp_path, mode, target, extra) -> str:
     argv = [mode, "--target", target, "--seed", "11", *extra, "--out", str(out)]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def dump_digest(tmp_path, name) -> str:
+    kind, arm = name.split("-")
+    mode, flag, grid = _DUMPS[kind]
+    dump = tmp_path / "dump.csv"
+    argv = [mode, "--target", "normal", "--seed", "11", *grid, "--arm", arm, flag, str(dump)]
+    assert main(argv) == 0
+    return hashlib.sha256(dump.read_bytes()).hexdigest()
 
 
 def _x0(kind):
@@ -165,6 +213,11 @@ def test_cli_csv_digest_under_workers(tmp_path, monkeypatch, case):
     mode, target, extra = CLI_CASES[case]
     assert cli_digest(tmp_path, mode, target, (*extra, "--workers", "2")) == CLI_DIGESTS[case]
     assert pools == [{"max_workers": 2}] or os.cpu_count() == 1
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
+def test_dump_digest(tmp_path, name):
+    assert dump_digest(tmp_path, name) == DUMP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(trajectory_runs()))

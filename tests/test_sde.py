@@ -193,6 +193,22 @@ def test_euler_config_validation():
     assert EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0).p is None
 
 
+@pytest.mark.parametrize("horizon_t,n_steps", [
+    (0.07, 7), (0.14, 14), (0.28, 28), (0.56, 56), (1.11, 111),
+])
+def test_euler_config_takes_decimal_horizons_in_whole_steps(horizon_t, n_steps):
+    # horizon_t / 0.01 lies just above n_steps for each of these
+    assert EulerConfig(h=0.01, horizon_t=horizon_t, p=1.0, theta0=1.0).n_steps == n_steps
+
+
+def test_euler_config_refuses_a_horizon_between_mesh_points():
+    # three steps of 0.3 stop short of T = 1 and four would pass it
+    with pytest.raises(ValueError) as raised:
+        EulerConfig(h=0.3, horizon_t=1.0, p=1.0, theta0=1.0)
+    assert str(raised.value) == ("horizon_t=1.0 is not a whole number of steps of h=0.3: "
+                                 "n_steps=4 would reach T=1.2")
+
+
 def whole_matrix_oracle(target, config):
     """The ensemble as a loop over euler_step, with every increment drawn
     up front, step-major, from the ensemble's one stream:
@@ -250,7 +266,7 @@ def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps,
     target = make_target(kind)
     if kind == "exp":
         x0 = abs(x0)
-    configs = [EulerConfig(h=h, horizon_t=(n_steps - 0.5) * h, p=p if adaptive else None,
+    configs = [EulerConfig(h=h, horizon_t=n_steps * h, p=p if adaptive else None,
                            theta0=theta0, x0=x0, n_paths=n_paths, seed=seed,
                            boundary_mode=boundary_mode)
                for adaptive, p, seed in ensembles]
@@ -300,7 +316,7 @@ def test_run_ensembles_join_their_draw_thread_on_return_and_on_raise():
     # one helper thread draws while the call runs, and none is left after it,
     # also when the score raises midway through chunk 2 as chunk 3 is drawn
     h = 0.01
-    config = EulerConfig(h=h, horizon_t=(3 * EULER_CHUNK - 0.5) * h, p=2.0, theta0=1.0,
+    config = EulerConfig(h=h, horizon_t=3 * EULER_CHUNK * h, p=2.0, theta0=1.0,
                          n_paths=1000, seed=5)
     before = threading.active_count()
     run_ensemble(NORMAL, config)
