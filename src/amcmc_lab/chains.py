@@ -128,7 +128,7 @@ def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel):
 # An off-support start gives -inf - -inf, and a uniform of 0 gives log(0).
 @np.errstate(invalid="ignore", divide="ignore")
 def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
-               x_only: bool = False) -> list:
+               x_only: bool = False, burn_in: int = 0) -> list:
     """Trajectories of (seed, theta0, benchmark) chains advanced in lockstep
     from x0, each reading chain_streams(seed) STEP_CHUNK steps at a time.
 
@@ -136,13 +136,16 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
     exp((xi - benchmark)/sqrt(i + 1)), unless the benchmark is None.  A
     chain's float operations are amcmc_step's and its own, so its bits do
     not depend on the batch.  With x_only, theta and xi are not recorded
-    (None).
+    (None), and x is recorded from step burn_in on: entry i of a
+    trajectory is then step burn_in + i.
 
     A chunk's draws and both values of each retuning factor (xi = 1 and 0;
     1.0 for a fixed scale) are laid out step-major, so each step reads and
     records contiguous rows, and the recorded rows go chain-major once per
     chunk.
     """
+    if not 0 <= burn_in < n_steps or (burn_in and not x_only):
+        raise ValueError("burn_in must lie in [0, n_steps), and be 0 unless x_only")
     seeds, theta0, benchmarks = zip(*chains)
     streams = [chain_streams(seed) for seed in seeds]
     adapts = np.array([b is not None for b in benchmarks])
@@ -153,7 +156,7 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
     x, theta = np.full(width, float(x0)), np.array(theta0, float)
     lp_x = target.log_density(x)
     dtypes = (float,) if x_only else (float, float, np.int8)  # x, theta, xi
-    paths = [np.empty((width, n_steps), dtype) for dtype in dtypes]
+    paths = [np.empty((width, n_steps - burn_in), dtype) for dtype in dtypes]
     rows = [np.empty((chunk, width), dtype) for dtype in dtypes]
 
     for start in range(0, n_steps, chunk):
@@ -176,8 +179,10 @@ def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
             rows[0][j] = x
             if not x_only:
                 rows[1][j], rows[2][j] = theta, accept
-        for path, row in zip(paths, rows):
-            path[:, start:start + m] = row[:m].T
+        kept = max(start, burn_in)  # the chunk's first recorded step
+        if kept < start + m:
+            for path, row in zip(paths, rows):
+                path[:, kept - burn_in:start + m - burn_in] = row[kept - start:m].T
     if x_only:
         return [ChainTrajectory(x, None, None) for x in paths[0]]
     return [ChainTrajectory(*arrays) for arrays in zip(*paths)]

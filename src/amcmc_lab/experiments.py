@@ -74,19 +74,24 @@ SDE_CELL_GRIDS = {
 SDE_THETA0_GRID = (1.0,)  # sde mode takes a single theta0
 
 # Paths of same-h ensembles advanced as one array: bounds a block's memory
-# (about 8.4 MB of increment buffers at 8192 paths) on the default
+# (about 4.2 MB of increment buffers at 8192 paths) on the default
 # 11-replicate grid, whose widest mesh holds 44 000 paths.
 SDE_BLOCK_PATHS = 8192
-# Chain-steps of a lockstep block: 16 MB of recorded positions.  The default
-# 330-chain grid of 10^4 steps packs into blocks of 200 and 130 chains, wide
-# enough to spread the fixed cost of a step's numpy calls.
+# Chain-steps of a lockstep block: at most 16 MB of recorded positions.  The
+# default 330-chain grid of 10^4 steps packs into blocks of 200 and 130
+# chains, wide enough to spread the fixed cost of a step's numpy calls.
 DISCRETE_BLOCK_STEPS = 2_000_000
 # Bytes of recorded positions of one chain, 8 a step.  A longer chain would
 # run alone in a block of its own, so discrete_jobs refuses it instead.
 DISCRETE_CHAIN_BYTES = 1 << 30
 # Bytes of an ensemble's two chunk buffers of draws, 8 a path per step, in
 # run_ensembles: sde_jobs refuses more paths than fit.
-SDE_BUFFER_BYTES = 1 << 30
+SDE_BUFFER_BYTES = 1 << 29
+# Jobs of one discrete or sde grid, cells x replicates.  A job costs about
+# 0.5 KB and 31 us to build (300 000 took 155 MB and 9.2 s), so 100 000 is
+# about 50 MB and 3 s, 300 times the largest reference grid (330 jobs);
+# _jobs refuses a larger grid before it builds any job.
+MAX_GRID_JOBS = 100_000
 
 COEFF_THETA_GRID = (0.5, 1.0, 2.0)
 COEFF_X_GRIDS = {
@@ -233,12 +238,17 @@ def _jobs(spec: ExperimentSpec, adaptive_cells, make_config):
     is 'adaptive' one standard (group, None) cell per group, which sorts last.
 
     The config of replicate r of the idx-th cell in that order is seeded
-    with child_seed(spec.seed, idx, r).
+    with child_seed(spec.seed, idx, r).  A grid of more than MAX_GRID_JOBS
+    jobs is refused before any is built.
     """
     adaptive_cells = tuple(adaptive_cells)  # read twice: an iterator would be spent
     cells = set() if spec.arm == "standard" else set(adaptive_cells)
     if spec.arm != "adaptive":
         cells.update((group, None) for group, _ in adaptive_cells)
+    n_jobs = len(cells) * spec.replicates
+    if n_jobs > MAX_GRID_JOBS:
+        raise ValueError(f"{len(cells)} cells x {spec.replicates} replicates = {n_jobs} "
+                         f"jobs, past the cap of {MAX_GRID_JOBS}")
     return [
         Job(spec.target, group, spec.seed, rep, spec.ks_correction,
             make_config(group, p, child_seed(spec.seed, idx, rep)))
@@ -377,11 +387,13 @@ def _discrete_block(jobs) -> list:
     """Rows of a run of discrete jobs, whose chains advance in lockstep."""
     target = make_target(jobs[0].target)
     configs = [job.config for job in jobs]
+    first = configs[0]
     chains = run_chains(target, [(c.seed, c.theta0, c.p) for c in configs],
-                        configs[0].n_samples, configs[0].x0, x_only=True)
+                        first.n_samples, first.x0, x_only=True, burn_in=first.burn_in)
     rows = []
     for job, chain in zip(jobs, chains):
-        summary = chain_summary(chain.x, target, job.config.burn_in, job.ks_correction)
+        # the chain holds the retained draws only
+        summary = chain_summary(chain.x, target, 0, job.ks_correction)
         rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.config.p,
                                 job.seed, job.replicate, summary.d, summary.p_value,
                                 summary.esjd))

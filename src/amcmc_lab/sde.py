@@ -33,7 +33,7 @@ from .targets import TargetModel
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
 BOUNDARY_MODES = ("reflect", "hold")
-EULER_CHUNK = 64  # steps of draws per buffer (run_ensembles keeps two) and per unit of work
+EULER_CHUNK = 32  # steps of draws per buffer (run_ensembles keeps two) and per unit of work
 
 
 class SdeState(NamedTuple):

@@ -314,6 +314,27 @@ def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
         assert trajectory.xi.tobytes() == xis
 
 
+@pytest.mark.parametrize("burn_in", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
+                                     2 * STEP_CHUNK + 6])
+def test_x_only_records_from_the_burn_in_on(burn_in):
+    # a block that records x from burn_in on holds the oracle's positions
+    # from that step on, bit for bit, whichever chunk the burn-in ends in
+    target = make_target("cauchy")
+    block = [(21, 2.38, 0.5), (22, 0.4, None), (23, 10.0, 0.234)]
+    n = 2 * STEP_CHUNK + 7
+    for trajectory, chain in zip(run_chains(target, block, n, 0.5, x_only=True,
+                                            burn_in=burn_in), block):
+        assert trajectory.theta is None and trajectory.xi is None
+        assert trajectory.x.tobytes() == oracle_chain(target, *chain, 0.5, n)[0][8 * burn_in:]
+
+
+@pytest.mark.parametrize("burn_in, x_only", [(-1, True), (10, True), (3, False)])
+def test_run_chains_refuses_a_burn_in_it_cannot_record_from(burn_in, x_only):
+    with pytest.raises(ValueError, match="burn_in"):
+        run_chains(make_target("normal"), [(1, 1.0, 0.5)], 10, x_only=x_only,
+                   burn_in=burn_in)
+
+
 def _bits(value) -> bytes:
     return struct.pack("<d", value)
 

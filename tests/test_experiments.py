@@ -347,6 +347,44 @@ def test_sde_paths_past_the_memory_cap_are_refused_before_any_work(monkeypatch, 
     assert not out.exists()
 
 
+def _no_seed(*key):
+    raise AssertionError("a job was seeded")
+
+
+def test_grid_past_the_job_cap_is_refused_before_any_job(monkeypatch):
+    # 30 cells: at a cap of 60 jobs, 2 replicates are accepted and 3 are
+    # refused before any job is seeded
+    monkeypatch.setattr(experiments, "MAX_GRID_JOBS", 60)
+    spec = ExperimentSpec(mode="discrete", target="normal", replicates=2)
+    assert len(experiments.discrete_jobs(spec)) == 60
+    monkeypatch.setattr(experiments, "child_seed", _no_seed)
+    for mode, make_jobs in (("discrete", experiments.discrete_jobs),
+                            ("sde", experiments.sde_jobs)):
+        with pytest.raises(ValueError, match="30 cells x 3 replicates = 90 jobs, past the "
+                                             "cap of 60"):
+            make_jobs(ExperimentSpec(mode=mode, target="normal", replicates=3))
+
+
+@pytest.mark.parametrize("mode", ["discrete", "sde"])
+def test_cli_huge_replicate_count_ends_in_one_error_line(monkeypatch, capsys, mode):
+    # 10^12 replicates would build 3 * 10^13 jobs: the count is refused
+    # before the first job is seeded, and the CLI ends in one error line
+    monkeypatch.setattr(experiments, "child_seed", _no_seed)
+    assert main([mode, "--target", "normal", "--replicates", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: 30 cells x 1000000000000 replicates = 30000000000000 jobs, "
+                   f"past the cap of {experiments.MAX_GRID_JOBS}\n")
+
+
+def test_every_reference_grid_is_within_the_job_cap():
+    # 4 targets x discrete/sde at 11 replicates; the largest has 330 jobs
+    sizes = [len(make_jobs(ExperimentSpec(mode=mode, target=target)))
+             for target in DISCRETE_P_GRIDS
+             for mode, make_jobs in (("discrete", experiments.discrete_jobs),
+                                     ("sde", experiments.sde_jobs))]
+    assert len(sizes) == 8 and max(sizes) == 330 <= experiments.MAX_GRID_JOBS
+
+
 def test_cli_discrete_writes_csv(tmp_path):
     out = tmp_path / "cli.csv"
     code = main(["discrete", "--target", "normal", "--theta0", "1.0",

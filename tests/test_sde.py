@@ -415,6 +415,24 @@ def test_run_ensembles_memory_is_two_chunks_of_draws():
     assert peak <= 2 * 5 * 64 * 1000 * 8 + (1 << 20)
 
 
+def test_euler_block_memory_is_its_two_chunk_buffers():
+    # a bench block: 8 cauchy ensembles of 1000 paths, one per p of the
+    # reference h = 0.01 cell and its fixed scale.  Its peak is the two
+    # chunk buffers of draws plus working arrays of at most 32 steps'
+    # width, and under 6 MiB (64-step chunks peaked at 8.61 MiB)
+    configs = [EulerConfig(h=0.01, horizon_t=1.0, p=p, theta0=1.0, n_paths=1000, seed=seed)
+               for seed, p in enumerate((0.5, 1.0, 2.0, 2.5, 2.75, 3.0, 3.5, None))]
+    width = 8 * 1000
+    tracemalloc.start()
+    try:
+        run_ensembles(CAUCHY, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * EULER_CHUNK + 32) * 8 * width
+    assert peak < 6 << 20
+
+
 def test_run_ensemble_memory_is_flat_in_the_horizon():
     # increments are drawn in step chunks: sixteen times the horizon takes
     # no more memory (the whole increment matrix at 16T would be 12.8 MB)
