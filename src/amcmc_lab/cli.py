@@ -30,7 +30,6 @@ from .experiments import (
     write_lines,
 )
 from .sde import BOUNDARY_MODES, run_ensemble
-from .stats import KS_CORRECTIONS
 from .targets import TARGET_KINDS, make_target
 
 
@@ -62,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     discrete.add_argument("--x0", type=float)
     discrete.add_argument("--replicates", type=int)
     discrete.add_argument("--arm", choices=ARMS)
-    discrete.add_argument("--ks-correction", choices=KS_CORRECTIONS)
     discrete.add_argument("--dump-trajectory", metavar="FILE",
                           help="debug: write step,x,theta,xi for a single-cell grid")
 
@@ -80,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     sde.add_argument("--horizon", type=float, dest="horizon_t")
     sde.add_argument("--replicates", type=int)
     sde.add_argument("--arm", choices=ARMS)
-    sde.add_argument("--ks-correction", choices=KS_CORRECTIONS)
     sde.add_argument("--boundary", choices=BOUNDARY_MODES, dest="boundary_mode",
                      help="support repair for the exponential target")
     sde.add_argument("--dump-terminal", metavar="FILE",

@@ -81,8 +81,9 @@ SDE_BLOCK_PATHS = 8192
 # default 330-chain grid of 10^4 steps packs into blocks of 200 and 130
 # chains, wide enough to spread the fixed cost of a step's numpy calls.
 DISCRETE_BLOCK_STEPS = 2_000_000
-# Bytes of recorded positions of one chain, 8 a step.  A longer chain would
-# run alone in a block of its own, so discrete_jobs refuses it instead.
+# Bytes of recorded positions of one chain, 8 a step past the burn-in.  A
+# longer chain would run alone in a block of its own, so discrete_jobs
+# refuses it instead.
 DISCRETE_CHAIN_BYTES = 1 << 30
 # Bytes of an ensemble's two chunk buffers of draws, 8 a path per step, in
 # run_ensembles: sde_jobs refuses more paths than fit.
@@ -130,7 +131,6 @@ class ExperimentSpec:
     seed: int = 0
     replicates: int = 11
     arm: str = "both"
-    ks_correction: str = "none"
     boundary_mode: str = "reflect"
     workers: int = 1
 
@@ -217,7 +217,6 @@ class Job:
     group: float  # theta0 (discrete) or h (sde)
     seed: int  # the spec's seed, as the row reports it
     replicate: int
-    ks_correction: str
     config: object  # AdaptiveConfig or EulerConfig, seeded for this replicate
 
     @property
@@ -250,7 +249,7 @@ def _jobs(spec: ExperimentSpec, adaptive_cells, make_config):
         raise ValueError(f"{len(cells)} cells x {spec.replicates} replicates = {n_jobs} "
                          f"jobs, past the cap of {MAX_GRID_JOBS}")
     return [
-        Job(spec.target, group, spec.seed, rep, spec.ks_correction,
+        Job(spec.target, group, spec.seed, rep,
             make_config(group, p, child_seed(spec.seed, idx, rep)))
         for idx, (group, p) in enumerate(sorted(cells, key=lambda c: (c[0], _p_key(c[1]))))
         for rep in range(spec.replicates)
@@ -288,10 +287,11 @@ def discrete_jobs(spec: ExperimentSpec):
     if not 0 <= spec.burn_in <= spec.n_samples - 2:
         raise ValueError("burn_in must leave at least two retained samples "
                          "(0 <= burn_in <= n_samples - 2)")
-    if 8 * spec.n_samples > DISCRETE_CHAIN_BYTES:
-        raise ValueError(f"n_samples={spec.n_samples} would record {8 * spec.n_samples} "
-                         f"bytes of positions per chain, past the cap of "
-                         f"{DISCRETE_CHAIN_BYTES} ({DISCRETE_CHAIN_BYTES // 8} steps)")
+    recorded = 8 * (spec.n_samples - spec.burn_in)  # a block records from burn_in on
+    if recorded > DISCRETE_CHAIN_BYTES:
+        raise ValueError(f"n_samples={spec.n_samples} with burn_in={spec.burn_in} would "
+                         f"record {recorded} bytes of positions per chain, past the cap "
+                         f"of {DISCRETE_CHAIN_BYTES} ({DISCRETE_CHAIN_BYTES // 8} steps)")
 
     def make_config(theta0, p, run_seed):
         return AdaptiveConfig(
@@ -393,7 +393,7 @@ def _discrete_block(jobs) -> list:
     rows = []
     for job, chain in zip(jobs, chains):
         # the chain holds the retained draws only
-        summary = chain_summary(chain.x, target, 0, job.ks_correction)
+        summary = chain_summary(chain.x, target)
         rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.config.p,
                                 job.seed, job.replicate, summary.d, summary.p_value,
                                 summary.esjd))
@@ -413,7 +413,7 @@ def _sde_block(jobs) -> list:
                              f"{len(result.x_t)} terminal values are NaN (the "
                              "ensemble diverged)")
         d = ks_statistic(result.x_t, target)
-        p_value = ks_pvalue(d, job.config.n_paths, job.ks_correction)
+        p_value = ks_pvalue(d, job.config.n_paths)
         rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.config.p, job.seed,
                            job.replicate, d, p_value, result.theta_t_mean))
     return rows

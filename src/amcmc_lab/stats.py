@@ -7,8 +7,6 @@ import numpy as np
 
 from .targets import TargetModel
 
-KS_CORRECTIONS = ("none", "stephens")
-
 _SERIES_TOL = 1e-12
 _PVALUE_DISPLAY_FLOOR = 1e-16
 
@@ -36,25 +34,18 @@ def ks_statistic(sample, target: TargetModel) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_pvalue(d: float, m: int, correction: str = "none") -> float:
+def ks_pvalue(d: float, m: int) -> float:
     """Asymptotic two-sided p-value of the one-sample KS statistic.
 
     Kolmogorov series 2 * sum_k (-1)^(k-1) exp(-2 k^2 lambda^2) with
     lambda = sqrt(m) * d, truncated once a term drops below 1e-12 and
-    clamped to [0, 1].  correction="stephens" uses
-    lambda = (sqrt(m) + 0.12 + 0.11/sqrt(m)) * d instead.
+    clamped to [0, 1].
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("KS statistic must lie in [0, 1]")
     if m < 1:
         raise ValueError("sample size must be positive")
-    if correction not in KS_CORRECTIONS:
-        raise ValueError(f"correction must be one of {KS_CORRECTIONS}")
-    sqrt_m = math.sqrt(m)
-    if correction == "stephens":
-        lam = (sqrt_m + 0.12 + 0.11 / sqrt_m) * d
-    else:
-        lam = sqrt_m * d
+    lam = math.sqrt(m) * d
     if lam < 1e-8:
         return 1.0
     total = 0.0
@@ -79,15 +70,14 @@ def esjd(chain, burn_in: int = 0) -> float:
     return float(np.mean(jumps * jumps))
 
 
-def chain_summary(chain, target: TargetModel, burn_in: int = 0,
-                  correction: str = "none") -> RunSummary:
+def chain_summary(chain, target: TargetModel, burn_in: int = 0) -> RunSummary:
     """KS and ESJD diagnostics of a chain after discarding the burn-in."""
     chain = np.asarray(chain, float)
     retained = chain[burn_in:]
     d = ks_statistic(retained, target)
     return RunSummary(
         d=d,
-        p_value=ks_pvalue(d, retained.size, correction),
+        p_value=ks_pvalue(d, retained.size),
         esjd=esjd(chain, burn_in),
         n_retained=retained.size,
     )

@@ -204,6 +204,31 @@ def test_smcmc_preserves_target_distribution():
     assert rejected == 10
 
 
+def _acceptance_z(sigma, scored_at):
+    """z of the mean acceptance, over steps 1000 on, of 100 fixed-scale
+    chains (seeds 0-99) of 10^4 steps on N(0,1) at scale sigma, against
+    (2/pi) arctan(2/scored_at), the stationary acceptance at that scale.
+    The standard error is the spread across chains over sqrt(100)."""
+    chains = run_chains(NORMAL, [(seed, sigma, None) for seed in range(100)], 10_000)
+    rates = np.array([chain.xi[1_000:].mean() for chain in chains])
+    exact = 2.0 / math.pi * math.atan(2.0 / scored_at)
+    return (rates.mean() - exact) / (rates.std(ddof=1) / math.sqrt(rates.size))
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 2.38, 10.0])
+def test_fixed_scale_acceptance_matches_its_closed_form(sigma):
+    # random-walk Metropolis on N(0,1) with N(0, sigma^2) steps accepts at
+    # stationarity with probability (2/pi) arctan(2/sigma): within 4 SE
+    assert abs(_acceptance_z(sigma, sigma)) < 4.0
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.38, 10.0])
+def test_fixed_scale_acceptance_oracle_sees_a_two_percent_scale_error(sigma):
+    # negative control: chains at 1.02 sigma fall outside 4 SE of the
+    # value at sigma (at sigma = 0.1 the curve is too flat to see 2%)
+    assert abs(_acceptance_z(1.02 * sigma, sigma)) >= 4.0
+
+
 def test_embedded_config_validation():
     # the 1/n-grid benchmark p_n = 1 - p/sqrt(n) that coeff mode runs at
     with pytest.raises(ValueError):

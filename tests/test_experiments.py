@@ -318,16 +318,28 @@ def test_print_summary_flags_best_cell():
 
 
 def test_discrete_chain_past_the_memory_cap_is_refused_before_any_work(monkeypatch, capsys):
-    # the jobs are built, not run: a chain of cap/8 steps is accepted and
-    # one step more is refused, and the CLI ends in one error line
+    # the jobs are built, not run: a chain that records cap/8 positions past
+    # the spec's burn-in of 50 is accepted and one step more is refused, and
+    # the CLI ends in one error line
     monkeypatch.setattr(experiments, "_discrete_block", _no_work)
-    steps = experiments.DISCRETE_CHAIN_BYTES // 8
+    steps = experiments.DISCRETE_CHAIN_BYTES // 8 + 50
     assert len(experiments.discrete_jobs(small_discrete_spec(n_samples=steps))) == 4
     with pytest.raises(ValueError, match="past the cap of"):
         experiments.discrete_jobs(small_discrete_spec(n_samples=steps + 1))
     assert main(["discrete", "--target", "normal", "--n-samples", "1000000000000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: n_samples=1000000000000 ") and err.count("\n") == 1
+    # 134 217 729 steps, of which 100 000 000 burn-in, record 274 MB: accepted
+    built = []
+
+    def no_rows(jobs):
+        built.extend(jobs)
+        return []
+
+    monkeypatch.setattr(experiments, "_discrete_block", no_rows)
+    assert main(["discrete", "--target", "normal", "--n-samples", "134217729",
+                 "--burn-in", "100000000", "--replicates", "1"]) == 0
+    assert len(built) == 30
 
 
 def test_sde_paths_past_the_memory_cap_are_refused_before_any_work(monkeypatch, capsys,

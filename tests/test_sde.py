@@ -401,8 +401,8 @@ def test_each_ensemble_chunk_is_drawn_once_under_fast_switching(monkeypatch):
 
 
 def test_run_ensembles_memory_is_two_chunks_of_draws():
-    # 5 ensembles of 1000 paths over 300 steps hold two 64-step chunks of
-    # normals, 5.1 MB; 256-step chunks held 20.5 MB
+    # 5 ensembles of 1000 paths over 300 steps hold two EULER_CHUNK-step
+    # chunks of normals, 2.6 MB at 32 steps; 256-step chunks held 20.5 MB
     h = 0.01
     configs = [EulerConfig(h=h, horizon_t=300 * h, p=p, theta0=1.0, n_paths=1000, seed=seed)
                for seed, p in ((1, None), (2, 2.0), (3, 0.5), (4, 2.0), (5, 1.0))]
@@ -412,7 +412,7 @@ def test_run_ensembles_memory_is_two_chunks_of_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 5 * 64 * 1000 * 8 + (1 << 20)
+    assert peak <= 2 * 5 * EULER_CHUNK * 1000 * 8 + (1 << 20)
 
 
 def test_euler_block_memory_is_its_two_chunk_buffers():

@@ -90,18 +90,11 @@ def test_ks_pvalue_strictly_decreasing_in_d():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_ks_pvalue_stephens_correction_is_smaller():
-    # the corrected lambda is larger, so the tail probability shrinks
-    assert ks_pvalue(0.05, 200, "stephens") < ks_pvalue(0.05, 200, "none")
-
-
 def test_ks_pvalue_validates_inputs():
     with pytest.raises(ValueError):
         ks_pvalue(1.5, 100)
     with pytest.raises(ValueError):
         ks_pvalue(0.1, 0)
-    with pytest.raises(ValueError):
-        ks_pvalue(0.1, 100, "bad")
 
 
 def test_esjd_examples():
