@@ -16,20 +16,26 @@ The chain at resolution n proposes with scale theta/sqrt(n) and retunes
 theta by exp((xi - p_n)/sqrt(n)); embedded_benchmark gives p_n = 1 - p/sqrt(n).
 simulate_moments draws independent one-step transitions from a fixed state,
 averages the requested scaled moments over them, and sets each against its
-analytic limit in a row.  The transitions come in batches of _BATCH draws,
-batch b from the stream (seed, b).  A batch is stepped, and its moment
-values formed and summed, piece by piece: the pieces are the ones numpy's
-pairwise sum splits the batch into (halve, rounding the first half down to
-a multiple of 8, until a piece holds at most _SLICE values), and the piece
-sums are added back along the same split.  Each piece sum is the subtree
-numpy's sum computes for those values, so each batch total is bit for bit
-the sum of a whole-batch array.  The calling thread and a seeding.Helper
-thread take a call's batches one at a time until none is left; each holds
-one batch's normals, 8 bytes a draw, and piece-sized uniforms and values,
-so a call's memory is bounded by two batches of normals whatever its
-number of draws.
+analytic limit in a row.  Each kind has its own number of draws (n_draws,
+or its entry in draws_of), and the contract is per kind: its transitions
+come in batches of _BATCH draws, batch b from the stream (seed, b), only
+the last batch shorter.  A call's units of work are the distinct (batch,
+length) pairs its kinds read; each is stepped once, for every kind that
+reads it, so kinds of different lengths share their common full batches.
+A unit is stepped, and its moment values formed and summed, piece by
+piece: the pieces are the ones numpy's pairwise sum splits the unit into
+(halve, rounding the first half down to a multiple of 8, until a piece
+holds at most _SLICE values), and the piece sums are added back along the
+same split.  Each piece sum is the subtree numpy's sum computes for those
+values, and each kind's row is summed on its own, so each unit total is
+bit for bit the sum of a whole-batch array of that kind's values, whoever
+shares the unit.  The calling thread and a seeding.Helper thread take a
+call's units one at a time until none is left; each holds one batch's
+normals, 8 bytes a draw, and piece-sized uniforms and values, so a call's
+memory is bounded by two batches of normals whatever its number of draws.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -138,30 +144,58 @@ def embedded_benchmark(p: float, n: int) -> float:
     return p_n
 
 
+def _units(draws):
+    """The units of work of kinds with these draw counts, in batch order:
+    (batch, length, readers), one per distinct (batch, length) pair that
+    the kinds read, readers the indices of the kinds that read it.  A C
+    iterator that makes each unit when it is taken, so the two threads of a
+    seeding.Helper can share it, and a huge count builds nothing up front."""
+    segments, done = [], 0
+    for count in sorted(set(draws)):
+        full, rest = divmod(count, _BATCH)
+        # full batches done..full-1 are read by every kind with full or more
+        readers = tuple(i for i, d in enumerate(draws) if d // _BATCH >= full)
+        segments.append(zip(range(done, full), itertools.repeat(_BATCH),
+                            itertools.repeat(readers)))
+        if rest:
+            segments.append([(full, rest, tuple(i for i, d in enumerate(draws) if d == count))])
+        done = full
+    return itertools.chain(*segments)
+
+
 # No overflow warning: a row that overflowed is not finite, and is refused
 # below.  The helper thread runs under the same errstate.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
-                     kinds=COEFF_KINDS) -> dict:
-    """Rows of several scaled moments, in kinds order, estimated from one
-    shared set of transitions and set against their analytic limits.
+                     kinds=COEFF_KINDS, *, draws_of=None) -> dict:
+    """Rows of several scaled moments, in kinds order, estimated from
+    shared transitions and set against their analytic limits.
 
-    Each transition is one metropolis_step from the fixed state.  Batch b
-    of draws comes from the stream (seed, b) with a fixed batch size, so
-    each kind's row is identical whether computed alone or together with
-    the others.  A batch is stepped, and its moment values formed and
+    Each kind is estimated from n_draws transitions, or from draws_of[kind]
+    if draws_of names it.  Each transition is one metropolis_step from the
+    fixed state.  Batch b of a kind's draws comes from the stream (seed, b)
+    with a fixed batch size, so each kind's row is identical whether
+    computed alone or together with others, of any lengths.  Each distinct
+    (batch, length) of the kinds is one unit, stepped once for the kinds
+    that read it.  A unit is stepped, and its moment values formed and
     summed, one of its _pieces at a time; _fold adds the piece sums along
     numpy's pairwise split, so the rows are those of summing whole-batch
     arrays.  The calling thread and a seeding.Helper thread each take the
-    next batch until none is left, and the batch sums are added in batch
-    order, so no bit depends on which thread ran a batch.  A row whose
-    estimate, standard error or limit is not finite raises ValueError.
+    next unit until none is left, and each kind adds its unit sums in
+    batch order, so no bit depends on which thread ran a unit.  An unknown
+    kind, or fewer than _MIN_DRAWS draws for a kind, is refused before any
+    draw.  A row whose estimate, standard error or limit is not finite
+    raises ValueError.
     """
-    if n_draws < _MIN_DRAWS:
-        raise ValueError(f"n_draws must be at least {_MIN_DRAWS}")
-    for kind in kinds:
+    draws_of = draws_of or {}
+    for kind in (*kinds, *draws_of):
         if kind not in COEFF_KINDS:
             raise ValueError(f"unknown coefficient kind {kind!r}")
+    draws = [draws_of.get(kind, n_draws) for kind in kinds]
+    for kind, count in [*zip(kinds, draws), *draws_of.items()]:
+        if count < _MIN_DRAWS:
+            name = f"draws_of[{kind!r}]" if kind in draws_of else "n_draws"
+            raise ValueError(f"{name} must be at least {_MIN_DRAWS}")
     p_n = embedded_benchmark(point.p, n)
 
     target = point.target
@@ -171,21 +205,20 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     lp_x = target.log_density(x)
     # dtheta = theta expm1((xi - p_n)/sqrt(n)) at xi = 0 and at xi = 1
     d0, d1 = theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)
-    factors = [_FACTORS[kind] for kind in kinds]
-    reads_dx = any("dx" in kind_factors for kind_factors in factors)
-    reads_dtheta = any("dtheta" in kind_factors for kind_factors in factors)
-    width = min(_BATCH, n_draws)
+    width = min(_BATCH, max(draws, default=0))
     piece = min(_SLICE, width)
 
     def run(pending):
-        """The (2, kinds) sums and sums of squares of each batch this thread
-        takes, by batch."""
+        """The (2, readers) sums and sums of squares of each unit this
+        thread takes, with its readers, by (batch, length)."""
         sums = {}
-        for batch, start in pending:
+        for batch, m, readers in pending:
+            rng = stream_rng(seed, batch)
             if not sums:  # this thread's one buffer set
                 eps, u, values = np.empty(width), np.empty(piece), np.empty((len(kinds), piece))
-            m = min(_BATCH, n_draws - start)
-            rng = stream_rng(seed, batch)
+            factors = [_FACTORS[kinds[i]] for i in readers]
+            reads_dx = any("dx" in kind_factors for kind_factors in factors)
+            reads_dtheta = any("dtheta" in kind_factors for kind_factors in factors)
             rng.standard_normal(out=eps[:m])
             piece_sums = []
             for lo, hi in _pieces(m):
@@ -199,33 +232,34 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                     terms["dx"] = np.multiply(scale, np.where(xi, step, 0.0), out=step)
                 if reads_dtheta:
                     terms["dtheta"] = np.where(xi, d1, d0)
-                rows = values[:, :hi - lo]
+                rows = values[:len(readers), :hi - lo]
                 for row, kind_factors in zip(rows, factors):
                     np.multiply(n, terms[kind_factors[0]], out=row)
                     for factor in kind_factors[1:]:
                         row *= terms[factor]
                 # Each row's sum is numpy's pairwise sum of that row alone.
-                piece_sum = np.empty((2, len(kinds)))
+                piece_sum = np.empty((2, len(readers)))
                 rows.sum(axis=1, out=piece_sum[0])
                 np.square(rows, out=rows).sum(axis=1, out=piece_sum[1])
                 piece_sums.append(piece_sum)
-            sums[batch] = _fold(piece_sums, m)
+            sums[batch, m] = list(readers), _fold(piece_sums, m)
         return sums
 
     with Helper() as helper:
-        sums, theirs = helper.share(run, enumerate(range(0, n_draws, _BATCH)))()
+        sums, theirs = helper.share(run, _units(draws))()
     sums.update(theirs)
-    # batch by batch, in batch order; not sum(), whose compensation would
-    # change the bits
+    # each kind reads one unit a batch: in batch order, unit by unit; not
+    # sum(), whose compensation would change the bits
     totals = np.zeros((2, len(kinds)))
-    for batch in range(len(sums)):
-        totals += sums[batch]
+    for unit in sorted(sums):
+        readers, unit_sums = sums[unit]
+        totals[:, readers] += unit_sums
 
     rows = {}
-    for kind, total, total_sq in zip(kinds, *totals.tolist()):
-        estimate = total / n_draws
-        var = (total_sq - total * total / n_draws) / (n_draws - 1)
-        std_error = math.sqrt(max(var, 0.0) / n_draws)
+    for kind, count, total, total_sq in zip(kinds, draws, *totals.tolist()):
+        estimate = total / count
+        var = (total_sq - total * total / count) / (count - 1)
+        std_error = math.sqrt(max(var, 0.0) / count)
         limit = limit_coefficient(kind, point)
         if not all(map(math.isfinite, (estimate, std_error, limit))):
             raise ValueError(f"coeff cell x={x!r}, theta={theta!r}, p={point.p!r}, n={n}, "

@@ -340,12 +340,15 @@ def sde_jobs(spec: ExperimentSpec):
 
 @dataclass(frozen=True)
 class CoeffCell:
-    """One (point, n) cell of a coeff grid, seeded for its moment runs."""
+    """One (point, n) cell of a coeff grid: the arguments of its one
+    simulate_moments call."""
 
     point: EvalPoint
     n: int
+    n_draws: int
     seed: int
-    budgets: tuple  # (n_draws, kinds that share its transitions), ascending
+    kinds: tuple
+    draws_of: dict  # the kinds that take other than n_draws draws
 
 
 def coeff_cells(spec: ExperimentSpec):
@@ -366,18 +369,15 @@ def coeff_cells(spec: ExperimentSpec):
     n_grid = tuple(sorted(set(int(n) for n in spec.n_grid))) or COEFF_N_GRID
     p = spec.p_grid[0] if spec.p_grid else 0.5
     kinds = tuple(dict.fromkeys(spec.kinds)) or COEFF_KINDS
-    by_draws = {}
-    for kind in kinds:
-        # the heavy-tailed Cauchy B2 moment gets extra draws
-        factor = CAUCHY_B2_DRAW_FACTOR if (spec.target, kind) == ("cauchy", "B2") else 1
-        by_draws.setdefault(spec.n_draws * factor, []).append(kind)
-    budgets = tuple((draws, tuple(group)) for draws, group in sorted(by_draws.items()))
+    # the heavy-tailed Cauchy B2 moment gets extra draws
+    draws_of = ({"B2": spec.n_draws * CAUCHY_B2_DRAW_FACTOR}
+                if spec.target == "cauchy" and "B2" in kinds else {})
 
     target = make_target(spec.target)
     # Bad points fail here, a bad n or kind in the first block.
     points = [EvalPoint(x=x, theta=theta, p=p, target=target)
               for x in x_grid for theta in theta_grid]
-    return [CoeffCell(point, n, child_seed(spec.seed, idx), budgets)
+    return [CoeffCell(point, n, spec.n_draws, child_seed(spec.seed, idx), kinds, draws_of)
             for idx, (point, n) in enumerate(itertools.product(points, n_grid))]
 
 
@@ -420,13 +420,11 @@ def _sde_block(jobs) -> list:
 
 
 def _coeff_block(cell: CoeffCell) -> list:
-    """Rows of one coeff cell: one simulate_moments call per draw budget,
-    whose kinds share its transitions and whose batches the calling thread
-    shares with one helper thread."""
-    rows = []
-    for draws, kinds in cell.budgets:
-        rows.extend(simulate_moments(cell.point, cell.n, draws, cell.seed, kinds).values())
-    return rows
+    """Rows of one coeff cell: one simulate_moments call, whose kinds share
+    their common batches and whose units the calling thread shares with one
+    helper thread."""
+    return list(simulate_moments(cell.point, cell.n, cell.n_draws, cell.seed, cell.kinds,
+                                 draws_of=cell.draws_of).values())
 
 
 def run_experiment(spec: ExperimentSpec):

@@ -7,8 +7,8 @@ how the surrounding work is scheduled.
 """
 
 import contextvars
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,28 +34,33 @@ class Helper:
     """One helper thread that takes units of work beside the calling thread.
 
     ``finish = helper.share(work, units)`` starts ``work(pending)`` on the
-    helper, where ``pending`` is one iterator over ``units`` (a range, or an
-    enumerate of one) that the calling thread reads too; ``finish()`` runs
+    helper, where ``pending`` is one iterator over ``units`` (an iterator
+    built of C ones only: a range, an enumerate or a chain of zips of
+    ranges) that the calling thread reads too; ``finish()`` runs
     ``work(pending)`` here, waits for the helper and returns ``(mine,
     theirs)``.  The iterator is a C one, each next() one step under the
     interpreter lock, so each unit goes to one thread, and a thread that
     gets no core holds up only the unit it is on.  The helper runs in a
     copy of the caller's context, so it keeps the caller's ``np.errstate``.
     Which thread ran a unit varies; the caller folds the results in a fixed
-    order.  Leaving the ``with`` block, on return or on raise, empties the
-    last shared iterator, so the helper takes no further unit, and joins it.
+    order.  Leaving the ``with`` block, on return or on raise, shuts the
+    last shared iterator's gate, so the helper takes no further unit
+    however many are left, and joins it.
     """
 
     def __enter__(self):
         self._pool = ThreadPoolExecutor(max_workers=1)
-        self._pending = iter(())
+        self._open = []
         return self
 
     def share(self, work, units):
-        pending = self._pending = iter(units)
+        # zip reads the gate first, and the gate ends once _open is empty
+        self._open = [True]
+        gate = iter(self._open.__len__, 0)
+        pending = map(itemgetter(1), zip(gate, units))
         theirs = self._pool.submit(contextvars.copy_context().run, work, pending)
         return lambda: (work(pending), theirs.result())
 
     def __exit__(self, *exc_info):
-        deque(self._pending, maxlen=0)
+        self._open.clear()
         self._pool.shutdown()

@@ -1,3 +1,4 @@
+import functools
 import math
 import struct
 from dataclasses import replace
@@ -227,6 +228,51 @@ def test_fixed_scale_acceptance_oracle_sees_a_two_percent_scale_error(sigma):
     # negative control: chains at 1.02 sigma fall outside 4 SE of the
     # value at sigma (at sigma = 0.1 the curve is too flat to see 2%)
     assert abs(_acceptance_z(1.02 * sigma, sigma)) >= 4.0
+
+
+FIXED_POINT_PS = (0.25, 0.5, 0.75)
+
+
+def _fixed_point_scale(p):
+    """sigma*(p) = 2/tan(pi p/2): the scale at which random-walk Metropolis
+    on N(0,1) accepts at rate p, (2/pi) arctan(2/sigma) = p."""
+    return 2.0 / math.tan(math.pi * p / 2.0)
+
+
+@functools.cache
+def _adaptive_fixed_point(p):
+    """Mean acceptance over steps 1000 on, and final theta, of 1000
+    adaptive chains of 10^4 steps on N(0,1) from theta0 = 2.38 at
+    benchmark p, run together (seeds 940_000 + 1000 k + i for the k-th p
+    of FIXED_POINT_PS)."""
+    first = 940_000 + 1000 * FIXED_POINT_PS.index(p)
+    chains = run_chains(NORMAL, [(seed, 2.38, p) for seed in range(first, first + 1000)],
+                        10_000)
+    return (np.array([chain.xi[1_000:].mean() for chain in chains]),
+            np.array([chain.theta[-1] for chain in chains]))
+
+
+def _median_theta_z(p, scored_at):
+    """z of the median final theta at benchmark p against scored_at; the
+    standard error of a median is sqrt(pi/2) times that of a mean."""
+    finals = _adaptive_fixed_point(p)[1]
+    std_error = math.sqrt(math.pi / 2.0) * finals.std(ddof=1) / math.sqrt(finals.size)
+    return (np.median(finals) - scored_at) / std_error
+
+
+@pytest.mark.parametrize("p", FIXED_POINT_PS)
+def test_adaptive_chain_settles_at_its_fixed_point(p):
+    # the stochastic-approximation fixed point: the chain accepts at rate p,
+    # and its scale settles at sigma*(p), each within 4 SE across chains
+    rates = _adaptive_fixed_point(p)[0]
+    assert abs(rates.mean() - p) < 4.0 * rates.std(ddof=1) / math.sqrt(rates.size)
+    assert abs(_median_theta_z(p, _fixed_point_scale(p))) < 4.0
+
+
+@pytest.mark.parametrize("p", FIXED_POINT_PS)
+def test_adaptive_fixed_point_oracle_sees_a_two_percent_scale_error(p):
+    # negative control: the same medians fall outside 4 SE of 1.02 sigma*(p)
+    assert abs(_median_theta_z(p, 1.02 * _fixed_point_scale(p))) >= 4.0
 
 
 def test_embedded_config_validation():

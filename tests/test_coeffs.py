@@ -384,3 +384,108 @@ def test_simulate_moments_memory_is_two_buffer_sets():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * _BATCH + (3 << 20)
+
+
+def per_budget_calls(point, n, n_draws, seed, kinds, draws_of):
+    """The rows of one simulate_moments call per draw count, each over the
+    kinds that take that many draws."""
+    budgets = {}
+    for kind in kinds:
+        budgets.setdefault(draws_of.get(kind, n_draws), []).append(kind)
+    rows = {}
+    for count, group in sorted(budgets.items()):
+        rows.update(simulate_moments(point, n, count, seed, tuple(group)))
+    return rows
+
+
+CAUCHY = EvalPoint(x=2.0, theta=1.0, p=0.5, target=make_target("cauchy"))
+
+
+@pytest.mark.parametrize("point, n", [(POINT, 10_000), (CAUCHY, 1_000_000)],
+                         ids=["normal", "cauchy"])
+@pytest.mark.parametrize("n_draws, draws_of", [
+    # B2 longer: batch 0 is a full batch all five kinds share; at batch 1
+    # B2 reads a full batch and the others a partial one of 3 pieces and 5
+    # draws, and B2 ends in a 7-draw batch 3 of its own
+    pytest.param(_BATCH + 3 * _SLICE + 5, {"B2": 3 * _BATCH + 7}, id="longer"),
+    # A11 and A12 shorter: A11 shares full batch 0 and ends in a partial
+    # batch 1, and A12's one batch is a partial batch 0
+    pytest.param(2 * _BATCH + 100, {"A11": _BATCH + 75_712, "A12": 2_000}, id="shorter"),
+])
+def test_one_call_with_per_kind_counts_matches_the_per_budget_calls(point, n, n_draws,
+                                                                    draws_of):
+    expected = bits(per_budget_calls(point, n, n_draws, 67, COEFF_KINDS, draws_of))
+    got = simulate_moments(point, n, n_draws, 67, draws_of=draws_of)
+    assert list(got) == list(COEFF_KINDS)
+    assert bits(got) == expected
+
+
+def test_each_unit_goes_to_one_thread_under_fast_switching(monkeypatch):
+    # two counts at 2^4 draws a batch: batches 0-1999 are full units both
+    # kinds read, batch 2000 holds a 7-draw unit of B1 and a full one of
+    # B2, and B2 goes on alone to a 5-draw batch 3000; under a thread
+    # switch every microsecond each unit is still taken once
+    monkeypatch.setattr(amcmc_lab.coeffs, "_BATCH", 1 << 4)
+    taken = []
+
+    def recording_stream(seed, batch):
+        taken.append(batch)
+        return stream_rng(seed, batch)
+
+    args = (POINT, 10_000, (2000 << 4) + 7, 83, ("B1", "B2"))
+    draws_of = {"B2": (3000 << 4) + 5}
+    expected = bits(per_budget_calls(*args, draws_of))
+    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", recording_stream)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bits(simulate_moments(*args, draws_of=draws_of))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert sorted(taken) == [*range(2001), *range(2000, 3001)]
+
+
+class Opened(Exception):
+    """Raised in place of opening a stream."""
+
+
+def refuse_streams(seed, batch):
+    raise Opened
+
+
+def test_the_units_are_made_as_they_are_taken(monkeypatch):
+    # a 10^12-draw kind is 1.9e6 batches: the first unit is taken, and its
+    # stream opened, before any other unit or buffer exists; units built up
+    # front would peak above 100 MiB here
+    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", refuse_streams)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Opened):
+            simulate_moments(POINT, 10_000, 2_000, 71, ("B1", "B2"), draws_of={"B2": 10**12})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kinds, draws_of, message", [
+    (("B1",), {"B3": 2_000}, "unknown coefficient kind 'B3'"),
+    (("B1", "B2"), {"B2": 999}, r"draws_of\['B2'\] must be at least 1000"),
+    # a count is refused even for a kind the call does not estimate
+    (("B1",), {"A22": 10}, r"draws_of\['A22'\] must be at least 1000"),
+    (("B1", "B2"), {"B2": 4_000}, "n_draws must be at least 1000"),
+])
+def test_a_bad_draw_count_is_refused_before_any_stream(monkeypatch, kinds, draws_of,
+                                                       message):
+    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", refuse_streams)
+    n_draws = 999 if message.startswith("n_draws") else 2_000
+    with pytest.raises(ValueError, match=message):
+        simulate_moments(POINT, 10_000, n_draws, 73, kinds, draws_of=draws_of)
+
+
+def test_a_kind_with_its_own_count_needs_no_valid_n_draws():
+    # B2 alone at 4000 draws does not read n_draws, as a cauchy grid of
+    # --kind B2 --draws 999 asks
+    rows = simulate_moments(POINT, 10_000, 999, 79, ("B2",), draws_of={"B2": 4_000})
+    assert bits(rows) == bits(simulate_moments(POINT, 10_000, 4_000, 79, ("B2",)))

@@ -17,9 +17,11 @@ from amcmc_lab import (
     print_summary,
     run_experiment,
 )
-from amcmc_lab import cli, experiments
+from amcmc_lab import cli, coeffs, experiments
 from amcmc_lab.cli import main
+from amcmc_lab.coeffs import COEFF_KINDS
 from amcmc_lab.experiments import DISCRETE_P_GRIDS, DISCRETE_THETA0_GRID, default_sde_cells
+from amcmc_lab.seeding import stream_rng
 from amcmc_lab.stats import chain_summary, ks_statistic
 from amcmc_lab.targets import make_target
 
@@ -260,6 +262,27 @@ def test_coeff_repeated_kind_gives_the_deduplicated_rows():
     rows = run_experiment(ExperimentSpec(**base, kinds=("B2", "B1", "B2")))
     assert rows == run_experiment(ExperimentSpec(**base, kinds=("B2", "B1")))
     assert len(rows) == 4
+
+
+def test_a_cauchy_coeff_cell_steps_each_batch_once(monkeypatch):
+    # at 2^10 draws a batch, the four 3000-draw kinds read full batches 0-1
+    # and a 952-draw batch 2, and B2's 12 000 draws full batches 0-10 and a
+    # 736-draw batch 11: batches 0 and 1 are stepped once for all five kinds
+    monkeypatch.setattr(coeffs, "_BATCH", 1 << 10)
+    opened = []
+
+    def recording_stream(seed, batch):
+        opened.append(batch)
+        return stream_rng(seed, batch)
+
+    monkeypatch.setattr(coeffs, "stream_rng", recording_stream)
+    spec = ExperimentSpec(mode="coeff", target="cauchy", x_grid=(2.0,), theta0_grid=(1.0,),
+                          n_grid=(10_000,), n_draws=3_000, seed=13)
+    (cell,) = experiments.coeff_cells(spec)
+    rows = experiments._coeff_block(cell)
+    assert sorted(row.kind for row in rows) == sorted(COEFF_KINDS)
+    assert len(opened) == 13
+    assert sorted(opened) == [0, 1, 2, *range(2, 12)]
 
 
 def test_emit_csv_discrete_round_trip(tmp_path):

@@ -43,3 +43,18 @@ def test_a_raise_leaves_the_helper_no_further_unit_and_joins_it():
             helper.share(work, range(5))()
     assert len(helper_took) == 1
     assert threading.active_count() == before
+
+
+def test_leaving_takes_no_further_unit_however_many_are_left():
+    # both threads raise on their first unit; the with block is left at
+    # once, the rest of the units untaken (not drained one by one)
+    units = iter(range(10**6))
+
+    def work(pending):
+        for unit in pending:
+            raise RuntimeError(f"unit {unit} failed")
+
+    with pytest.raises(RuntimeError, match="failed"):
+        with Helper() as helper:
+            helper.share(work, units)()
+    assert next(units) <= 2
