@@ -12,11 +12,13 @@ then accept, or draw the Bernoulli indicator first); both take one normal
 and one uniform draw per step from the chain's two streams, so
 trajectories under a shared seed coincide exactly, not just in
 distribution.  Chains run in lockstep batches through one array step,
-metropolis_step; amcmc_step is its scalar oracle.
+metropolis_step; amcmc_step is its scalar oracle.  run_chains takes a
+batch as AdaptiveConfigs, which check every run parameter, and
+run_amcmc and run_smcmc are its one-config case.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -125,35 +127,44 @@ def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel):
     return y, lp_y, log_u < lp_y - lp_x
 
 
+_SHARED_FIELDS = ("n_samples", "x0", "burn_in")
+
+
 # An off-support start gives -inf - -inf, and a uniform of 0 gives log(0).
 @np.errstate(invalid="ignore", divide="ignore")
-def run_chains(target: TargetModel, chains, n_steps: int, x0: float = 0.0,
-               x_only: bool = False, burn_in: int = 0) -> list:
-    """Trajectories of (seed, theta0, benchmark) chains advanced in lockstep
-    from x0, each reading chain_streams(seed) STEP_CHUNK steps at a time.
+def run_chains(target: TargetModel, configs, x_only: bool = False) -> list:
+    """Trajectories of the configs' chains advanced in lockstep, each
+    reading chain_streams(seed) STEP_CHUNK steps at a time.
 
-    Step i proposes with scale theta and retunes theta by
-    exp((xi - benchmark)/sqrt(i + 1)), unless the benchmark is None.  A
-    chain's float operations are amcmc_step's and its own, so its bits do
-    not depend on the batch.  With x_only, theta and xi are not recorded
+    The configs must agree on n_samples, x0 and burn_in; each brings its
+    seed, theta0 and benchmark p.  Step i proposes with scale theta and
+    retunes theta by exp((xi - p)/sqrt(i + 1)), unless p is None.  Every
+    chain runs propose-then-accept, whatever its formulation.  A chain's
+    float operations are amcmc_step's and its own, so its bits do not
+    depend on the batch.  With x_only, theta and xi are not recorded
     (None), and x is recorded from step burn_in on: entry i of a
-    trajectory is then step burn_in + i.
+    trajectory is then step burn_in + i.  A full record starts at step 0.
 
     A chunk's draws and both values of each retuning factor (xi = 1 and 0;
     1.0 for a fixed scale) are laid out step-major, so each step reads and
     records contiguous rows, and the recorded rows go chain-major once per
     chunk.
     """
-    if not 0 <= burn_in < n_steps or (burn_in and not x_only):
-        raise ValueError("burn_in must lie in [0, n_steps), and be 0 unless x_only")
-    seeds, theta0, benchmarks = zip(*chains)
-    streams = [chain_streams(seed) for seed in seeds]
-    adapts = np.array([b is not None for b in benchmarks])
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    for name in _SHARED_FIELDS:
+        if any(getattr(c, name) != getattr(first, name) for c in configs):
+            raise ValueError(f"chains run together must share {name}")
+    n_steps, burn_in = first.n_samples, first.burn_in if x_only else 0
+    streams = [chain_streams(c.seed) for c in configs]
+    adapts = np.array([c.p is not None for c in configs])
     adapting = adapts.any()
-    benchmark = np.array([0.0 if b is None else b for b in benchmarks])
+    benchmark = np.array([0.0 if c.p is None else c.p for c in configs])
     width, chunk = len(streams), min(STEP_CHUNK, n_steps)
     eps, log_u = np.empty((2, chunk, width))
-    x, theta = np.full(width, float(x0)), np.array(theta0, float)
+    x, theta = np.full(width, float(first.x0)), np.array([c.theta0 for c in configs], float)
     lp_x = target.log_density(x)
     dtypes = (float,) if x_only else (float, float, np.int8)  # x, theta, xi
     paths = [np.empty((width, n_steps - burn_in), dtype) for dtype in dtypes]
@@ -196,8 +207,7 @@ def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
     independent implementations of the same chain.
     """
     if config.formulation == "propose_then_accept":
-        return run_chains(target, [(config.seed, config.theta0, config.p)],
-                          config.n_samples, config.x0)[0]
+        return run_chains(target, [config])[0]
     streams = chain_streams(config.seed)
     states = [ChainState(config.x0, config.theta0, 0, 0)]
     for _ in range(config.n_samples):
@@ -208,5 +218,4 @@ def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
 
 def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
     """Standard MH chain: identical mechanics, theta fixed at theta0 whatever p is."""
-    return run_chains(target, [(config.seed, config.theta0, None)], config.n_samples,
-                      config.x0)[0]
+    return run_chains(target, [replace(config, p=None)])[0]

@@ -190,6 +190,16 @@ def _common_checks(spec: ExperimentSpec):
         raise ValueError("workers must be at least 1")
 
 
+def _start(spec: ExperimentSpec) -> float:
+    """The spec's x0, refused off the target's support: a chain would never
+    reach the support from there if its scale shrinks first, and an Euler
+    path reads the score at x0.  A non-finite x0 is left to the configs."""
+    x0 = spec.effective_x0()
+    if math.isfinite(x0) and not make_target(spec.target).in_support(x0):
+        raise ValueError(f"x0={x0} outside the support of the {spec.target} target")
+    return x0
+
+
 def _processes(workers: int) -> int:
     # A pool starts every worker up front: never more than the cores to run them.
     return min(workers, os.cpu_count() or 1)
@@ -214,7 +224,6 @@ class Job:
     """One cell x replicate of a grid: its row coordinates and seeded config."""
 
     target: str
-    group: float  # theta0 (discrete) or h (sde)
     seed: int  # the spec's seed, as the row reports it
     replicate: int
     config: object  # AdaptiveConfig or EulerConfig, seeded for this replicate
@@ -249,7 +258,7 @@ def _jobs(spec: ExperimentSpec, adaptive_cells, make_config):
         raise ValueError(f"{len(cells)} cells x {spec.replicates} replicates = {n_jobs} "
                          f"jobs, past the cap of {MAX_GRID_JOBS}")
     return [
-        Job(spec.target, group, spec.seed, rep,
+        Job(spec.target, spec.seed, rep,
             make_config(group, p, child_seed(spec.seed, idx, rep)))
         for idx, (group, p) in enumerate(sorted(cells, key=lambda c: (c[0], _p_key(c[1]))))
         for rep in range(spec.replicates)
@@ -287,6 +296,7 @@ def discrete_jobs(spec: ExperimentSpec):
     if not 0 <= spec.burn_in <= spec.n_samples - 2:
         raise ValueError("burn_in must leave at least two retained samples "
                          "(0 <= burn_in <= n_samples - 2)")
+    x0 = _start(spec)
     recorded = 8 * (spec.n_samples - spec.burn_in)  # a block records from burn_in on
     if recorded > DISCRETE_CHAIN_BYTES:
         raise ValueError(f"n_samples={spec.n_samples} with burn_in={spec.burn_in} would "
@@ -298,7 +308,7 @@ def discrete_jobs(spec: ExperimentSpec):
             p=p,
             theta0=theta0,
             n_samples=spec.n_samples,
-            x0=spec.effective_x0(),
+            x0=x0,
             burn_in=spec.burn_in,
             seed=run_seed,
         )
@@ -319,10 +329,7 @@ def sde_jobs(spec: ExperimentSpec):
     # The configs check every other value; the standard arm's never see p.
     if any(not 0.0 < p < math.inf for _, p in hp_cells):
         raise ValueError("sde-mode p values must be positive and finite")
-    # The score is read at x0 on the first Euler step, inside a block.
-    x0 = spec.effective_x0()
-    if math.isfinite(x0) and not make_target(spec.target).in_support(x0):
-        raise ValueError(f"x0={x0} outside the support of the {spec.target} target")
+    x0 = _start(spec)
 
     buffer_bytes = 2 * EULER_CHUNK * 8 * spec.n_paths
     if buffer_bytes > SDE_BUFFER_BYTES:
@@ -386,17 +393,14 @@ def coeff_cells(spec: ExperimentSpec):
 def _discrete_block(jobs) -> list:
     """Rows of a run of discrete jobs, whose chains advance in lockstep."""
     target = make_target(jobs[0].target)
-    configs = [job.config for job in jobs]
-    first = configs[0]
-    chains = run_chains(target, [(c.seed, c.theta0, c.p) for c in configs],
-                        first.n_samples, first.x0, x_only=True, burn_in=first.burn_in)
+    chains = run_chains(target, [job.config for job in jobs], x_only=True)
     rows = []
     for job, chain in zip(jobs, chains):
         # the chain holds the retained draws only
         summary = chain_summary(chain.x, target)
-        rows.append(DiscreteRow(job.target, "discrete", job.arm, job.group, job.config.p,
-                                job.seed, job.replicate, summary.d, summary.p_value,
-                                summary.esjd))
+        rows.append(DiscreteRow(job.target, "discrete", job.arm, job.config.theta0,
+                                job.config.p, job.seed, job.replicate, summary.d,
+                                summary.p_value, summary.esjd))
     return rows
 
 
@@ -409,13 +413,13 @@ def _sde_block(jobs) -> list:
         nan = int(np.isnan(result.x_t).sum())
         if nan:
             p = "" if job.config.p is None else f", p={job.config.p!r}"
-            raise ValueError(f"sde cell h={job.group!r}, arm={job.arm}{p}: {nan} of "
+            raise ValueError(f"sde cell h={job.config.h!r}, arm={job.arm}{p}: {nan} of "
                              f"{len(result.x_t)} terminal values are NaN (the "
                              "ensemble diverged)")
         d = ks_statistic(result.x_t, target)
         p_value = ks_pvalue(d, job.config.n_paths)
-        rows.append(SdeRow(job.target, "sde", job.arm, job.group, job.config.p, job.seed,
-                           job.replicate, d, p_value, result.theta_t_mean))
+        rows.append(SdeRow(job.target, "sde", job.arm, job.config.h, job.config.p,
+                           job.seed, job.replicate, d, p_value, result.theta_t_mean))
     return rows
 
 
@@ -445,7 +449,7 @@ def run_experiment(spec: ExperimentSpec):
         run_block = _discrete_block
     elif spec.mode == "sde":
         blocks = _blocks(sde_jobs(spec), spec.n_paths, SDE_BLOCK_PATHS, parts,
-                         lambda job: job.group)
+                         lambda job: job.config.h)
         run_block = _sde_block
     else:
         blocks, run_block = coeff_cells(spec), _coeff_block

@@ -118,8 +118,9 @@ def test_formulations_coincide_under_shared_seed():
 def test_higher_benchmark_raises_acceptance_rate():
     # stochastic-approximation fixed point: theta shrinks until acceptance ~ p
     # (the chains of run_amcmc, seeds 0-9, run in lockstep)
-    low = run_chains(NORMAL, [(seed, 1.0, 0.10) for seed in range(10)], 3000)
-    high = run_chains(NORMAL, [(seed, 1.0, 0.75) for seed in range(10)], 3000)
+    low, high = (run_chains(NORMAL, [AdaptiveConfig(p=p, theta0=1.0, n_samples=3000, seed=seed)
+                                     for seed in range(10)])
+                 for p in (0.10, 0.75))
     for lo, hi in zip(low, high):
         assert hi.xi.mean() > lo.xi.mean()
 
@@ -142,8 +143,8 @@ def test_theta_stays_positive():
 def test_reference_cell_ks_pvalue_scale():
     # starting scale 2.38, benchmark 0.5: retained-sample KS p-value is of
     # order 1e-2 (reference single run: D = 0.0153, p = 0.02883)
-    chains = run_chains(NORMAL, [(seed, 2.38, 0.5) for seed in range(5)], 10_000,
-                        x_only=True)
+    chains = run_chains(NORMAL, [AdaptiveConfig(p=0.5, theta0=2.38, n_samples=10_000, seed=seed)
+                                 for seed in range(5)], x_only=True)
     ps = [chain_summary(chain.x, NORMAL, 1_000).p_value for chain in chains]
     assert 3e-3 < float(np.median(ps)) < 0.2
 
@@ -193,8 +194,8 @@ def test_smcmc_preserves_target_distribution():
     # takes its draws as independent, so the 90 000 retained draws count as
     # 90 000 / tau, tau their integrated autocorrelation time (about 4.4).
     # Scored against t2, the same draws must fail.
-    chains = run_chains(NORMAL, [(seed, 2.38, None) for seed in range(10)], 100_000,
-                        x_only=True)
+    chains = run_chains(NORMAL, [AdaptiveConfig(p=None, theta0=2.38, n_samples=100_000,
+                                                seed=seed) for seed in range(10)], x_only=True)
     passed = rejected = 0
     for chain in chains:
         x = chain.x[10_000:]
@@ -210,7 +211,8 @@ def _acceptance_z(sigma, scored_at):
     chains (seeds 0-99) of 10^4 steps on N(0,1) at scale sigma, against
     (2/pi) arctan(2/scored_at), the stationary acceptance at that scale.
     The standard error is the spread across chains over sqrt(100)."""
-    chains = run_chains(NORMAL, [(seed, sigma, None) for seed in range(100)], 10_000)
+    chains = run_chains(NORMAL, [AdaptiveConfig(p=None, theta0=sigma, n_samples=10_000,
+                                                seed=seed) for seed in range(100)])
     rates = np.array([chain.xi[1_000:].mean() for chain in chains])
     exact = 2.0 / math.pi * math.atan(2.0 / scored_at)
     return (rates.mean() - exact) / (rates.std(ddof=1) / math.sqrt(rates.size))
@@ -246,8 +248,8 @@ def _adaptive_fixed_point(p):
     benchmark p, run together (seeds 940_000 + 1000 k + i for the k-th p
     of FIXED_POINT_PS)."""
     first = 940_000 + 1000 * FIXED_POINT_PS.index(p)
-    chains = run_chains(NORMAL, [(seed, 2.38, p) for seed in range(first, first + 1000)],
-                        10_000)
+    chains = run_chains(NORMAL, [AdaptiveConfig(p=p, theta0=2.38, n_samples=10_000, seed=seed)
+                                 for seed in range(first, first + 1000)])
     return (np.array([chain.xi[1_000:].mean() for chain in chains]),
             np.array([chain.theta[-1] for chain in chains]))
 
@@ -308,6 +310,12 @@ def test_config_validation():
         AdaptiveConfig(p=0.5, theta0=-1.0, n_samples=10)
     with pytest.raises(ValueError):
         AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, burn_in=10)
+    with pytest.raises(ValueError, match="burn_in"):
+        AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, burn_in=-1)
+    with pytest.raises(ValueError, match="theta0"):
+        AdaptiveConfig(p=0.5, theta0=math.nan, n_samples=10)
+    with pytest.raises(ValueError, match="x0"):
+        AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, x0=math.inf)
     with pytest.raises(ValueError):
         AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, formulation="other")
     assert AdaptiveConfig(p=None, theta0=1.0, n_samples=10).p is None  # a fixed scale
@@ -323,12 +331,12 @@ def test_trajectory_state_accessors():
     assert state.step == 3
 
 
-def oracle_chain(target, seed, theta0, p, x0, n):
-    """(x, theta, xi) bytes of chain (seed, theta0, p) from x0: amcmc_step,
-    stepped by hand n times on chain_streams(seed)."""
-    config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
-    streams = chain_streams(seed)
-    state = ChainState(x0, theta0, 0, 0)
+def oracle_chain(target, config):
+    """(x, theta, xi) bytes of a config's chain from its x0: amcmc_step,
+    stepped by hand n_samples times on chain_streams(seed)."""
+    n = config.n_samples
+    streams = chain_streams(config.seed)
+    state = ChainState(config.x0, config.theta0, 0, 0)
     xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
     for i in range(n):
         state = amcmc_step(state, config, target, streams)
@@ -354,10 +362,11 @@ def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
     # its support.
     target = make_target(kind)
     config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
-    block = [(seed, theta0, p), (seed + 1, theta0 / 2, None), (seed + 2, 2 * theta0, 0.3)]
-    trajectories = [run_amcmc(config, target)] + run_chains(target, block, n, x0)
+    block = [config, replace(config, seed=seed + 1, theta0=theta0 / 2, p=None),
+             replace(config, seed=seed + 2, theta0=2 * theta0, p=0.3)]
+    trajectories = [run_amcmc(config, target)] + run_chains(target, block)
     for trajectory, chain in zip(trajectories, block[:1] + block):
-        xs, thetas, xis = oracle_chain(target, *chain, x0, n)
+        xs, thetas, xis = oracle_chain(target, chain)
         assert trajectory.x.tobytes() == xs
         assert trajectory.theta.tobytes() == thetas
         assert trajectory.xi.tobytes() == xis
@@ -373,13 +382,14 @@ def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
     # chains, run across the chunk edges, is each chain's scalar loop bit
     # for bit, at benchmarks p and at the 1/n-grid's p_n near 1 (n = 400)
     target = make_target(kind)
-    block = [(11, 1.3, 0.25), (12, 0.4, None), (13, 2.5, 0.7), (14, 6.0, None)]
+    block = [AdaptiveConfig(p=p, theta0=theta0, x0=0.5, n_samples=n, seed=seed)
+             for seed, theta0, p in [(11, 1.3, 0.25), (12, 0.4, None), (13, 2.5, 0.7),
+                                     (14, 6.0, None)]]
     if embedded:
-        block = [(seed, theta0, None if p is None else embedded_benchmark(p, 400))
-                 for seed, theta0, p in block]
-    x0 = 0.5
-    oracles = [oracle_chain(target, *chain, x0, n) for chain in block]
-    for trajectory, (xs, thetas, xis) in zip(run_chains(target, block, n, x0), oracles):
+        block = [replace(c, p=None if c.p is None else embedded_benchmark(c.p, 400))
+                 for c in block]
+    oracles = [oracle_chain(target, config) for config in block]
+    for trajectory, (xs, thetas, xis) in zip(run_chains(target, block), oracles):
         assert trajectory.x.tobytes() == xs
         assert trajectory.theta.tobytes() == thetas
         assert trajectory.xi.tobytes() == xis
@@ -388,22 +398,39 @@ def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
 @pytest.mark.parametrize("burn_in", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
                                      2 * STEP_CHUNK + 6])
 def test_x_only_records_from_the_burn_in_on(burn_in):
-    # a block that records x from burn_in on holds the oracle's positions
-    # from that step on, bit for bit, whichever chunk the burn-in ends in
+    # a block that records x from its configs' burn_in on holds the
+    # oracle's positions from that step on, bit for bit, whichever chunk the
+    # burn-in ends in; a full record of the same block starts at step 0
     target = make_target("cauchy")
-    block = [(21, 2.38, 0.5), (22, 0.4, None), (23, 10.0, 0.234)]
-    n = 2 * STEP_CHUNK + 7
-    for trajectory, chain in zip(run_chains(target, block, n, 0.5, x_only=True,
-                                            burn_in=burn_in), block):
+    block = [AdaptiveConfig(p=p, theta0=theta0, x0=0.5, n_samples=2 * STEP_CHUNK + 7,
+                            burn_in=burn_in, seed=seed)
+             for seed, theta0, p in [(21, 2.38, 0.5), (22, 0.4, None), (23, 10.0, 0.234)]]
+    oracles = [oracle_chain(target, config)[0] for config in block]
+    for trajectory, xs in zip(run_chains(target, block, x_only=True), oracles):
         assert trajectory.theta is None and trajectory.xi is None
-        assert trajectory.x.tobytes() == oracle_chain(target, *chain, 0.5, n)[0][8 * burn_in:]
+        assert trajectory.x.tobytes() == xs[8 * burn_in:]
+    for trajectory, xs in zip(run_chains(target, block), oracles):
+        assert trajectory.x.tobytes() == xs
 
 
-@pytest.mark.parametrize("burn_in, x_only", [(-1, True), (10, True), (3, False)])
+@pytest.mark.parametrize("burn_in, x_only", [(-1, True), (10, True)])
 def test_run_chains_refuses_a_burn_in_it_cannot_record_from(burn_in, x_only):
+    # a block records x from its configs' burn_in on: a negative burn-in, or
+    # one that leaves no step to record, is refused before any chain runs
     with pytest.raises(ValueError, match="burn_in"):
-        run_chains(make_target("normal"), [(1, 1.0, 0.5)], 10, x_only=x_only,
-                   burn_in=burn_in)
+        run_chains(NORMAL, [AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, burn_in=burn_in,
+                                           seed=1)], x_only=x_only)
+
+
+@pytest.mark.parametrize("x_only", [False, True])
+@pytest.mark.parametrize("field, value", [("n_samples", 11), ("x0", 0.5), ("burn_in", 3)])
+def test_run_chains_refuses_configs_that_do_not_share_a_run(field, value, x_only):
+    # chains run together share their length, start and burn-in; each brings
+    # its own seed, scale and benchmark
+    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, seed=1)
+    block = [config, replace(config, seed=2, theta0=2.0, p=None, **{field: value})]
+    with pytest.raises(ValueError, match=f"^chains run together must share {field}$"):
+        run_chains(NORMAL, block, x_only=x_only)
 
 
 def _bits(value) -> bytes:

@@ -196,6 +196,28 @@ def test_sde_start_off_the_support_is_refused_before_any_block_runs(monkeypatch)
     assert len(run_experiment(small_sde_spec(target="exp", x0=0.0, replicates=1))) == 2
 
 
+@pytest.mark.parametrize("mode", ["discrete", "sde"])
+def test_grid_start_off_the_support_is_refused_by_one_rule(monkeypatch, capsys, tmp_path,
+                                                           mode):
+    # a chain started off the exponential's support moves only when a
+    # proposal lands inside it, which a scale that shrinks first, or a small
+    # fixed one, may never make: both grid modes refuse the start in one
+    # error line, before any block runs or any file is written
+    monkeypatch.setattr(experiments, f"_{mode}_block", _no_work)
+    out = tmp_path / "rows.csv"
+    assert main([mode, "--target", "exp", "--x0=-1", "--replicates", "3",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: x0=-1.0 outside the support of the exp target\n"
+    assert not out.exists()
+    # a start at minus infinity is refused as not finite, by the configs
+    assert main([mode, "--target", "exp", "--x0=-inf", "--replicates", "1"]) == 1
+    assert capsys.readouterr().err == "error: x0 must be finite\n"
+    # the boundary is a start inside the support
+    monkeypatch.undo()
+    spec = small_discrete_spec if mode == "discrete" else small_sde_spec
+    assert len(run_experiment(spec(target="exp", x0=0.0, replicates=1))) == 2
+
+
 def test_sde_single_cell_rows():
     rows = run_experiment(small_sde_spec(replicates=1))
     assert len(rows) == 2
@@ -599,7 +621,7 @@ def test_sde_default_grid_runs_in_bounded_same_mesh_blocks(monkeypatch):
     assert [job for block in blocks for job in block] == experiments.sde_jobs(spec)
     widths = [sum(job.config.n_paths for job in block) for block in blocks]
     assert max(widths) <= experiments.SDE_BLOCK_PATHS
-    assert all(len({job.group for job in block}) == 1 for block in blocks)
+    assert all(len({job.config.h for job in block}) == 1 for block in blocks)
     # 44 ensembles of 1000 paths at h = 1e-4 alone would make one 44 000-path block
     assert len(blocks) == 6 + 9 + 7 + 9 + 11
 

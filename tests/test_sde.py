@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -178,6 +179,62 @@ def test_ou_stationary_variance_single_path():
             xs[i] = state.x
         inside += 0.85 <= xs[config.n_steps // 2:].var() <= 1.15
     assert inside >= 8, f"only {inside}/10 seeds inside the variance band"
+
+
+EXACT_LAW_CELLS = ((0.01, 1.0), (0.1, 2.0), (0.5, 1.0))  # (h, theta)
+EXACT_LAW_TERMS = {"scheme": (1.0, 1.0), "drift x1.05": (1.05, 1.0),
+                   "noise x1.02": (1.0, 1.02)}  # factors of the drift and noise terms
+
+
+def _euler_law(h, theta, x0, k):
+    """Mean and sd of k fixed-scale Euler steps on N(0,1) from x0: the step
+    x <- a x + sqrt(h) theta z, a = 1 - h theta^2 / 2, is an AR(1)."""
+    a = 1.0 - h * theta * theta / 2.0
+    return a ** k * x0, math.sqrt(h * theta * theta * (1.0 - a ** (2 * k)) / (1.0 - a * a))
+
+
+@functools.cache
+def _euler_law_pvalues(cell):
+    """KS p-value, one per EXACT_LAW_TERMS entry, of 2^19 terminal values at
+    T = 1 from x0 = 1 at the cell's (h, theta) against _euler_law: 16
+    ensembles of 32 768 paths, seeds 970_000 + 100 c + j at the c-th cell.
+
+    Each ensemble is run by run_ensembles and simulated here on its stream
+    of normals, once per entry, with the drift and noise terms scaled by the
+    entry's factors; the scheme's entry must be run_ensembles' bit for bit.
+    """
+    h, theta = cell
+    drift_factor, noise_factor = np.array(list(EXACT_LAW_TERMS.values())).T[:, :, None]
+    n = 32_768
+    samples = []
+    for j in range(16):
+        config = EulerConfig(h=h, horizon_t=1.0, p=None, theta0=theta, x0=1.0, n_paths=n,
+                             seed=970_000 + 100 * EXACT_LAW_CELLS.index(cell) + j)
+        normals = stream_rng(config.seed)
+        x = np.full((len(EXACT_LAW_TERMS), n), config.x0)
+        for _ in range(config.n_steps):
+            # euler_step's operations, each term scaled by its factor
+            x = (x + drift_factor * (h * 0.5 * theta * theta * NORMAL.score(x))
+                 + noise_factor * (math.sqrt(h) * theta * normals.standard_normal(n)))
+        assert x[0].tobytes() == run_ensembles(NORMAL, [config])[0].x_t.tobytes()
+        samples.append(x)
+    mean, sd = _euler_law(h, theta, 1.0, config.n_steps)
+    return [ks_pvalue(ks_statistic((x_t - mean) / sd, NORMAL), x_t.size)
+            for x_t in np.concatenate(samples, axis=1)]
+
+
+@pytest.mark.parametrize("cell", EXACT_LAW_CELLS)
+def test_fixed_scale_euler_scheme_has_its_exact_law(cell):
+    # at any mesh, not only as h -> 0: KS p-value at least 1e-3
+    assert _euler_law_pvalues(cell)[0] >= 1e-3
+
+
+@pytest.mark.parametrize("term", list(EXACT_LAW_TERMS)[1:])
+@pytest.mark.parametrize("cell", EXACT_LAW_CELLS)
+def test_euler_law_oracle_sees_a_scaled_term(cell, term):
+    # negative controls: the drift term x 1.05 or the noise term x 1.02
+    # gives a KS p-value below 1e-3 against the scheme's law
+    assert _euler_law_pvalues(cell)[list(EXACT_LAW_TERMS).index(term)] < 1e-3
 
 
 def test_euler_config_validation():
