@@ -216,6 +216,7 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
             rng = stream_rng(seed, batch)
             if not sums:  # this thread's one buffer set
                 eps, u, values = np.empty(width), np.empty(piece), np.empty((len(kinds), piece))
+                proposal, accept = np.empty((2, piece)), np.empty(piece, bool)
             factors = [_FACTORS[kinds[i]] for i in readers]
             reads_dx = any("dx" in kind_factors for kind_factors in factors)
             reads_dtheta = any("dtheta" in kind_factors for kind_factors in factors)
@@ -226,7 +227,9 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 # bits of one draw of m.
                 log_u = np.log(rng.random(out=u[:hi - lo]), out=u[:hi - lo])
                 step = eps[lo:hi]
-                xi = metropolis_step(x, lp_x, scale, step, log_u, target)[2]
+                (y, lp_y), xi = proposal[:, :hi - lo], accept[:hi - lo]
+                # y is not read here, so the log ratio goes over it
+                metropolis_step(x, lp_x, scale, step, log_u, target, (y, lp_y, y, xi))
                 terms = {}
                 if reads_dx:  # the step has read eps: it holds dx from here on
                     terms["dx"] = np.multiply(scale, np.where(xi, step, 0.0), out=step)

@@ -14,9 +14,20 @@ import numpy as np
 
 TARGET_KINDS = ("normal", "cauchy", "t2", "exp")
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-_LOG_2SQRT2 = math.log(2.0 * math.sqrt(2.0))
+
+def _constant(value):
+    # a read-only 0-d array: a ufunc takes one faster than a Python float,
+    # with the same value and bits
+    array = np.array(value)
+    array.flags.writeable = False
+    return array
+
+
+# log_density's constants
+_LOG_SQRT_2PI = _constant(0.5 * math.log(2.0 * math.pi))
+_NEG_LOG_PI = _constant(-math.log(math.pi))
+_NEG_LOG_2SQRT2 = _constant(-math.log(2.0 * math.sqrt(2.0)))
+_NEG_HALF, _ZERO, _HALF, _THREE_HALVES = map(_constant, (-0.5, 0.0, 0.5, 1.5))
 
 # Cephes ndtr/erf/erfc coefficients, highest degree first.  P/Q and R/S are
 # erfc's rationals on [1, 8) and [8, inf); T/U is erf's rational in x^2 on
@@ -128,17 +139,37 @@ class TargetModel:
         lo, hi = self.support
         return bool(np.all((np.asarray(x, float) >= lo) & (np.asarray(x, float) <= hi)))
 
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        if self.kind == "normal":
-            out = -0.5 * x * x - _LOG_SQRT_2PI
-        elif self.kind == "cauchy":
-            out = -_LOG_PI - np.log1p(x * x)
-        elif self.kind == "t2":
-            out = -_LOG_2SQRT2 - 1.5 * np.log1p(0.5 * x * x)
-        else:
-            out = np.where(x >= 0.0, -x, -np.inf)
-        return _maybe_scalar(out)
+    def log_density(self, x, out=None):
+        """log psi(x), -inf off the support (and at NaN for the exponential).
+
+        With out, a float array of x's shape that shares no memory with x,
+        the values are written there and out is returned.  Without it they
+        are written to a fresh buffer, by the same operations, in the order
+        of each formula's plain expression.
+        """
+        fresh = out is None
+        if fresh:
+            x = np.asarray(x, float)
+            out = np.empty_like(x)
+        if self.kind == "normal":  # -0.5 * x * x - log sqrt(2 pi)
+            np.multiply(x, _NEG_HALF, out)
+            np.multiply(out, x, out)
+            np.subtract(out, _LOG_SQRT_2PI, out)
+        elif self.kind == "cauchy":  # -log pi - log1p(x * x)
+            np.multiply(x, x, out)
+            np.log1p(out, out)
+            np.subtract(_NEG_LOG_PI, out, out)
+        elif self.kind == "t2":  # -log(2 sqrt 2) - 1.5 * log1p(0.5 * x * x)
+            np.multiply(x, _HALF, out)
+            np.multiply(out, x, out)
+            np.log1p(out, out)
+            np.multiply(out, _THREE_HALVES, out)
+            np.subtract(_NEG_LOG_2SQRT2, out, out)
+        else:  # -x where x >= 0, else -inf: NaN reads -inf
+            out.fill(np.inf)
+            np.copyto(out, x, where=np.greater_equal(x, _ZERO))
+            np.negative(out, out)
+        return _maybe_scalar(out) if fresh else out
 
     def density(self, x):
         return _maybe_scalar(np.exp(self.log_density(x)))

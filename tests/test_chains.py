@@ -455,9 +455,13 @@ def test_metropolis_step_matches_amcmc_step_oracle(kind, p, chains):
     # its states bit for bit
     target = make_target(kind)
     x, theta, step, eps, u = (np.array(column, float) for column in zip(*chains))
+    y, _, _, accept = out = (*np.empty((3, len(chains))), np.empty(len(chains), bool))
     with np.errstate(invalid="ignore", divide="ignore"):
-        y, _, accept = metropolis_step(x, target.log_density(x), theta, eps, np.log(u),
-                                       target)
+        lp_x = target.log_density(x)
+        # a first step on the same buffers, from other draws: none of its
+        # values may leak into the step checked below
+        metropolis_step(x, lp_x, 2.0 * theta, -eps, np.log(1.0 - u), target, out)
+        metropolis_step(x, lp_x, theta, eps, np.log(u), target, out)
     x_new = np.where(accept, y, x)
     theta_new = theta if p is None else theta * np.exp((accept - p) / np.sqrt(step + 1))
     config = AdaptiveConfig(p=p, theta0=1.0, n_samples=1)

@@ -166,7 +166,9 @@ def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
             rng = stream_rng(seed, batch)
             eps = rng.standard_normal(m)
             log_u = np.log(rng.random(m))
-            _, _, xi = metropolis_step(x, lp_x, theta / sqrt_n, eps, log_u, target)
+            xi = np.empty(m, bool)
+            metropolis_step(x, lp_x, theta / sqrt_n, eps, log_u, target,
+                            (*np.empty((3, m)), xi))
             dx = (theta / sqrt_n) * np.where(xi, eps, 0.0)
             dtheta = theta * np.expm1((xi.astype(float) - p_n) / sqrt_n)
             for kind in kinds:
@@ -287,11 +289,11 @@ class FailingDensity:
     def in_support(self, x):
         return NORMAL.in_support(x)
 
-    def log_density(self, x):
+    def log_density(self, x, out=None):
         if next(self.calls) == self.fail_at:
             self.threads_at_failure = threading.active_count()
             raise self.error
-        return NORMAL.log_density(x)
+        return NORMAL.log_density(x, out)
 
 
 def test_simulate_moments_joins_its_helper_on_return_and_on_raise():

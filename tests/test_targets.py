@@ -159,6 +159,46 @@ def test_float_log_density_matches_array_path_bit_for_bit(kind, x, seed):
         assert struct.pack("<d", fast) == struct.pack("<d", vector), value
 
 
+# Each density's plain expression: log_density runs its operations in this
+# order, into a buffer.
+_PLAIN_LOG_DENSITY = {
+    "normal": lambda x: -0.5 * x * x - 0.5 * math.log(2.0 * math.pi),
+    "cauchy": lambda x: -math.log(math.pi) - np.log1p(x * x),
+    "t2": lambda x: -math.log(2.0 * math.sqrt(2.0)) - 1.5 * np.log1p(0.5 * x * x),
+    "exp": lambda x: np.where(x >= 0.0, -x, -np.inf),
+}
+# x * x overflows at 1.5e154 where 0.5 * x * x does not, and is subnormal
+# at 1e-160: there the order of a formula's products shows in its bits.
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+          1.5e154, -1.5e154, 1e-160, -1.0, -0.5, -1e-300)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(TARGET_KINDS),
+       xs=st.lists(st.one_of(_PROBES, st.floats(), st.sampled_from(_EDGES)),
+                   min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="exp", xs=list(_EDGES), seed=0)
+@example(kind="normal", xs=list(_EDGES), seed=0)
+@example(kind="cauchy", xs=list(_EDGES), seed=0)
+@example(kind="t2", xs=list(_EDGES), seed=0)
+def test_log_density_into_a_buffer_matches_the_allocating_form_bit_for_bit(kind, xs, seed):
+    # one formula per density: written into a used buffer, into a fresh
+    # one, and by the plain expression, the bits agree, NaN included (exp
+    # maps NaN to -inf)
+    target = make_target(kind)
+    x = np.array(xs)
+    buffer = np.random.default_rng(seed).standard_normal(len(x))  # stale values
+    with np.errstate(over="ignore", invalid="ignore"):
+        written = target.log_density(x, out=buffer)
+        fresh = target.log_density(x)
+        plain = _PLAIN_LOG_DENSITY[kind](x)
+    assert written is buffer
+    assert written.tobytes() == fresh.tobytes() == plain.tobytes(), xs
+    if kind == "exp":
+        assert np.all(written[np.isnan(x) | (x < 0.0)] == -np.inf)
+
+
 def _ndtr_oracle_pieces():
     rng = np.random.default_rng(20240517)
     edges = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 1e-300, math.inf]
