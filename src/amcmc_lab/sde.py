@@ -17,7 +17,9 @@ previous position when a step would exit the support.
 run_ensembles steps ensembles that share a mesh as one array, EULER_CHUNK
 steps at a time, while a seeding.Helper thread draws the normals of the
 next chunk: the calling thread's wall time is the stepping plus the draws
-the helper has not taken.
+the helper has not taken.  Its step gives euler_step's bits path by path,
+writes into arrays allocated once per call, and folds the exponential's
+constant score away (see run_ensembles).
 """
 
 import math
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import Helper, stream_rng
-from .targets import TargetModel
+from .targets import TargetModel, _constant
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
@@ -163,8 +165,17 @@ def run_ensembles(target: TargetModel, configs) -> list:
     (n_steps, n_paths) draw whichever thread makes them and whatever the
     chunk size.  Every path takes the float operations of ``euler_step``
     in the same order, so each result is identical however the ensembles
-    are grouped or scheduled.  Memory is bounded by the chunk, not by the
-    horizon.  Returns one EnsembleResult per config, in the order given.
+    are grouped or scheduled.  The one difference is exp's constant score
+    s = -1: its step runs x - ds where ``euler_step`` runs x + ds * s
+    (ds = h/2 theta^2), and theta / sqrt(2 pi) where it runs
+    theta * |s| / sqrt(2 pi).  Multiplying by -1 or by 1 is exact and
+    x - ds is x + (-ds) in IEEE arithmetic, so the bits are the same.  The
+    step writes the score and its other intermediates into arrays allocated
+    once per call; only a cauchy or t2 score takes a temporary, its
+    denominator.  Memory is bounded by the chunk, not by the horizon.
+    Returns one EnsembleResult per config, in the order given.  An exp
+    ensemble whose x0 is off the support raises ValueError before any
+    draw.
     """
     configs = list(configs)
     if not configs:
@@ -173,6 +184,12 @@ def run_ensembles(target: TargetModel, configs) -> list:
     for name in _SHARED_FIELDS:
         if any(getattr(c, name) != getattr(first, name) for c in configs):
             raise ValueError(f"ensembles run together must share {name}")
+    # The step folds exp's constant score away, so its support check runs
+    # once, at x0, before any draw: a reflected or held x is >= 0 or NaN,
+    # so no later step could fail it.
+    constant_score = target.kind == "exp"
+    if constant_score:
+        target.score(first.x0)
 
     # Adaptive ensembles first, so the theta update touches a leading slice.
     order = sorted(range(len(configs)), key=lambda i: configs[i].p is None)
@@ -198,11 +215,15 @@ def run_ensembles(target: TargetModel, configs) -> list:
     theta = np.full(width, first.theta0)
     theta_a = theta[:a]
     p = np.repeat([c.p for c in ordered[:n_adaptive]], n)
-    half_h, sqrt_h = h * 0.5, math.sqrt(h)
+    # h/2, sqrt(h), h and sqrt(2 pi) as read-only 0-d arrays (see targets._constant)
+    half_h, sqrt_h, h, sqrt_2pi = map(_constant, (h * 0.5, math.sqrt(h), h, SQRT_2PI))
     # The scales of the drift and of the noise: h/2 theta^2 and sqrt(h) theta.
     # Only their adaptive slice changes from step to step.
     drift_scale = half_h * theta * theta
     noise_scale = sqrt_h * theta
+    drift_a, noise_a = drift_scale[:a], noise_scale[:a]
+    s = np.empty(width)  # the score at x, unless it is exp's constant
+    s_a = s[:a]
     term = np.empty(width)
     # the same arrays, one row per ensemble, to meet z's step slices
     noise_rows, term_rows = noise_scale.reshape(-1, n), term.reshape(-1, n)
@@ -221,32 +242,40 @@ def run_ensembles(target: TargetModel, configs) -> list:
                 finish = helper.share(partial(draw, k + 1), range(len(configs)))
             for j in range(m):
                 # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
-                # euler_step evaluates it, so every path gets the same bits
-                s = target.score(x)
+                # euler_step evaluates it, so every path gets the same bits.
+                # Each is a ufunc call with its out passed by position: an
+                # augmented assignment (a *= b) costs about twice the overhead.
                 if a:
-                    np.multiply(half_h, theta_a, out=drift_scale[:a])
-                    drift_scale[:a] *= theta_a
-                    np.multiply(sqrt_h, theta_a, out=noise_scale[:a])
-                np.multiply(drift_scale, s, out=term)
-                np.add(x, term, out=x_new)
-                np.multiply(noise_rows, z[:, j], out=term_rows)
-                x_new += term
+                    np.multiply(half_h, theta_a, drift_a)
+                    np.multiply(drift_a, theta_a, drift_a)
+                    np.multiply(sqrt_h, theta_a, noise_a)
+                if constant_score:
+                    np.subtract(x, drift_scale, x_new)
+                else:
+                    target.score(x, s)
+                    np.multiply(drift_scale, s, term)
+                    np.add(x, term, x_new)
+                np.multiply(noise_rows, z[:, j], term_rows)
+                np.add(x_new, term, x_new)
                 if boundary == "reflect":
-                    np.abs(x_new, out=x)
+                    np.abs(x_new, x)
                 elif boundary == "hold":
-                    np.greater_equal(x_new, 0.0, out=keep)
+                    np.greater_equal(x_new, 0.0, keep)
                     np.copyto(x, x_new, where=keep)
                 else:
                     x, x_new = x_new, x
                 if a:
                     # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
-                    np.abs(s[:a], out=rate)
-                    np.multiply(theta_a, rate, out=rate)
-                    rate /= SQRT_2PI
-                    np.subtract(p, rate, out=rate)
-                    np.multiply(h, theta_a, out=gain)
-                    gain *= rate
-                    theta_a += gain
+                    if constant_score:
+                        np.divide(theta_a, sqrt_2pi, rate)
+                    else:
+                        np.abs(s_a, rate)
+                        np.multiply(theta_a, rate, rate)
+                        np.divide(rate, sqrt_2pi, rate)
+                    np.subtract(p, rate, rate)
+                    np.multiply(h, theta_a, gain)
+                    np.multiply(gain, rate, gain)
+                    np.add(theta_a, gain, theta_a)
                     # Clamps and floor hits need a minimum (NaN aside) at or
                     # below the floor; checking it first costs one pass, not two.
                     if np.fmin.reduce(theta_a) <= THETA_FLOOR:

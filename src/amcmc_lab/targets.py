@@ -23,11 +23,15 @@ def _constant(value):
     return array
 
 
-# log_density's constants
+# log_density's and score's constants
 _LOG_SQRT_2PI = _constant(0.5 * math.log(2.0 * math.pi))
 _NEG_LOG_PI = _constant(-math.log(math.pi))
 _NEG_LOG_2SQRT2 = _constant(-math.log(2.0 * math.sqrt(2.0)))
 _NEG_HALF, _ZERO, _HALF, _THREE_HALVES = map(_constant, (-0.5, 0.0, 0.5, 1.5))
+_NEG_ONE, _NEG_INF = map(_constant, (-1.0, -math.inf))
+# (c, d) of the heavy-tailed scores c x / (d + x * x)
+_SCORE_RATIONAL = {"cauchy": tuple(map(_constant, (-2.0, 1.0))),
+                   "t2": tuple(map(_constant, (-3.0, 2.0)))}
 
 # Cephes ndtr/erf/erfc coefficients, highest degree first.  P/Q and R/S are
 # erfc's rationals on [1, 8) and [8, inf); T/U is erf's rational in x^2 on
@@ -58,6 +62,17 @@ def _maybe_scalar(arr):
     # numpy scalars and arrays both carry .ndim; np.ndim would go through
     # the array-function dispatcher on every density, score and CDF call
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _fresh(x):
+    """(x, o): x as a float array and where a formula writes without out.
+
+    o is a fresh array of x's shape, or None for a 0-d x: its ufuncs then
+    run out of place and return numpy scalars, since an in-place ufunc on
+    one element takes numpy's slow iterator path.
+    """
+    x = np.asarray(x, float)
+    return x, (np.empty_like(x) if x.ndim else None)
 
 
 def _polevl(x, coef):
@@ -143,55 +158,67 @@ class TargetModel:
         """log psi(x), -inf off the support (and at NaN for the exponential).
 
         With out, a float array of x's shape that shares no memory with x,
-        the values are written there and out is returned.  Without it they
-        are written to a fresh buffer, by the same operations, in the order
-        of each formula's plain expression.
+        the values are written there and out is returned.  Without it an
+        array x gets a fresh buffer and a 0-d x out-of-place ufuncs, by the
+        same operations, in the order of each formula's plain expression.
         """
-        fresh = out is None
-        if fresh:
-            x = np.asarray(x, float)
-            out = np.empty_like(x)
+        o = out
+        if o is None:
+            x, o = _fresh(x)
         if self.kind == "normal":  # -0.5 * x * x - log sqrt(2 pi)
-            np.multiply(x, _NEG_HALF, out)
-            np.multiply(out, x, out)
-            np.subtract(out, _LOG_SQRT_2PI, out)
+            y = np.multiply(x, _NEG_HALF, o)
+            y = np.multiply(y, x, o)
+            y = np.subtract(y, _LOG_SQRT_2PI, o)
         elif self.kind == "cauchy":  # -log pi - log1p(x * x)
-            np.multiply(x, x, out)
-            np.log1p(out, out)
-            np.subtract(_NEG_LOG_PI, out, out)
+            y = np.multiply(x, x, o)
+            y = np.log1p(y, o)
+            y = np.subtract(_NEG_LOG_PI, y, o)
         elif self.kind == "t2":  # -log(2 sqrt 2) - 1.5 * log1p(0.5 * x * x)
-            np.multiply(x, _HALF, out)
-            np.multiply(out, x, out)
-            np.log1p(out, out)
-            np.multiply(out, _THREE_HALVES, out)
-            np.subtract(_NEG_LOG_2SQRT2, out, out)
+            y = np.multiply(x, _HALF, o)
+            y = np.multiply(y, x, o)
+            y = np.log1p(y, o)
+            y = np.multiply(y, _THREE_HALVES, o)
+            y = np.subtract(_NEG_LOG_2SQRT2, y, o)
         else:  # -x where x >= 0, else -inf: NaN reads -inf
-            out.fill(np.inf)
-            np.copyto(out, x, where=np.greater_equal(x, _ZERO))
-            np.negative(out, out)
-        return _maybe_scalar(out) if fresh else out
+            keep = np.greater_equal(x, _ZERO)
+            if o is None:
+                y = np.negative(x) if keep else _NEG_INF
+            else:
+                o.fill(np.inf)
+                np.copyto(o, x, where=keep)
+                y = np.negative(o, o)
+        return _maybe_scalar(y) if out is None else y
 
     def density(self, x):
         return _maybe_scalar(np.exp(self.log_density(x)))
 
-    def score(self, x):
-        """d/dx log density(x) on the support.
+    def score(self, x, out=None):
+        """d/dx log density(x) on the support; ``out`` as for log_density.
 
         At the exponential's boundary x = 0 (and -0.0) it is the one-sided
         derivative -1: reflected and held Euler paths can land exactly there.
+        The heavy-tailed scores take one temporary, their denominator.
         """
-        x = np.asarray(x, float)
+        o = out
+        if o is None:
+            x, o = _fresh(x)
         if self.kind == "exp":
             if np.any(x < 0.0):
                 raise ValueError("score of the exponential target requires x >= 0")
-            out = np.full_like(x, -1.0)
-        elif self.kind == "normal":
-            out = -x
-        elif self.kind == "cauchy":
-            out = -2.0 * x / (1.0 + x * x)
-        else:
-            out = -3.0 * x / (2.0 + x * x)
-        return _maybe_scalar(out)
+            if o is None:
+                y = _NEG_ONE
+            else:
+                o.fill(-1.0)
+                y = o
+        elif self.kind == "normal":  # -x
+            y = np.negative(x, o)
+        else:  # c * x / (d + x * x)
+            c, d = _SCORE_RATIONAL[self.kind]
+            y = np.multiply(c, x, o)
+            den = np.multiply(x, x)  # a numpy scalar for a 0-d x
+            den = np.add(d, den, None if o is None else den)
+            y = np.divide(y, den, o)
+        return _maybe_scalar(y) if out is None else y
 
     def cdf(self, x):
         x = np.asarray(x, float)

@@ -315,6 +315,11 @@ def assert_matches_oracle(target, configs):
 @example(kind="normal", boundary_mode="reflect", n_steps=EULER_CHUNK + 1, h=0.5,
          theta0=100.0, x0=3.0, n_paths=3,
          ensembles=[(False, 1.0, 5), (True, 0.001, 6), (True, 0.01, 7)])
+# the same on exp, whose step folds its constant score into the theta update
+@example(kind="exp", boundary_mode="reflect", n_steps=EULER_CHUNK + 1, h=0.5, theta0=100.0,
+         x0=3.0, n_paths=3, ensembles=[(True, 0.001, 6)])
+@example(kind="exp", boundary_mode="hold", n_steps=EULER_CHUNK + 1, h=0.5, theta0=100.0,
+         x0=3.0, n_paths=3, ensembles=[(True, 0.001, 6)])
 def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps, h, theta0,
                                                    x0, n_paths, ensembles):
     # chunked draws and one wide array per mesh give every bit of the
@@ -351,22 +356,34 @@ def test_run_ensembles_reject_configs_that_do_not_share_a_mesh(field, value):
         run_ensembles(NORMAL, configs)
 
 
+def test_run_ensembles_refuse_an_exp_start_off_the_support_before_any_draw(monkeypatch):
+    # the step never reads exp's score, so its support check runs once, at x0
+    def no_stream(seed):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(amcmc_lab.sde, "stream_rng", no_stream)
+    configs = [EulerConfig(h=0.01, horizon_t=1.0, p=p, theta0=1.0, x0=-0.5, n_paths=2,
+                           seed=seed) for seed, p in ((1, 2.0), (2, None))]
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        run_ensembles(EXP, configs)
+
+
 class FailingScore:
     """The normal target, but its score raises on call number fail_at; the
     thread count at that moment is kept in threads_at_failure."""
 
-    boundary_policy = "none"
+    kind, boundary_policy = "normal", "none"
 
     def __init__(self, fail_at):
         self.calls, self.fail_at = 0, fail_at
         self.error, self.threads_at_failure = RuntimeError("score failed"), None
 
-    def score(self, x):
+    def score(self, x, out=None):
         self.calls += 1
         if self.calls == self.fail_at:
             self.threads_at_failure = threading.active_count()
             raise self.error
-        return NORMAL.score(x)
+        return NORMAL.score(x, out)
 
 
 def test_run_ensembles_join_their_draw_thread_on_return_and_on_raise():

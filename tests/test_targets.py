@@ -184,19 +184,50 @@ _EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.n
 @example(kind="t2", xs=list(_EDGES), seed=0)
 def test_log_density_into_a_buffer_matches_the_allocating_form_bit_for_bit(kind, xs, seed):
     # one formula per density: written into a used buffer, into a fresh
-    # one, and by the plain expression, the bits agree, NaN included (exp
-    # maps NaN to -inf)
+    # one, one float at a time (out-of-place ufuncs on numpy scalars) and by
+    # the plain expression, the bits agree, NaN included (exp maps NaN to -inf)
     target = make_target(kind)
     x = np.array(xs)
     buffer = np.random.default_rng(seed).standard_normal(len(x))  # stale values
     with np.errstate(over="ignore", invalid="ignore"):
         written = target.log_density(x, out=buffer)
         fresh = target.log_density(x)
+        one_by_one = np.array([target.log_density(v) for v in xs])
         plain = _PLAIN_LOG_DENSITY[kind](x)
     assert written is buffer
-    assert written.tobytes() == fresh.tobytes() == plain.tobytes(), xs
+    assert written.tobytes() == fresh.tobytes() == one_by_one.tobytes() == plain.tobytes(), xs
     if kind == "exp":
         assert np.all(written[np.isnan(x) | (x < 0.0)] == -np.inf)
+
+
+_SCORE_EDGES = (0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan)
+# Each score's plain expression, whose operations score runs in this order
+_PLAIN_SCORE = {
+    "normal": lambda x: -x,
+    "cauchy": lambda x: -2.0 * x / (1.0 + x * x),
+    "t2": lambda x: -3.0 * x / (2.0 + x * x),
+    "exp": lambda x: np.full_like(x, -1.0),
+}
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_score_into_a_buffer_matches_the_allocating_form_bit_for_bit(kind):
+    # the Euler step writes the score into its own buffer: the same bits as
+    # a fresh array, as one float at a time and as the plain expression, on
+    # the edge values and on a grid where a reordered formula would show
+    target = make_target(kind)
+    grid = 10.0 * np.random.default_rng(5).standard_normal(2000)
+    # the exponential's score refuses x < 0; NaN and -0.0 pass its check
+    x = np.array([v for v in [*_SCORE_EDGES, *grid] if kind != "exp" or not v < 0.0])
+    buffer = np.full_like(x, 7.0)  # stale values
+    with np.errstate(over="ignore", invalid="ignore"):
+        written = target.score(x, out=buffer)
+        fresh = target.score(x)
+        floats = [target.score(float(v)) for v in x]
+        plain = _PLAIN_SCORE[kind](x)
+    assert written is buffer and all(type(v) is float for v in floats)
+    one_by_one = np.array(floats)
+    assert written.tobytes() == fresh.tobytes() == one_by_one.tobytes() == plain.tobytes()
 
 
 def _ndtr_oracle_pieces():
