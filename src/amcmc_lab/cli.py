@@ -14,6 +14,7 @@ grid completes, and the exit code is nonzero on any error.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -133,6 +134,16 @@ def _dump_job(spec, args):
     return chosen[0]
 
 
+def _check_destinations(args) -> None:
+    """Refuse a file to write whose directory is missing or not a
+    directory, before any of the grid runs."""
+    for flag in ("out", "dump_trajectory", "dump_terminal"):
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise ValueError(f"--{flag.replace('_', '-')} {path}: its directory is "
+                             "missing or not a directory")
+
+
 def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
     trajectory = run_amcmc(job.config, make_target(job.target))
@@ -153,18 +164,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        dump = _dump_job(spec, args)  # a bad dump request fails before any work
+        # a bad dump request or destination fails before any work
+        dump = _dump_job(spec, args)
+        _check_destinations(args)
         rows = run_experiment(spec)
         print_summary(rows)
-        if args.out is not None:
-            emit_csv(rows, args.out)
-            print(f"wrote {len(rows)} rows to {args.out}")
         if getattr(args, "dump_trajectory", None):
             _dump_trajectory(dump, args.dump_trajectory)
             print(f"wrote trajectory to {args.dump_trajectory}")
         if getattr(args, "dump_terminal", None):
             _dump_terminal(dump, args.dump_terminal)
             print(f"wrote terminal sample to {args.dump_terminal}")
+        # written last, so that a run that fails replaces no --out file
+        if args.out is not None:
+            emit_csv(rows, args.out)
+            print(f"wrote {len(rows)} rows to {args.out}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

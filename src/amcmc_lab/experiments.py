@@ -22,7 +22,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -211,6 +210,10 @@ def _map_jobs(fn, payloads, workers: int):
     workers = min(_processes(workers), len(payloads))
     if workers <= 1:
         return [fn(payload) for payload in payloads]
+    # imported here, so that a run that opens no pool never loads the
+    # process-pool stack (multiprocessing, subprocess, socket)
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(payloads) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))
@@ -503,7 +506,7 @@ def write_lines(lines, destination) -> None:
 
     A path holds either its previous bytes or the whole new file, never
     part of it: a temp file next to it replaces it only once every byte is
-    on disk.
+    on disk.  A write that fails raises an OSError naming the path.
     """
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
@@ -516,9 +519,12 @@ def write_lines(lines, destination) -> None:
         with open(temp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(temp, destination)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
+        if isinstance(exc, OSError):
+            # name the file asked for, not its temp file
+            raise OSError(exc.errno, exc.strerror, destination) from exc
         raise
 
 

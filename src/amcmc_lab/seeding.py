@@ -7,7 +7,6 @@ how the surrounding work is scheduled.
 """
 
 import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
 
 import numpy as np
@@ -49,6 +48,10 @@ class Helper:
     """
 
     def __enter__(self):
+        # imported here, so that a run that opens no helper never loads
+        # concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         self._pool = ThreadPoolExecutor(max_workers=1)
         self._open = []
         return self

@@ -1,7 +1,10 @@
+import concurrent.futures
 import errno
 import io
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -118,12 +121,12 @@ def test_discrete_grid_splits_across_workers_at_the_default_budget(tmp_path, mon
     monkeypatch.setattr(experiments, "_blocks",
                         lambda *args: packed.append(pack(*args)) or packed[-1])
 
-    class Pool(experiments.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     files = []
     for workers in ("1", "2"):
         out = tmp_path / f"workers{workers}.csv"
@@ -517,6 +520,53 @@ def test_cli_coeff_summary(capsys):
     assert "estimate" in out and "B1" in out
 
 
+_EXECUTOR_MODULES = ("concurrent.futures", "concurrent.futures.thread",
+                     "concurrent.futures.process", "multiprocessing", "logging")
+
+# Prints the executor modules loaded after `import amcmc_lab.cli`, and again
+# after main(argv) when argv is given: one line each on stderr, names
+# separated by spaces.
+_FOOTPRINT = f"""
+import sys
+import amcmc_lab.cli
+loaded = lambda: [m for m in {_EXECUTOR_MODULES!r} if m in sys.modules]
+print(*loaded(), file=sys.stderr)
+if sys.argv[1:]:
+    assert amcmc_lab.cli.main(sys.argv[1:]) == 0
+    print(*loaded(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,helper", [
+    ([], False),
+    (["discrete", "--target", "normal", "--theta0", "1", "--p", "0.5", "--n-samples", "200",
+      "--burn-in", "10", "--replicates", "1", "--workers", "1"], False),
+    # an Euler block and a coeff cell each open one helper thread
+    (["sde", "--target", "normal", "--h", "0.01", "--p", "1", "--paths", "10",
+      "--horizon", "0.1", "--replicates", "1"], True),
+    (["coeff", "--target", "normal", "--kind", "B1", "--x", "0.5", "--theta0", "1",
+      "--n", "100", "--draws", "1000"], True),
+], ids=["import", "discrete", "sde", "coeff"])
+def test_cli_loads_an_executor_only_where_a_run_opens_one(argv, helper):
+    # a fresh interpreter, so that nothing this test process imported counts
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert lines[0] == ""  # importing the CLI loads no executor
+    if not argv:
+        return
+    loaded = set(lines[1].split())
+    if helper:
+        assert "concurrent.futures.thread" in loaded
+        assert not loaded & {"concurrent.futures.process", "multiprocessing"}
+    else:
+        assert not loaded
+
+
 def test_spec_round_trips_float_precision(tmp_path):
     # shortest round-trip decimals reload to exactly the same doubles
     rows = run_experiment(small_discrete_spec(replicates=1))
@@ -572,7 +622,7 @@ class RecordingPool:
 ])
 def test_map_jobs_bounds_the_pool(monkeypatch, workers, jobs, cores, expected):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert experiments._map_jobs(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
     assert RecordingPool.sizes == ([] if expected is None else [expected])
@@ -582,7 +632,7 @@ def test_many_workers_give_the_sequential_rows(monkeypatch):
     sequential = run_experiment(small_discrete_spec())
     monkeypatch.setattr(experiments, "DISCRETE_BLOCK_STEPS", 400)  # a block per chain
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run_experiment(small_discrete_spec(workers=10_000)) == sequential
     assert RecordingPool.sizes == [3]  # 4 blocks, 3 cores
@@ -594,7 +644,7 @@ def test_coeff_rows_stable_under_workers(monkeypatch):
                           theta0_grid=(1.0,), n_grid=(100, 400), n_draws=1_000, seed=2)
     sequential = run_experiment(spec)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert run_experiment(ExperimentSpec(**{**vars(spec), "workers": 2})) == sequential
     assert RecordingPool.sizes == [2]
@@ -612,7 +662,7 @@ def test_sde_default_grid_runs_in_bounded_same_mesh_blocks(monkeypatch):
     # the blocks are recorded, not run: the default grid has 11 replicates
     blocks = []
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(experiments, "_sde_block", lambda jobs: blocks.append(jobs) or [])
     spec = ExperimentSpec(mode="sde", target="cauchy", workers=2)
@@ -666,8 +716,9 @@ def test_emit_csv_failing_write_keeps_previous_file(tmp_path, monkeypatch):
             return HalfWrite(open(file, *args, **kwargs))
 
         monkeypatch.setattr(experiments, "open", half_open, raising=False)
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as caught:
             write(path)
+        assert caught.value.filename == str(path), name  # not its temp file
         assert opened and os.path.dirname(opened[0]) == str(path.parent), name
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
@@ -724,6 +775,48 @@ def test_cli_dump_needs_a_single_cell(tmp_path):
                  "--p", "0.25", "--n-samples", "100", "--burn-in", "10",
                  "--replicates", "1", "--out", str(out), "--dump-trajectory", str(dump)]) == 1
     assert not out.exists() and not dump.exists()
+
+
+@pytest.mark.parametrize("mode,flag,parent", [
+    ("discrete", "--out", "missing"),
+    ("discrete", "--dump-trajectory", "missing"),
+    ("discrete", "--dump-trajectory", "file"),
+    ("sde", "--out", "file"),
+    ("sde", "--dump-terminal", "missing"),
+])
+def test_cli_destination_without_a_directory_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, mode, flag, parent):
+    # the run would write its rows and then fail on the dump, or fail on
+    # --out after the whole grid: both are refused before any block runs
+    monkeypatch.setattr(experiments, f"_{mode}_block", _no_work)
+    (tmp_path / "file").write_bytes(b"")
+    path = str(tmp_path / parent / "x.csv")
+    out = tmp_path / "rows.csv"
+    grid = {"discrete": ["--theta0", "1", "--p", "0.25", "--n-samples", "200",
+                         "--burn-in", "10"],
+            "sde": ["--h", "0.01", "--p", "1", "--arm", "adaptive", "--paths", "5"]}
+    destinations = [flag, path] if flag == "--out" else ["--out", str(out), flag, path]
+    assert main([mode, "--target", "normal", *grid[mode], "--replicates", "1",
+                 *destinations]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {flag} {path}: its directory is missing or not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cli_failed_dump_leaves_out_as_it_was(tmp_path, capsys):
+    # the dump's destination is a directory, so its rename fails after the
+    # grid has run: the error names the destination, not its temp file,
+    # and --out keeps its previous bytes
+    out, dump = tmp_path / "rows.csv", tmp_path / "dump"
+    out.write_bytes(b"previous\n")
+    dump.mkdir()
+    assert main(["discrete", "--target", "normal", "--theta0", "1", "--p", "0.25",
+                 "--n-samples", "200", "--burn-in", "10", "--replicates", "1",
+                 "--out", str(out), "--dump-trajectory", str(dump)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{dump}'\n"
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dump", "rows.csv"]
 
 
 @pytest.mark.parametrize("argv,message", [

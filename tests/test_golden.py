@@ -34,6 +34,7 @@ rule and before the dumped chain ran through run_amcmc: those paths were
 rewritten to keep these bytes.
 """
 
+import concurrent.futures
 import hashlib
 import os
 
@@ -204,12 +205,12 @@ def test_cli_csv_digest_under_workers(tmp_path, monkeypatch, case):
     monkeypatch.setattr(experiments, "SDE_BLOCK_PATHS", 2 * 50)
     pools = []
 
-    class Pool(experiments.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     mode, target, extra = CLI_CASES[case]
     assert cli_digest(tmp_path, mode, target, (*extra, "--workers", "2")) == CLI_DIGESTS[case]
     assert pools == [{"max_workers": 2}] or os.cpu_count() == 1
