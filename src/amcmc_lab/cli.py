@@ -135,13 +135,18 @@ def _dump_job(spec, args):
 
 
 def _check_destinations(args) -> None:
-    """Refuse a file to write whose directory is missing or not a
-    directory, before any of the grid runs."""
+    """Refuse a file to write that names no file (an empty path, one that
+    ends in a separator, or a directory) or whose directory is missing or
+    not a directory, before any of the grid runs."""
     for flag in ("out", "dump_trajectory", "dump_terminal"):
         path = getattr(args, flag, None)
-        if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
-            raise ValueError(f"--{flag.replace('_', '-')} {path}: its directory is "
-                             "missing or not a directory")
+        if path is None:
+            continue
+        name = f"--{flag.replace('_', '-')}"
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise ValueError(f"{name} {path!r}: names no file to write")
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise ValueError(f"{name} {path}: its directory is missing or not a directory")
 
 
 def _dump_trajectory(job, destination: str) -> None:

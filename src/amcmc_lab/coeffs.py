@@ -17,22 +17,24 @@ theta by exp((xi - p_n)/sqrt(n)); embedded_benchmark gives p_n = 1 - p/sqrt(n).
 simulate_moments draws independent one-step transitions from a fixed state,
 averages the requested scaled moments over them, and sets each against its
 analytic limit in a row.  Each kind has its own number of draws (n_draws,
-or its entry in draws_of), and the contract is per kind: its transitions
-come in batches of _BATCH draws, batch b from the stream (seed, b), only
-the last batch shorter.  A call's units of work are the distinct (batch,
-length) pairs its kinds read; each is stepped once, for every kind that
-reads it, so kinds of different lengths share their common full batches.
-A unit is stepped, and its moment values formed and summed, piece by
-piece: the pieces are the ones numpy's pairwise sum splits the unit into
-(halve, rounding the first half down to a multiple of 8, until a piece
-holds at most _SLICE values), and the piece sums are added back along the
-same split.  Each piece sum is the subtree numpy's sum computes for those
+or its entry in draws_of), and the contract (coefficient contract v2) is
+per kind: its transitions come in batches of _BATCH draws, batch b from
+the stream (seed, b), only the last batch shorter, and within a batch
+each of its pieces (below), in order, draws its normals and then its
+uniforms.  A call's units of work are the distinct (batch, length) pairs
+its kinds read; each is stepped once, for every kind that reads it, so
+kinds of different lengths share their common full batches.  A unit is
+drawn, stepped, and its moment values formed and summed, piece by piece:
+the pieces are the ones numpy's pairwise sum splits the unit into (halve,
+rounding the first half down to a multiple of 8, until a piece holds at
+most _SLICE values), and the piece sums are added back along the same
+split.  Each piece sum is the subtree numpy's sum computes for those
 values, and each kind's row is summed on its own, so each unit total is
 bit for bit the sum of a whole-batch array of that kind's values, whoever
 shares the unit.  The calling thread and a seeding.Helper thread take a
-call's units one at a time until none is left; each holds one batch's
-normals, 8 bytes a draw, and piece-sized uniforms and values, so a call's
-memory is bounded by two batches of normals whatever its number of draws.
+call's units one at a time until none is left; each holds one set of
+piece-sized buffers, so a call's draw memory is two pieces whatever its
+number of draws.
 """
 
 import itertools
@@ -117,15 +119,14 @@ def _pieces(m: int) -> list:
 def _fold(sums, m: int):
     """The sums of the _pieces(m), in order, added along the split that made
     them: the sum numpy gives the m values, bit for bit."""
+    # one iterator for the whole recursion (iter of an iterator is itself),
+    # and no recursive closure: that is a reference cycle, which would keep
+    # each unit's piece sums alive until the garbage collector runs
     sums = iter(sums)
-
-    def fold(m):
-        if m <= _SLICE:
-            return next(sums)
-        half = _half(m)
-        return fold(half) + fold(m - half)
-
-    return fold(m)
+    if m <= _SLICE:
+        return next(sums)
+    half = _half(m)
+    return _fold(sums, half) + _fold(sums, m - half)
 
 
 def embedded_benchmark(p: float, n: int) -> float:
@@ -174,10 +175,11 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     Each kind is estimated from n_draws transitions, or from draws_of[kind]
     if draws_of names it.  Each transition is one metropolis_step from the
     fixed state.  Batch b of a kind's draws comes from the stream (seed, b)
-    with a fixed batch size, so each kind's row is identical whether
-    computed alone or together with others, of any lengths.  Each distinct
-    (batch, length) of the kinds is one unit, stepped once for the kinds
-    that read it.  A unit is stepped, and its moment values formed and
+    with a fixed batch size, each of its _pieces drawing its normals and
+    then its uniforms, so each kind's row is identical whether computed
+    alone or together with others, of any lengths.  Each distinct (batch,
+    length) of the kinds is one unit, stepped once for the kinds that read
+    it.  A unit is drawn, stepped, and its moment values formed and
     summed, one of its _pieces at a time; _fold adds the piece sums along
     numpy's pairwise split, so the rows are those of summing whole-batch
     arrays.  The calling thread and a seeding.Helper thread each take the
@@ -205,8 +207,7 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     lp_x = target.log_density(x)
     # dtheta = theta expm1((xi - p_n)/sqrt(n)) at xi = 0 and at xi = 1
     d0, d1 = theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)
-    width = min(_BATCH, max(draws, default=0))
-    piece = min(_SLICE, width)
+    piece = min(_SLICE, max(draws, default=0))
 
     def run(pending):
         """The (2, readers) sums and sums of squares of each unit this
@@ -215,18 +216,16 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
         for batch, m, readers in pending:
             rng = stream_rng(seed, batch)
             if not sums:  # this thread's one buffer set
-                eps, u, values = np.empty(width), np.empty(piece), np.empty((len(kinds), piece))
+                eps, u, values = np.empty(piece), np.empty(piece), np.empty((len(kinds), piece))
                 proposal, accept = np.empty((2, piece)), np.empty(piece, bool)
             factors = [_FACTORS[kinds[i]] for i in readers]
             reads_dx = any("dx" in kind_factors for kind_factors in factors)
             reads_dtheta = any("dtheta" in kind_factors for kind_factors in factors)
-            rng.standard_normal(out=eps[:m])
             piece_sums = []
             for lo, hi in _pieces(m):
-                # Uniforms drawn piece by piece continue the stream: the
-                # bits of one draw of m.
+                # the contract's order: the piece's normals, then its uniforms
+                step = rng.standard_normal(out=eps[:hi - lo])
                 log_u = np.log(rng.random(out=u[:hi - lo]), out=u[:hi - lo])
-                step = eps[lo:hi]
                 (y, lp_y), xi = proposal[:, :hi - lo], accept[:hi - lo]
                 # y is not read here, so the log ratio goes over it
                 metropolis_step(x, lp_x, scale, step, log_u, target, (y, lp_y, y, xi))

@@ -20,7 +20,6 @@ import contextlib
 import itertools
 import math
 import os
-import statistics
 import sys
 from dataclasses import dataclass, fields
 
@@ -557,6 +556,15 @@ def load_csv(source):
     return rows
 
 
+def _median(values):
+    """statistics.median of a nonempty iterable, without importing it (and
+    decimal and fractions with it): the middle value, or the mean of the
+    two middle ones."""
+    values = sorted(values)
+    half = len(values) // 2
+    return values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
+
+
 def print_summary(rows, file=None) -> None:
     """Human-readable per-cell medians, flagging the best p per group.
 
@@ -586,9 +594,9 @@ def print_summary(rows, file=None) -> None:
             "group": group,
             "arm": arm,
             "p": cell_rows[0].p,
-            "d": statistics.median(r.d for r in cell_rows),
-            "p_value": statistics.median(r.p_value for r in cell_rows),
-            "tail": statistics.median((r.theta_t_mean if sde else r.esjd) for r in cell_rows),
+            "d": _median(r.d for r in cell_rows),
+            "p_value": _median(r.p_value for r in cell_rows),
+            "tail": _median((r.theta_t_mean if sde else r.esjd) for r in cell_rows),
         })
     best = {}
     for entry in summary:

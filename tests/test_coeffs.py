@@ -152,9 +152,22 @@ def test_every_public_name_resolves():
     exec("from amcmc_lab import *", {})
 
 
-def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
+def v2_draws(rng, m):
+    """A batch's normals and uniforms under coefficient contract v2: each
+    of its pieces, in order, draws its normals and then its uniforms."""
+    draws = [(rng.standard_normal(hi - lo), rng.random(hi - lo)) for lo, hi in _pieces(m)]
+    return tuple(map(np.concatenate, zip(*draws)))
+
+
+def v1_draws(rng, m):
+    """The same under contract v1: all of the batch's normals first."""
+    return rng.standard_normal(m), rng.random(m)
+
+
+def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draw=v2_draws):
     """The rows of simulate_moments by its plain estimator: whole-batch
-    arrays of each kind's values, summed batch by batch."""
+    arrays of each kind's values, summed batch by batch, the batch's
+    normals and uniforms drawn whole in the order draw gives."""
     p_n = embedded_benchmark(point.p, n)
     x, theta, target = point.x, point.theta, point.target
     sqrt_n = math.sqrt(n)
@@ -164,8 +177,8 @@ def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
         for batch, start in enumerate(range(0, n_draws, _BATCH)):
             m = min(_BATCH, n_draws - start)
             rng = stream_rng(seed, batch)
-            eps = rng.standard_normal(m)
-            log_u = np.log(rng.random(m))
+            eps, u = draw(rng, m)
+            log_u = np.log(u)
             xi = np.empty(m, bool)
             metropolis_step(x, lp_x, theta / sqrt_n, eps, log_u, target,
                             (*np.empty((3, m)), xi))
@@ -233,6 +246,19 @@ def test_rows_match_the_plain_estimator_bit_for_bit(point, n, n_draws):
     for kinds in [(kind,) for kind in COEFF_KINDS] + [("B1", "A11", "A22", "A12")]:
         got = bits(simulate_moments(point, n, n_draws, 41, kinds))
         assert got == {kind: expected[kind] for kind in kinds}
+
+
+@pytest.mark.parametrize("n_draws, v1_agrees", [(2_000, True), (_SLICE + 8, False),
+                                                (ORACLE_DRAWS, False)])
+def test_only_a_batch_of_several_pieces_tells_the_draw_orders_apart(n_draws, v1_agrees):
+    # v2 draws each piece's normals and then its uniforms; v1 drew all of a
+    # batch's normals first.  A one-piece batch (the 2000 draws of every
+    # coeff-* golden pin but coeff-cauchy-batches) reads the same stream in
+    # both orders, and a batch of several pieces does not.
+    point, n = ORACLE_CELLS["cauchy"]
+    got = bits(simulate_moments(point, n, n_draws, 41))
+    assert got == bits(plain_moments(point, n, n_draws, 41))
+    assert (got == bits(plain_moments(point, n, n_draws, 41, draw=v1_draws))) == v1_agrees
 
 
 def awkward_values(rng, m):
@@ -374,18 +400,27 @@ def test_an_overflow_in_either_thread_ends_in_one_clean_error():
             simulate_moments(point, 100, 2 * _BATCH, 53, ("B1",))
 
 
-def test_simulate_moments_memory_is_two_buffer_sets():
-    # each thread holds the normals of one batch, 8 bytes a draw, and
-    # piece-sized buffers; whole-batch normals, uniforms and accept mask,
-    # 17 bytes a draw, peaked at 17.8 MiB here, and the whole-array
-    # estimator at 37 MiB
+def traced_peak(n_draws):
     tracemalloc.start()
     try:
-        simulate_moments(POINT, 10_000, 2_000_000, 47, ("B1", "A11", "A22", "A12"))
-        peak = tracemalloc.get_traced_memory()[1]
+        simulate_moments(POINT, 10_000, n_draws, 47, ("B1", "A11", "A22", "A12"))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * _BATCH + (3 << 20)
+
+
+def test_simulate_moments_memory_is_two_buffer_sets():
+    # each thread holds one set of piece-sized buffers, whatever the batch
+    # size or the number of draws; a thread that held one batch's normals,
+    # 8 bytes a draw, peaked at 10.1 MiB here, and the whole-array
+    # estimator at 37 MiB
+    simulate_moments(POINT, 10_000, 2_000, 47, ("B1",))  # imports the helper's pool
+    peak = traced_peak(2_000_000)
+    assert peak <= 3 << 20
+    # 4 times the draws peak no higher but for the sums of 12 more units, a
+    # few hundred bytes each; while a unit's piece sums lived on in a
+    # reference cycle until the garbage collector ran, this read +84 KiB
+    assert traced_peak(8_000_000) <= peak + (32 << 10)
 
 
 def per_budget_calls(point, n, n_draws, seed, kinds, draws_of):

@@ -365,6 +365,37 @@ def test_print_summary_flags_best_cell():
     assert len(flagged) == 1
 
 
+def summary_rows(replicates):
+    """Discrete rows of two adaptive cells and a fixed-scale one; the first
+    cell's median p-value is the higher at 3 replicates and the lower at 4."""
+    values = {0.25: ([0.3, 0.1, 0.2, 0.4], [0.5, 0.125, 0.25, 0.0625], [1.0, 3.0, 2.0, 4.0]),
+              0.5: ([0.2] * 4, [0.2] * 4, [1.5] * 4),
+              None: ([0.7] * 4, [1e-20] * 4, [0.5] * 4)}
+    return [DiscreteRow("normal", "discrete", "standard" if p is None else "adaptive", 1.0,
+                        p, 0, r, d[r], p_value[r], esjd[r])
+            for p, (d, p_value, esjd) in values.items() for r in range(replicates)]
+
+
+SUMMARY_HEADER = ("    theta0        p       arm     D(med)  p_value(med)     esjd(med) "
+                  "best_in_group\n")
+
+
+@pytest.mark.parametrize("replicates, lines", [
+    # the middle value
+    (3, ["         1     0.25  adaptive     0.2000          0.25        2.0000             1",
+         "         1      0.5  adaptive     0.2000           0.2        1.5000             0",
+         "         1           standard     0.7000      <2.2e-16        0.5000             0"]),
+    # the mean of the two middle ones, as statistics.median gives
+    (4, ["         1     0.25  adaptive     0.2500        0.1875        2.5000             0",
+         "         1      0.5  adaptive     0.2000           0.2        1.5000             1",
+         "         1           standard     0.7000      <2.2e-16        0.5000             0"]),
+])
+def test_print_summary_medians_at_odd_and_even_replicate_counts(replicates, lines):
+    buffer = io.StringIO()
+    print_summary(summary_rows(replicates), file=buffer)
+    assert buffer.getvalue() == SUMMARY_HEADER + "".join(line + "\n" for line in lines)
+
+
 def test_discrete_chain_past_the_memory_cap_is_refused_before_any_work(monkeypatch, capsys):
     # the jobs are built, not run: a chain that records cap/8 positions past
     # the spec's burn-in of 50 is accepted and one step more is refused, and
@@ -520,6 +551,26 @@ def test_cli_coeff_summary(capsys):
     assert "estimate" in out and "B1" in out
 
 
+def fresh_python(code, *argv):
+    """Run code in a fresh interpreter on this checkout's package, so that
+    nothing this test process imported counts."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_statistics_module():
+    # print_summary takes its medians without the statistics module, which
+    # would load decimal and fractions with it
+    modules = ("statistics", "_statistics", "decimal", "_decimal", "fractions")
+    run = fresh_python(f"import sys, amcmc_lab.cli; "
+                       f"print(*[m for m in {modules!r} if m in sys.modules])")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "\n"
+
+
 _EXECUTOR_MODULES = ("concurrent.futures", "concurrent.futures.thread",
                      "concurrent.futures.process", "multiprocessing", "logging")
 
@@ -548,12 +599,7 @@ if sys.argv[1:]:
       "--n", "100", "--draws", "1000"], True),
 ], ids=["import", "discrete", "sde", "coeff"])
 def test_cli_loads_an_executor_only_where_a_run_opens_one(argv, helper):
-    # a fresh interpreter, so that nothing this test process imported counts
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = fresh_python(_FOOTPRINT, *argv)
     assert run.returncode == 0, run.stderr
     lines = run.stderr.splitlines()
     assert lines[0] == ""  # importing the CLI loads no executor
@@ -803,13 +849,52 @@ def test_cli_destination_without_a_directory_is_refused_before_any_work(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-def test_cli_failed_dump_leaves_out_as_it_was(tmp_path, capsys):
-    # the dump's destination is a directory, so its rename fails after the
-    # grid has run: the error names the destination, not its temp file,
-    # and --out keeps its previous bytes
+@pytest.mark.parametrize("mode,flag,path", [
+    ("discrete", "--out", ""),
+    ("discrete", "--out", "./"),
+    ("discrete", "--out", "."),
+    ("discrete", "--out", "dir"),
+    ("sde", "--out", "dir/"),
+    ("discrete", "--dump-trajectory", ""),
+    ("discrete", "--dump-trajectory", "dir"),
+    ("sde", "--dump-terminal", ""),
+    ("sde", "--dump-terminal", "./"),
+])
+def test_cli_destination_that_names_no_file_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, mode, flag, path):
+    # an empty path, one that ends in a separator, or a directory would run
+    # the whole grid and only then fail; "" made its temp file in the
+    # parent of the working directory
+    monkeypatch.setattr(experiments, f"_{mode}_block", _no_work)
+    work = tmp_path / "work"
+    (work / "dir").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    grid = {"discrete": ["--theta0", "1", "--p", "0.25", "--n-samples", "200",
+                         "--burn-in", "10"],
+            "sde": ["--h", "0.01", "--p", "1", "--arm", "adaptive", "--paths", "5"]}
+    destinations = [flag, path] if flag == "--out" else ["--out", "rows.csv", flag, path]
+    assert main([mode, "--target", "normal", *grid[mode], "--replicates", "1",
+                 *destinations]) == 1
+    assert capsys.readouterr().err == f"error: {flag} {path!r}: names no file to write\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert [p.name for p in work.iterdir()] == ["dir"]
+    assert not any((work / "dir").iterdir())
+
+
+def test_cli_failed_dump_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    # the dump's destination becomes a directory while the grid runs (one
+    # that is a directory already is refused before it), so its rename
+    # fails after the grid has run: the error names the destination, not
+    # its temp file, and --out keeps its previous bytes
     out, dump = tmp_path / "rows.csv", tmp_path / "dump"
     out.write_bytes(b"previous\n")
-    dump.mkdir()
+
+    def run_then_mkdir(spec):
+        rows = experiments.run_experiment(spec)
+        dump.mkdir()
+        return rows
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_mkdir)
     assert main(["discrete", "--target", "normal", "--theta0", "1", "--p", "0.25",
                  "--n-samples", "200", "--burn-in", "10", "--replicates", "1",
                  "--out", str(out), "--dump-trajectory", str(dump)]) == 1

@@ -7,8 +7,13 @@ log-density bit or a CSV field shows up here as a different sha256.  Their
 batch and a partial one of uneven pieces, was added, taken while each
 batch was still summed as one whole array.
 
-Two stream-contract changes regenerated the rest, each declared in
+Three stream-contract changes regenerated the rest, each declared in
 CHANGES.md:
+
+* coeff-cauchy-batches, with coefficient contract v2: each piece of a
+  batch draws its normals and then its uniforms, where v1 drew all of the
+  batch's normals first.  A one-piece batch draws in the same order under
+  both, so the other coeff-* digests held.
 
 * The five sde-* CLI digests, with the Euler ensembles' one-stream
   contract: an ensemble draws its increments step-major from
@@ -80,7 +85,7 @@ CLI_DIGESTS = {
     "coeff-cauchy":
         "0e48898e13b4ce6fc317c633e07be5956e4e68cdb6adb253b3de99bec77c5ff4",
     "coeff-cauchy-batches":
-        "2ef827d4e02a307ce1eb4e4950c395bac622e37797187c00b570dc2b7265f751",
+        "2c4f356e0b62a3c13f9e2a4bac11f38fbd9cef10b43adeaccca5a87540020fed",
     "coeff-exp":
         "2d1b2415f855d41532742ec334394be89c27080e5d6be7886d0ef028eb7a6bcd",
     "coeff-normal":
