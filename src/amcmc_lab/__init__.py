@@ -32,9 +32,7 @@ from .experiments import (
 from .sde import (
     EnsembleResult,
     EulerConfig,
-    SdeState,
     drift,
-    euler_step,
     run_ensemble,
     run_ensembles,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "ExperimentSpec",
     "RunSummary",
     "SdeRow",
-    "SdeState",
     "TARGET_KINDS",
     "TargetModel",
     "amcmc_step",
@@ -64,7 +61,6 @@ __all__ = [
     "drift",
     "emit_csv",
     "esjd",
-    "euler_step",
     "ks_pvalue",
     "ks_statistic",
     "limit_coefficient",

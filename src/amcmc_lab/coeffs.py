@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import metropolis_step
-from .sde import SdeState, drift
+from .sde import drift
 from .seeding import Helper, stream_rng
 from .targets import TargetModel
 
@@ -286,6 +286,6 @@ def limit_coefficient(kind: str, point: EvalPoint) -> float:
         return theta * theta
     if kind not in ("B1", "B2"):
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    b_x, b_theta = drift(point.target, SdeState(point.x, theta), point.p)
+    b_x, b_theta = drift(point.target, (point.x, theta), point.p)
     return float(b_x if kind == "B1" else b_theta)
 

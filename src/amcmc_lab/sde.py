@@ -17,15 +17,15 @@ previous position when a step would exit the support.
 run_ensembles steps ensembles that share a mesh as one array, EULER_CHUNK
 steps at a time, while a seeding.Helper thread draws the normals of the
 next chunk: the calling thread's wall time is the stepping plus the draws
-the helper has not taken.  Its step gives euler_step's bits path by path,
-writes into arrays allocated once per call, and folds the exponential's
-constant score away (see run_ensembles).
+the helper has not taken.  Its step gives, path by path, the bits of the
+one-step oracle euler_step in tests/test_sde.py, writes into arrays
+allocated once per call, and folds the exponential's constant score away
+(see run_ensembles).
 """
 
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +36,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
 BOUNDARY_MODES = ("reflect", "hold")
 EULER_CHUNK = 32  # steps of draws per buffer (run_ensembles keeps two) and per unit of work
-
-
-class SdeState(NamedTuple):
-    x: float
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -100,44 +95,14 @@ class EnsembleResult:
         return float(self.theta_t_all.mean())
 
 
-def drift(target: TargetModel, state: SdeState, p: float):
-    """Drift components (b_x, b_theta) of the coupled dynamics at a state."""
-    s = target.score(state.x)
-    theta = state.theta
+def drift(target: TargetModel, state, p: float):
+    """Drift components (b_x, b_theta) of the coupled dynamics at a state,
+    any (x, theta) pair."""
+    x, theta = state
+    s = target.score(x)
     b_x = 0.5 * theta * theta * s
     b_theta = theta * (p - theta * np.abs(s) / SQRT_2PI)
     return b_x, b_theta
-
-
-def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> SdeState:
-    """One Euler update; `state` fields and `z` may be scalars or arrays.
-
-    The theta update is noiseless.  If it lands at or below zero it is
-    clamped to THETA_FLOOR; the true dynamics keep theta positive, so a
-    clamp means the mesh is too coarse for the chosen p.
-    """
-    h = config.h
-    sqrt_h = math.sqrt(h)
-    s = target.score(state.x)
-    if config.p is not None:
-        theta = state.theta
-        x_new = state.x + h * 0.5 * theta * theta * s + sqrt_h * theta * z
-        theta_raw = theta + h * theta * (config.p - theta * np.abs(s) / SQRT_2PI)
-        theta_new = np.where(theta_raw <= 0.0, THETA_FLOOR, theta_raw)
-    else:
-        theta0 = config.theta0
-        x_new = state.x + h * 0.5 * theta0 * theta0 * s + sqrt_h * theta0 * z
-        theta_new = state.theta
-
-    if target.boundary_policy == "reflect_at_zero":
-        if config.boundary_mode == "reflect":
-            x_new = np.abs(x_new)
-        else:
-            x_new = np.where(x_new >= 0.0, x_new, state.x)
-
-    if np.ndim(x_new) == 0:
-        return SdeState(float(x_new), float(theta_new))
-    return SdeState(np.asarray(x_new, float), np.asarray(theta_new, float))
 
 
 def run_ensemble(target: TargetModel, config: EulerConfig) -> EnsembleResult:
@@ -163,19 +128,19 @@ def run_ensembles(target: TargetModel, configs) -> list:
     seeding.Helper.  An ensemble's chunk is drawn by one thread, after its
     previous chunk, so chunked draws give the bits of one whole
     (n_steps, n_paths) draw whichever thread makes them and whatever the
-    chunk size.  Every path takes the float operations of ``euler_step``
-    in the same order, so each result is identical however the ensembles
-    are grouped or scheduled.  The one difference is exp's constant score
-    s = -1: its step runs x - ds where ``euler_step`` runs x + ds * s
-    (ds = h/2 theta^2), and theta / sqrt(2 pi) where it runs
-    theta * |s| / sqrt(2 pi).  Multiplying by -1 or by 1 is exact and
-    x - ds is x + (-ds) in IEEE arithmetic, so the bits are the same.  The
-    step writes the score and its other intermediates into arrays allocated
-    once per call; only a cauchy or t2 score takes a temporary, its
-    denominator.  Memory is bounded by the chunk, not by the horizon.
-    Returns one EnsembleResult per config, in the order given.  An exp
-    ensemble whose x0 is off the support raises ValueError before any
-    draw.
+    chunk size.  Every path takes the float operations of the test oracle
+    ``tests/test_sde.py::euler_step`` in the same order, so each result is
+    identical however the ensembles are grouped or scheduled.  The one
+    difference is exp's constant score s = -1: its step runs x - ds where
+    the oracle runs x + ds * s (ds = h/2 theta^2), and theta / sqrt(2 pi)
+    where it runs theta * |s| / sqrt(2 pi).  Multiplying by -1 or by 1 is
+    exact and x - ds is x + (-ds) in IEEE arithmetic, so the bits are the
+    same.  The step writes the score and its other intermediates into
+    arrays allocated once per call; only a cauchy or t2 score takes a
+    temporary, its denominator.  Memory is bounded by the chunk, not by
+    the horizon.  Returns one EnsembleResult per config, in the order
+    given.  An exp ensemble whose x0 is off the support raises ValueError
+    before any draw.
     """
     configs = list(configs)
     if not configs:
@@ -242,7 +207,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
                 finish = helper.share(partial(draw, k + 1), range(len(configs)))
             for j in range(m):
                 # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
-                # euler_step evaluates it, so every path gets the same bits.
+                # the test oracle tests/test_sde.py::euler_step evaluates it, so
+                # every path gets the same bits.
                 # Each is a ufunc call with its out passed by position: an
                 # augmented assignment (a *= b) costs about twice the overhead.
                 if a:

@@ -14,9 +14,7 @@ from amcmc_lab import (
     AdaptiveConfig,
     EulerConfig,
     EvalPoint,
-    SdeState,
     drift,
-    euler_step,
     ks_pvalue,
     ks_statistic,
     limit_coefficient,
@@ -30,6 +28,8 @@ from amcmc_lab.coeffs import COEFF_KINDS, simulate_moments
 from amcmc_lab.sde import SQRT_2PI
 from amcmc_lab.seeding import child_seed, stream_rng
 from amcmc_lab.stats import chain_summary
+
+from test_sde import SdeState, euler_step
 
 SEEDS_11 = tuple(range(11))
 SEEDS_10 = tuple(range(10))

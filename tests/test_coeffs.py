@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import amcmc_lab.coeffs
+import amcmc_lab.sde
 from amcmc_lab import EvalPoint, limit_coefficient, make_target
 from amcmc_lab.chains import metropolis_step
 from amcmc_lab.coeffs import (
@@ -150,6 +151,21 @@ def test_exponential_target_point():
 def test_every_public_name_resolves():
     # a star import looks up every name in __all__: a stale one is an AttributeError
     exec("from amcmc_lab import *", {})
+
+
+def test_public_surface_is_pinned():
+    # a name joins or leaves the package on purpose; the one-step Euler
+    # oracle (SdeState, euler_step) lives in tests/test_sde.py, not here
+    assert set(amcmc_lab.__all__) == {
+        "AdaptiveConfig", "ChainState", "ChainTrajectory", "CoeffRow", "COEFF_KINDS",
+        "DiscreteRow", "EnsembleResult", "EulerConfig", "EvalPoint", "ExperimentSpec",
+        "RunSummary", "SdeRow", "TARGET_KINDS", "TargetModel", "amcmc_step",
+        "chain_summary", "drift", "emit_csv", "esjd", "ks_pvalue", "ks_statistic",
+        "limit_coefficient", "load_csv", "make_target", "print_summary", "run_amcmc",
+        "run_ensemble", "run_ensembles", "run_experiment", "run_smcmc", "__version__",
+    }
+    assert not hasattr(amcmc_lab.sde, "euler_step")
+    assert not hasattr(amcmc_lab.sde, "SdeState")
 
 
 def v2_draws(rng, m):

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ import amcmc_lab.sde
 from amcmc_lab import (
     TARGET_KINDS,
     EulerConfig,
-    SdeState,
+    TargetModel,
     drift,
-    euler_step,
     ks_pvalue,
     ks_statistic,
     make_target,
@@ -56,38 +56,14 @@ def test_drift_outside_support_errors():
         drift(EXP, SdeState(-1.0, 1.0), p=0.5)
 
 
-def test_euler_step_zero_noise_zero_score():
-    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
-    new = euler_step(NORMAL, SdeState(0.0, 1.0), config, z=0.0)
-    assert new.x == 0.0
-    assert new.theta == pytest.approx(1.005, abs=1e-15)
-
-
-def test_euler_step_fixed_scale():
-    config = EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0)
-    new = euler_step(NORMAL, SdeState(1.0, 1.0), config, z=1.0)
-    assert new.x == pytest.approx(1.0 - 0.005 + 0.1, abs=1e-15)
-    assert new.theta == 1.0
-
-
-def test_euler_step_reflects_exponential_target():
-    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
-    new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
-    # raw move 0.05 - 0.005 - 0.1 = -0.055 is reflected across zero
-    assert new.x == pytest.approx(0.055, abs=1e-15)
-
-
-def test_euler_step_hold_boundary_mode():
-    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0,
-                         boundary_mode="hold")
-    new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
-    assert new.x == 0.05
-
-
-def test_euler_step_clamps_scale_at_floor():
-    config = EulerConfig(h=0.5, horizon_t=1.0, p=0.001, theta0=100.0)
-    new = euler_step(NORMAL, SdeState(3.0, 100.0), config, z=0.0)
-    assert new.theta == THETA_FLOOR
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_drift_takes_any_x_theta_pair(kind):
+    # a plain tuple, the oracle's SdeState and a pair of 0-d arrays give the
+    # same bits: coeffs.limit_coefficient passes a plain tuple
+    target, x, theta = make_target(kind), 0.7, 1.3
+    pairs = [(x, theta), SdeState(x, theta), (np.array(x), np.array(theta))]
+    bits = [np.array(drift(target, pair, p=0.4), float).tobytes() for pair in pairs]
+    assert bits[0] == bits[1] == bits[2]
 
 
 def test_one_step_moment_consistency():
@@ -264,6 +240,78 @@ def test_euler_config_refuses_a_horizon_between_mesh_points():
         EulerConfig(h=0.3, horizon_t=1.0, p=1.0, theta0=1.0)
     assert str(raised.value) == ("horizon_t=1.0 is not a whole number of steps of h=0.3: "
                                  "n_steps=4 would reach T=1.2")
+
+
+class SdeState(NamedTuple):
+    x: float
+    theta: float
+
+
+def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> SdeState:
+    """One Euler update; `state` fields and `z` may be scalars or arrays.
+
+    The bit-for-bit oracle of run_ensembles' step, written as plain
+    expressions.  The theta update is noiseless.  If it lands at or below
+    zero it is clamped to THETA_FLOOR; the true dynamics keep theta
+    positive, so a clamp means the mesh is too coarse for the chosen p.
+    """
+    h = config.h
+    sqrt_h = math.sqrt(h)
+    s = target.score(state.x)
+    if config.p is not None:
+        theta = state.theta
+        x_new = state.x + h * 0.5 * theta * theta * s + sqrt_h * theta * z
+        theta_raw = theta + h * theta * (config.p - theta * np.abs(s) / SQRT_2PI)
+        theta_new = np.where(theta_raw <= 0.0, THETA_FLOOR, theta_raw)
+    else:
+        theta0 = config.theta0
+        x_new = state.x + h * 0.5 * theta0 * theta0 * s + sqrt_h * theta0 * z
+        theta_new = state.theta
+
+    if target.boundary_policy == "reflect_at_zero":
+        if config.boundary_mode == "reflect":
+            x_new = np.abs(x_new)
+        else:
+            x_new = np.where(x_new >= 0.0, x_new, state.x)
+
+    if np.ndim(x_new) == 0:
+        return SdeState(float(x_new), float(theta_new))
+    return SdeState(np.asarray(x_new, float), np.asarray(theta_new, float))
+
+
+# The oracle's own anchors: single steps worked out by hand.
+def test_euler_step_zero_noise_zero_score():
+    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
+    new = euler_step(NORMAL, SdeState(0.0, 1.0), config, z=0.0)
+    assert new.x == 0.0
+    assert new.theta == pytest.approx(1.005, abs=1e-15)
+
+
+def test_euler_step_fixed_scale():
+    config = EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0)
+    new = euler_step(NORMAL, SdeState(1.0, 1.0), config, z=1.0)
+    assert new.x == pytest.approx(1.0 - 0.005 + 0.1, abs=1e-15)
+    assert new.theta == 1.0
+
+
+def test_euler_step_reflects_exponential_target():
+    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
+    new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
+    # raw move 0.05 - 0.005 - 0.1 = -0.055 is reflected across zero
+    assert new.x == pytest.approx(0.055, abs=1e-15)
+
+
+def test_euler_step_hold_boundary_mode():
+    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0,
+                         boundary_mode="hold")
+    new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
+    assert new.x == 0.05
+
+
+def test_euler_step_clamps_scale_at_floor():
+    config = EulerConfig(h=0.5, horizon_t=1.0, p=0.001, theta0=100.0)
+    new = euler_step(NORMAL, SdeState(3.0, 100.0), config, z=0.0)
+    assert new.theta == THETA_FLOOR
 
 
 def whole_matrix_oracle(target, config):
