@@ -8,9 +8,7 @@ compare the adaptive and fixed-scale samplers.
 
 from .chains import (
     AdaptiveConfig,
-    ChainState,
     ChainTrajectory,
-    amcmc_step,
     run_amcmc,
     run_smcmc,
 )
@@ -43,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveConfig",
-    "ChainState",
     "ChainTrajectory",
     "CoeffRow",
     "COEFF_KINDS",
@@ -56,7 +53,6 @@ __all__ = [
     "SdeRow",
     "TARGET_KINDS",
     "TargetModel",
-    "amcmc_step",
     "chain_summary",
     "drift",
     "emit_csv",

@@ -7,35 +7,25 @@ min{1, psi(Y)/psi(x)}, and then retunes the proposal scale through
 
 where xi_n is the acceptance indicator and p the benchmark acceptance
 level.  Every config spells the standard chain p = None: its theta stays
-at theta0.  Two algebraically equivalent formulations are provided (propose
-then accept, or draw the Bernoulli indicator first); both take one normal
-and one uniform draw per step from the chain's two streams, so
-trajectories under a shared seed coincide exactly, not just in
-distribution.  Chains run in lockstep batches through one array step,
-metropolis_step; amcmc_step is its scalar oracle.  run_chains takes a
-batch as AdaptiveConfigs, which check every run parameter, and
-run_amcmc and run_smcmc are its one-config case.
+at theta0.  Each step takes one normal and one uniform draw from the
+chain's two streams.  Chains run in lockstep batches through one array
+step, metropolis_step.  run_chains takes a batch as AdaptiveConfigs, which
+check every run parameter, and run_amcmc and run_smcmc are its one-config
+case.  The scalar oracle of a step, under both of the chain's
+algebraically equivalent formulations (propose then accept, or draw the
+Bernoulli indicator first), is tests/test_chains.py::amcmc_step.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import stream_rng
 from .targets import TargetModel
 
-FORMULATIONS = ("propose_then_accept", "bernoulli_first")
 STEP_CHUNK = 512  # steps of draws run_chains reads from each of its streams at a time
-
-
-class ChainState(NamedTuple):
-    x: float
-    theta: float
-    xi: int
-    step: int
 
 
 @dataclass(frozen=True)
@@ -48,7 +38,6 @@ class AdaptiveConfig:
     x0: float = 0.0
     burn_in: int = 0
     seed: int = 0
-    formulation: str = "propose_then_accept"
 
     def __post_init__(self):
         if self.p is not None and not 0.0 < self.p < 1.0:
@@ -61,8 +50,6 @@ class AdaptiveConfig:
             raise ValueError("n_samples must be at least 1")
         if not 0 <= self.burn_in < self.n_samples:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_samples")
-        if self.formulation not in FORMULATIONS:
-            raise ValueError(f"formulation must be one of {FORMULATIONS}")
 
 
 @dataclass
@@ -77,46 +64,10 @@ class ChainTrajectory:
     def __len__(self) -> int:
         return len(self.x)
 
-    @property
-    def acceptance_count(self) -> int:
-        return int(self.xi.sum())
-
-    def state(self, i: int) -> ChainState:
-        return ChainState(float(self.x[i]), float(self.theta[i]), int(self.xi[i]), i + 1)
-
 
 def chain_streams(seed: int):
     """Chain `seed`'s streams of standard normals and of uniforms, one of each per step."""
     return stream_rng(seed, 0), stream_rng(seed, 1)
-
-
-def amcmc_step(state: ChainState, config: AdaptiveConfig, target: TargetModel,
-               streams) -> ChainState:
-    """Advance the chain one step, drawing one standard normal and one
-    uniform from ``streams`` (a chain_streams pair) under either
-    formulation.  The proposal scale is the incoming state's theta; the
-    returned state carries the retuned theta for iteration n = step + 1,
-    or the same theta when config.p is None.
-    """
-    normals, uniforms = streams
-    eps = normals.standard_normal()
-    u = uniforms.random()
-    log_u = float(np.log(u)) if u > 0.0 else -math.inf
-    n = state.step + 1
-    theta = state.theta
-
-    # u < min(1, ratio) in log space; an off-support proposal has
-    # log_ratio = -inf and is always rejected.
-    y = state.x + theta * eps
-    xi = 1 if log_u < target.log_density(y) - target.log_density(state.x) else 0
-    if config.formulation == "propose_then_accept":
-        x_new = y if xi else state.x
-    else:
-        x_new = state.x + theta * (xi * eps)
-
-    if config.p is not None:
-        theta = float(theta * np.exp((xi - config.p) / math.sqrt(n)))
-    return ChainState(x_new, theta, xi, n)
 
 
 def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel, out):
@@ -149,10 +100,9 @@ def run_chains(target: TargetModel, configs, x_only: bool = False) -> list:
 
     The configs must agree on n_samples, x0 and burn_in; each brings its
     seed, theta0 and benchmark p.  Step i proposes with scale theta and
-    retunes theta by exp((xi - p)/sqrt(i + 1)), unless p is None.  Every
-    chain runs propose-then-accept, whatever its formulation.  A chain's
-    float operations are amcmc_step's and its own, so its bits do not
-    depend on the batch.  With x_only, theta and xi are not recorded
+    retunes theta by exp((xi - p)/sqrt(i + 1)), unless p is None.  A
+    chain's float operations are its own, so its bits do not depend on the
+    batch.  With x_only, theta and xi are not recorded
     (None), and x is recorded from step burn_in on: entry i of a
     trajectory is then step burn_in + i.  A full record starts at step 0.
 
@@ -228,20 +178,8 @@ def run_chains(target: TargetModel, configs, x_only: bool = False) -> list:
 
 
 def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
-    """Chain of a config, adaptive or (p None) fixed-scale: n_samples steps.
-
-    The propose-then-accept formulation is run_chains' one-chain case; the
-    Bernoulli-first one steps through amcmc_step, so the two remain
-    independent implementations of the same chain.
-    """
-    if config.formulation == "propose_then_accept":
-        return run_chains(target, [config])[0]
-    streams = chain_streams(config.seed)
-    states = [ChainState(config.x0, config.theta0, 0, 0)]
-    for _ in range(config.n_samples):
-        states.append(amcmc_step(states[-1], config, target, streams))
-    x, theta, xi, _ = zip(*states[1:])
-    return ChainTrajectory(x=np.array(x), theta=np.array(theta), xi=np.array(xi, np.int8))
+    """Chain of a config, adaptive or (p None) fixed-scale: n_samples steps."""
+    return run_chains(target, [config])[0]
 
 
 def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:

@@ -152,11 +152,9 @@ def _check_destinations(args) -> None:
 def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
     trajectory = run_amcmc(job.config, make_target(job.target))
-    lines = ["step,x,theta,xi"]
-    for i in range(len(trajectory)):
-        state = trajectory.state(i)
-        lines.append(f"{state.step},{state.x!r},{state.theta!r},{state.xi}")
-    write_lines(lines, destination)
+    rows = zip(trajectory.x.tolist(), trajectory.theta.tolist(), trajectory.xi.tolist())
+    lines = [f"{step},{x!r},{theta!r},{xi}" for step, (x, theta, xi) in enumerate(rows, 1)]
+    write_lines(["step,x,theta,xi"] + lines, destination)
 
 
 def _dump_terminal(job, destination: str) -> None:

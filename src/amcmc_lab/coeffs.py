@@ -34,12 +34,14 @@ bit for bit the sum of a whole-batch array of that kind's values, whoever
 shares the unit.  The calling thread and a seeding.Helper thread take a
 call's units one at a time until none is left; each holds one set of
 piece-sized buffers, so a call's draw memory is two pieces whatever its
-number of draws.
+number of draws, and a unit's sums are folded into the kinds' totals as
+soon as every earlier unit's are.
 """
 
 import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +186,9 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     numpy's pairwise split, so the rows are those of summing whole-batch
     arrays.  The calling thread and a seeding.Helper thread each take the
     next unit until none is left, and each kind adds its unit sums in
-    batch order, so no bit depends on which thread ran a unit.  An unknown
+    batch order, so no bit depends on which thread ran a unit.  A unit's
+    sums are added once every earlier unit's are, so a finished unit waits
+    only for one still running, whatever the number of units.  An unknown
     kind, or fewer than _MIN_DRAWS draws for a kind, is refused before any
     draw.  A row whose estimate, standard error or limit is not finite
     raises ValueError.
@@ -209,13 +213,28 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     d0, d1 = theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)
     piece = min(_SLICE, max(draws, default=0))
 
+    # each kind adds its unit sums in batch order, which is the units'
+    # order: not sum(), whose compensation would change the bits.  A unit
+    # done before an earlier one waits in done until that one is in.
+    totals = np.zeros((2, len(kinds)))
+    done, lock = {}, threading.Lock()
+    folded = 0  # the units folded into totals
+
+    def fold(index, readers, unit_sums):
+        nonlocal folded
+        with lock:
+            done[index] = readers, unit_sums
+            while folded in done:
+                readers, unit_sums = done.pop(folded)
+                totals[:, readers] += unit_sums
+                folded += 1
+
     def run(pending):
-        """The (2, readers) sums and sums of squares of each unit this
-        thread takes, with its readers, by (batch, length)."""
-        sums = {}
-        for batch, m, readers in pending:
+        """Step, sum and fold each unit this thread takes."""
+        eps = None
+        for index, (batch, m, readers) in pending:
             rng = stream_rng(seed, batch)
-            if not sums:  # this thread's one buffer set
+            if eps is None:  # this thread's one buffer set
                 eps, u, values = np.empty(piece), np.empty(piece), np.empty((len(kinds), piece))
                 proposal, accept = np.empty((2, piece)), np.empty(piece, bool)
             factors = [_FACTORS[kinds[i]] for i in readers]
@@ -244,18 +263,10 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 rows.sum(axis=1, out=piece_sum[0])
                 np.square(rows, out=rows).sum(axis=1, out=piece_sum[1])
                 piece_sums.append(piece_sum)
-            sums[batch, m] = list(readers), _fold(piece_sums, m)
-        return sums
+            fold(index, list(readers), _fold(piece_sums, m))
 
     with Helper() as helper:
-        sums, theirs = helper.share(run, _units(draws))()
-    sums.update(theirs)
-    # each kind reads one unit a batch: in batch order, unit by unit; not
-    # sum(), whose compensation would change the bits
-    totals = np.zeros((2, len(kinds)))
-    for unit in sorted(sums):
-        readers, unit_sums = sums[unit]
-        totals[:, readers] += unit_sums
+        helper.share(run, enumerate(_units(draws)))()
 
     rows = {}
     for kind, count, total, total_sq in zip(kinds, draws, *totals.tolist()):

@@ -29,6 +29,7 @@ from amcmc_lab.sde import SQRT_2PI
 from amcmc_lab.seeding import child_seed, stream_rng
 from amcmc_lab.stats import chain_summary
 
+from test_chains import oracle_chain
 from test_sde import SdeState, euler_step
 
 SEEDS_11 = tuple(range(11))
@@ -277,8 +278,8 @@ def test_criterion_7_exactness_properties():
                       x0=x0,
                       n_samples=int(meta.integers(50, 300)),
                       seed=int(meta.integers(1 << 32)))
-        a = run_amcmc(AdaptiveConfig(formulation="propose_then_accept", **common), target)
-        b = run_amcmc(AdaptiveConfig(formulation="bernoulli_first", **common), target)
+        a = run_amcmc(AdaptiveConfig(**common), target)
+        b = oracle_chain(target, AdaptiveConfig(**common), bernoulli_first=True)
         if not (np.array_equal(a.x, b.x) and np.array_equal(a.theta, b.theta)
                 and np.array_equal(a.xi, b.xi)):
             problems.append(f"formulations diverge on config {i}")

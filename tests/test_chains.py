@@ -2,6 +2,7 @@ import functools
 import math
 import struct
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,79 +12,18 @@ from hypothesis import strategies as st
 from amcmc_lab import (
     TARGET_KINDS,
     AdaptiveConfig,
-    ChainState,
-    amcmc_step,
+    ChainTrajectory,
     make_target,
     run_amcmc,
     run_smcmc,
 )
-from amcmc_lab.chains import (FORMULATIONS, STEP_CHUNK, chain_streams, metropolis_step,
-                              run_chains)
+from amcmc_lab.chains import STEP_CHUNK, chain_streams, metropolis_step, run_chains
 from amcmc_lab.coeffs import EvalPoint, embedded_benchmark, simulate_moments
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
 
 
-class Scripted:
-    """Stand-in stream feeding predetermined draws, normal or uniform."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def standard_normal(self):
-        return next(self._values)
-
-    random = standard_normal
-
-
-def scripted_streams(normals, uniforms):
-    """A chain's normal and uniform streams, scripted for amcmc_step."""
-    return Scripted(normals), Scripted(uniforms)
-
-
 NORMAL = make_target("normal")
 T2 = make_target("t2")
-
-
-def test_accepted_step_updates_scale_and_position():
-    # tiny proposal from the mode is near-certain to be accepted
-    config = AdaptiveConfig(p=0.238, theta0=2.0, n_samples=10)
-    state = ChainState(x=0.0, theta=2.0, xi=0, step=3)
-    rng = scripted_streams([0.1], [0.5])
-    new = amcmc_step(state, config, NORMAL, rng)
-    assert new.xi == 1
-    assert new.x == pytest.approx(0.2)
-    assert new.step == 4
-    assert new.theta == pytest.approx(2.0 * math.exp((1 - 0.238) / 2.0), rel=1e-15)
-    assert new.theta == pytest.approx(2.9275, abs=1e-4)
-
-
-def test_rejected_step_shrinks_scale_only():
-    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
-    state = ChainState(x=0.0, theta=1.0, xi=1, step=99)
-    rng = scripted_streams([10.0], [0.9])  # ratio exp(-50) vs u = 0.9
-    new = amcmc_step(state, config, NORMAL, rng)
-    assert new.xi == 0
-    assert new.x == 0.0
-    assert new.theta == pytest.approx(math.exp(-0.05), rel=1e-15)
-
-
-def test_acceptance_probability_boundary():
-    # from the mode, proposing y = 1 is accepted with probability exp(-1/2)
-    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
-    state = ChainState(x=0.0, theta=1.0, xi=0, step=0)
-    threshold = math.exp(-0.5)
-    accepted = amcmc_step(state, config, NORMAL, scripted_streams([1.0], [threshold - 1e-12]))
-    rejected = amcmc_step(state, config, NORMAL, scripted_streams([1.0], [threshold + 1e-12]))
-    assert accepted.xi == 1
-    assert rejected.xi == 0
-
-
-def test_off_support_proposal_is_rejected():
-    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
-    state = ChainState(x=1.0, theta=1.0, xi=0, step=0)
-    new = amcmc_step(state, config, make_target("exp"), scripted_streams([-5.0], [1e-300]))
-    assert new.xi == 0
-    assert new.x == 1.0
 
 
 def test_run_amcmc_deterministic_and_sized():
@@ -94,25 +34,21 @@ def test_run_amcmc_deterministic_and_sized():
     assert np.array_equal(first.x, second.x)
     assert np.array_equal(first.theta, second.theta)
     assert np.array_equal(first.xi, second.xi)
-    assert first.acceptance_count == int(first.xi.sum())
 
 
 def test_single_step_run_equals_one_advanced_state():
     config = AdaptiveConfig(p=0.3, theta0=2.0, x0=0.7, n_samples=1, seed=9)
     trajectory = run_amcmc(config, NORMAL)
     manual = amcmc_step(ChainState(0.7, 2.0, 0, 0), config, NORMAL, chain_streams(9))
-    assert trajectory.state(0) == manual
+    assert ChainState(trajectory.x[0], trajectory.theta[0], trajectory.xi[0], 1) == manual
 
 
 def test_formulations_coincide_under_shared_seed():
-    base = AdaptiveConfig(p=0.35, theta0=0.8, x0=-1.0, n_samples=400, seed=77)
-    alt = AdaptiveConfig(p=0.35, theta0=0.8, x0=-1.0, n_samples=400, seed=77,
-                         formulation="bernoulli_first")
-    a = run_amcmc(base, NORMAL)
-    b = run_amcmc(alt, NORMAL)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.xi, b.xi)
+    # run_amcmc proposes and then accepts; the oracle draws the Bernoulli
+    # indicator first and moves by theta * (xi * eps)
+    config = AdaptiveConfig(p=0.35, theta0=0.8, x0=-1.0, n_samples=400, seed=77)
+    assert chain_bytes(run_amcmc(config, NORMAL)) == chain_bytes(
+        oracle_chain(NORMAL, config, bernoulli_first=True))
 
 
 def test_higher_benchmark_raises_acceptance_rate():
@@ -153,15 +89,12 @@ def test_smcmc_theta_constant_and_p_ignored():
     config = AdaptiveConfig(p=0.9, theta0=0.7, n_samples=300, seed=8)
     trajectory = run_smcmc(config, NORMAL)
     assert np.all(trajectory.theta == 0.7)
-    # p None is the fixed-scale spelling: run_amcmc of it, under either
-    # formulation, gives the bytes of run_smcmc at any p
-    for formulation in FORMULATIONS:
-        fixed = run_amcmc(replace(config, p=None, formulation=formulation), NORMAL)
+    # p None is the fixed-scale spelling: run_amcmc of it, and the oracle's
+    # Bernoulli-first run of it, give the bytes of run_smcmc at any p
+    fixed = replace(config, p=None)
+    for chain in (run_amcmc(fixed, NORMAL), oracle_chain(NORMAL, fixed, bernoulli_first=True)):
         for p in (None, 0.3, 0.9):
-            standard = run_smcmc(replace(config, p=p), NORMAL)
-            assert fixed.x.tobytes() == standard.x.tobytes()
-            assert fixed.theta.tobytes() == standard.theta.tobytes()
-            assert fixed.xi.tobytes() == standard.xi.tobytes()
+            assert chain_bytes(chain) == chain_bytes(run_smcmc(replace(config, p=p), NORMAL))
 
 
 def test_smcmc_small_scale_mixes_poorly():
@@ -316,32 +249,124 @@ def test_config_validation():
         AdaptiveConfig(p=0.5, theta0=math.nan, n_samples=10)
     with pytest.raises(ValueError, match="x0"):
         AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, x0=math.inf)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10, formulation="other")
     assert AdaptiveConfig(p=None, theta0=1.0, n_samples=10).p is None  # a fixed scale
 
 
-def test_trajectory_state_accessors():
-    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=5, seed=1)
-    trajectory = run_amcmc(config, NORMAL)
-    assert len(trajectory) == 5
-    state = trajectory.state(2)
-    assert (state.x, state.theta, state.xi) == (trajectory.x[2], trajectory.theta[2],
-                                                trajectory.xi[2])
-    assert state.step == 3
+class ChainState(NamedTuple):
+    x: float
+    theta: float
+    xi: int
+    step: int
 
 
-def oracle_chain(target, config):
-    """(x, theta, xi) bytes of a config's chain from its x0: amcmc_step,
-    stepped by hand n_samples times on chain_streams(seed)."""
+def amcmc_step(state: ChainState, config: AdaptiveConfig, target, streams,
+               bernoulli_first: bool = False) -> ChainState:
+    """Advance the chain one step, drawing one standard normal and one
+    uniform from ``streams`` (a chain_streams pair).  The scalar oracle of
+    the lockstep runner's step, under either formulation: propose then
+    accept (y if accepted, else x), or, with bernoulli_first, draw the
+    indicator xi first and move by theta * (xi * eps).  The proposal scale
+    is the incoming state's theta; the returned state carries the retuned
+    theta for iteration n = step + 1, or the same theta when config.p is
+    None.
+    """
+    normals, uniforms = streams
+    eps = normals.standard_normal()
+    u = uniforms.random()
+    log_u = float(np.log(u)) if u > 0.0 else -math.inf
+    n = state.step + 1
+    theta = state.theta
+
+    # u < min(1, ratio) in log space; an off-support proposal has
+    # log_ratio = -inf and is always rejected.
+    y = state.x + theta * eps
+    xi = 1 if log_u < target.log_density(y) - target.log_density(state.x) else 0
+    if bernoulli_first:
+        x_new = state.x + theta * (xi * eps)
+    else:
+        x_new = y if xi else state.x
+
+    if config.p is not None:
+        theta = float(theta * np.exp((xi - config.p) / math.sqrt(n)))
+    return ChainState(x_new, theta, xi, n)
+
+
+class Scripted:
+    """Stand-in stream feeding predetermined draws, normal or uniform."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def standard_normal(self):
+        return next(self._values)
+
+    random = standard_normal
+
+
+def scripted_streams(normals, uniforms):
+    """A chain's normal and uniform streams, scripted for amcmc_step."""
+    return Scripted(normals), Scripted(uniforms)
+
+
+def test_accepted_step_updates_scale_and_position():
+    # tiny proposal from the mode is near-certain to be accepted
+    config = AdaptiveConfig(p=0.238, theta0=2.0, n_samples=10)
+    state = ChainState(x=0.0, theta=2.0, xi=0, step=3)
+    rng = scripted_streams([0.1], [0.5])
+    new = amcmc_step(state, config, NORMAL, rng)
+    assert new.xi == 1
+    assert new.x == pytest.approx(0.2)
+    assert new.step == 4
+    assert new.theta == pytest.approx(2.0 * math.exp((1 - 0.238) / 2.0), rel=1e-15)
+    assert new.theta == pytest.approx(2.9275, abs=1e-4)
+
+
+def test_rejected_step_shrinks_scale_only():
+    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
+    state = ChainState(x=0.0, theta=1.0, xi=1, step=99)
+    rng = scripted_streams([10.0], [0.9])  # ratio exp(-50) vs u = 0.9
+    new = amcmc_step(state, config, NORMAL, rng)
+    assert new.xi == 0
+    assert new.x == 0.0
+    assert new.theta == pytest.approx(math.exp(-0.05), rel=1e-15)
+
+
+def test_acceptance_probability_boundary():
+    # from the mode, proposing y = 1 is accepted with probability exp(-1/2)
+    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
+    state = ChainState(x=0.0, theta=1.0, xi=0, step=0)
+    threshold = math.exp(-0.5)
+    accepted = amcmc_step(state, config, NORMAL, scripted_streams([1.0], [threshold - 1e-12]))
+    rejected = amcmc_step(state, config, NORMAL, scripted_streams([1.0], [threshold + 1e-12]))
+    assert accepted.xi == 1
+    assert rejected.xi == 0
+
+
+def test_off_support_proposal_is_rejected():
+    config = AdaptiveConfig(p=0.5, theta0=1.0, n_samples=10)
+    state = ChainState(x=1.0, theta=1.0, xi=0, step=0)
+    new = amcmc_step(state, config, make_target("exp"), scripted_streams([-5.0], [1e-300]))
+    assert new.xi == 0
+    assert new.x == 1.0
+
+
+def oracle_chain(target, config, bernoulli_first=False) -> ChainTrajectory:
+    """A config's chain from its x0: amcmc_step, under the formulation
+    bernoulli_first picks, stepped by hand n_samples times on
+    chain_streams(seed)."""
     n = config.n_samples
     streams = chain_streams(config.seed)
     state = ChainState(config.x0, config.theta0, 0, 0)
-    xs, thetas, xis = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    chain = ChainTrajectory(np.empty(n), np.empty(n), np.empty(n, dtype=np.int8))
     for i in range(n):
-        state = amcmc_step(state, config, target, streams)
-        xs[i], thetas[i], xis[i] = state.x, state.theta, state.xi
-    return xs.tobytes(), thetas.tobytes(), xis.tobytes()
+        state = amcmc_step(state, config, target, streams, bernoulli_first)
+        chain.x[i], chain.theta[i], chain.xi[i] = state.x, state.theta, state.xi
+    return chain
+
+
+def chain_bytes(chain):
+    """A trajectory's (x, theta, xi) bytes."""
+    return chain.x.tobytes(), chain.theta.tobytes(), chain.xi.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -366,10 +391,7 @@ def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
              replace(config, seed=seed + 2, theta0=2 * theta0, p=0.3)]
     trajectories = [run_amcmc(config, target)] + run_chains(target, block)
     for trajectory, chain in zip(trajectories, block[:1] + block):
-        xs, thetas, xis = oracle_chain(target, chain)
-        assert trajectory.x.tobytes() == xs
-        assert trajectory.theta.tobytes() == thetas
-        assert trajectory.xi.tobytes() == xis
+        assert chain_bytes(trajectory) == chain_bytes(oracle_chain(target, chain))
 
 
 @pytest.mark.parametrize("n", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
@@ -389,10 +411,8 @@ def test_retuning_factor_tables_match_the_scalar_oracles(kind, embedded, n):
         block = [replace(c, p=None if c.p is None else embedded_benchmark(c.p, 400))
                  for c in block]
     oracles = [oracle_chain(target, config) for config in block]
-    for trajectory, (xs, thetas, xis) in zip(run_chains(target, block), oracles):
-        assert trajectory.x.tobytes() == xs
-        assert trajectory.theta.tobytes() == thetas
-        assert trajectory.xi.tobytes() == xis
+    for trajectory, oracle in zip(run_chains(target, block), oracles):
+        assert chain_bytes(trajectory) == chain_bytes(oracle)
 
 
 @pytest.mark.parametrize("burn_in", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
@@ -405,7 +425,7 @@ def test_x_only_records_from_the_burn_in_on(burn_in):
     block = [AdaptiveConfig(p=p, theta0=theta0, x0=0.5, n_samples=2 * STEP_CHUNK + 7,
                             burn_in=burn_in, seed=seed)
              for seed, theta0, p in [(21, 2.38, 0.5), (22, 0.4, None), (23, 10.0, 0.234)]]
-    oracles = [oracle_chain(target, config)[0] for config in block]
+    oracles = [oracle_chain(target, config).x.tobytes() for config in block]
     for trajectory, xs in zip(run_chains(target, block, x_only=True), oracles):
         assert trajectory.theta is None and trajectory.xi is None
         assert trajectory.x.tobytes() == xs[8 * burn_in:]

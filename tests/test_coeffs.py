@@ -5,14 +5,16 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
+import amcmc_lab.chains
 import amcmc_lab.coeffs
 import amcmc_lab.sde
-from amcmc_lab import EvalPoint, limit_coefficient, make_target
+from amcmc_lab import (AdaptiveConfig, ChainTrajectory, EvalPoint, limit_coefficient,
+                       make_target)
 from amcmc_lab.chains import metropolis_step
 from amcmc_lab.coeffs import (
     _BATCH,
@@ -155,17 +157,24 @@ def test_every_public_name_resolves():
 
 def test_public_surface_is_pinned():
     # a name joins or leaves the package on purpose; the one-step Euler
-    # oracle (SdeState, euler_step) lives in tests/test_sde.py, not here
+    # oracle (SdeState, euler_step) lives in tests/test_sde.py, and the
+    # scalar Metropolis oracle (ChainState, amcmc_step), with both of the
+    # chain's formulations, in tests/test_chains.py, not here
     assert set(amcmc_lab.__all__) == {
-        "AdaptiveConfig", "ChainState", "ChainTrajectory", "CoeffRow", "COEFF_KINDS",
+        "AdaptiveConfig", "ChainTrajectory", "CoeffRow", "COEFF_KINDS",
         "DiscreteRow", "EnsembleResult", "EulerConfig", "EvalPoint", "ExperimentSpec",
-        "RunSummary", "SdeRow", "TARGET_KINDS", "TargetModel", "amcmc_step",
+        "RunSummary", "SdeRow", "TARGET_KINDS", "TargetModel",
         "chain_summary", "drift", "emit_csv", "esjd", "ks_pvalue", "ks_statistic",
         "limit_coefficient", "load_csv", "make_target", "print_summary", "run_amcmc",
         "run_ensemble", "run_ensembles", "run_experiment", "run_smcmc", "__version__",
     }
     assert not hasattr(amcmc_lab.sde, "euler_step")
     assert not hasattr(amcmc_lab.sde, "SdeState")
+    for name in ("amcmc_step", "ChainState", "FORMULATIONS"):
+        assert not hasattr(amcmc_lab.chains, name)
+    assert [field.name for field in fields(AdaptiveConfig)] == [
+        "p", "theta0", "n_samples", "x0", "burn_in", "seed"]
+    assert not hasattr(ChainTrajectory, "state")
 
 
 def v2_draws(rng, m):
@@ -433,10 +442,22 @@ def test_simulate_moments_memory_is_two_buffer_sets():
     simulate_moments(POINT, 10_000, 2_000, 47, ("B1",))  # imports the helper's pool
     peak = traced_peak(2_000_000)
     assert peak <= 3 << 20
-    # 4 times the draws peak no higher but for the sums of 12 more units, a
-    # few hundred bytes each; while a unit's piece sums lived on in a
-    # reference cycle until the garbage collector ran, this read +84 KiB
-    assert traced_peak(8_000_000) <= peak + (32 << 10)
+    # 4 times the draws, 12 more units, peak no higher: each unit's sums are
+    # folded in once every earlier unit's are (kept to the end of the call,
+    # they read +3 KiB here, and +84 KiB while a unit's piece sums lived on
+    # in a reference cycle until the garbage collector ran)
+    assert traced_peak(8_000_000) <= peak + (8 << 10)
+
+
+def test_simulate_moments_memory_is_flat_in_the_number_of_units(monkeypatch):
+    # at 2^8 draws a batch, 125 000 and 500 000 draws are 489 and 1954
+    # units; a unit's sums wait only for the units before it, so 4 times
+    # the units peak no higher (kept to the end of the call, they read
+    # +600 KiB here, and would hold about 0.5 GB for 10^12 draws)
+    monkeypatch.setattr(amcmc_lab.coeffs, "_BATCH", 1 << 8)
+    simulate_moments(POINT, 10_000, 2_000, 47, ("B1",))  # imports the helper's pool
+    peak = traced_peak(125_000)
+    assert traced_peak(500_000) <= peak + (64 << 10)
 
 
 def per_budget_calls(point, n, n_draws, seed, kinds, draws_of):
