@@ -12,7 +12,9 @@ Three modes mirror the three kinds of study the package supports:
   grid against their analytic limits.
 
 Every cell x replicate owns an RNG stream derived from (seed, cell index,
-replicate), and rows are emitted in sorted coordinate order, so output is
+replicate), except that the adaptive sde cells of one (h, replicate) share
+the stream of the mesh's first adaptive cell, so they step on the same
+increments.  Rows are emitted in sorted coordinate order, so output is
 byte-identical no matter how many workers execute the grid.
 """
 
@@ -72,8 +74,9 @@ SDE_CELL_GRIDS = {
 SDE_THETA0_GRID = (1.0,)  # sde mode takes a single theta0
 
 # Paths of same-h ensembles advanced as one array: bounds a block's memory
-# (about 4.2 MB of increment buffers at 8192 paths) on the default
-# 11-replicate grid, whose widest mesh holds 44 000 paths.
+# on the default 11-replicate grid, whose widest mesh holds 44 000 paths.
+# Its two increment buffers hold a row per distinct seed, about 4.2 MB at
+# 8192 paths of distinct seeds, and less where adaptive cells share one.
 SDE_BLOCK_PATHS = 8192
 # Chain-steps of a lockstep block: at most 16 MB of recorded positions.  The
 # default 330-chain grid of 10^4 steps packs into blocks of 200 and 130
@@ -84,7 +87,7 @@ DISCRETE_BLOCK_STEPS = 2_000_000
 # longer chain would run alone in a block of its own, so discrete_jobs
 # refuses it instead.
 DISCRETE_CHAIN_BYTES = 1 << 30
-# Bytes of an ensemble's two chunk buffers of draws, 8 a path per step, in
+# Bytes of one seed's two chunk buffers of draws, 8 a path per step, in
 # run_ensembles: sde_jobs refuses more paths than fit.
 SDE_BUFFER_BYTES = 1 << 29
 # Jobs of one discrete or sde grid, cells x replicates.  A job costs about
@@ -243,14 +246,17 @@ def _reject_none_p(ps):
                          "arm='standard', not with a None p")
 
 
-def _jobs(spec: ExperimentSpec, adaptive_cells, make_config):
+def _jobs(spec: ExperimentSpec, adaptive_cells, make_config, share=False):
     """Jobs of the spec's arms in coordinate order, every replicate: the
     adaptive (group, p) cells unless spec.arm is 'standard', and unless it
     is 'adaptive' one standard (group, None) cell per group, which sorts last.
 
     The config of replicate r of the idx-th cell in that order is seeded
-    with child_seed(spec.seed, idx, r).  A grid of more than MAX_GRID_JOBS
-    jobs is refused before any is built.
+    with child_seed(spec.seed, idx, r).  With ``share``, every adaptive cell
+    of a group takes the seed of the group's first adaptive cell, so the
+    adaptive configs of one (group, r) share a seed and the standard
+    config keeps its own.  A grid of more than MAX_GRID_JOBS jobs is
+    refused before any is built.
     """
     adaptive_cells = tuple(adaptive_cells)  # read twice: an iterator would be spent
     cells = set() if spec.arm == "standard" else set(adaptive_cells)
@@ -260,26 +266,36 @@ def _jobs(spec: ExperimentSpec, adaptive_cells, make_config):
     if n_jobs > MAX_GRID_JOBS:
         raise ValueError(f"{len(cells)} cells x {spec.replicates} replicates = {n_jobs} "
                          f"jobs, past the cap of {MAX_GRID_JOBS}")
-    return [
-        Job(spec.target, spec.seed, rep,
-            make_config(group, p, child_seed(spec.seed, idx, rep)))
-        for idx, (group, p) in enumerate(sorted(cells, key=lambda c: (c[0], _p_key(c[1]))))
-        for rep in range(spec.replicates)
-    ]
+    first_of = {}  # group: the index of its first adaptive cell
+    jobs = []
+    for idx, (group, p) in enumerate(sorted(cells, key=lambda c: (c[0], _p_key(c[1])))):
+        seed_idx = first_of.setdefault(group, idx) if share and p is not None else idx
+        jobs.extend(Job(spec.target, spec.seed, rep,
+                        make_config(group, p, child_seed(spec.seed, seed_idx, rep)))
+                    for rep in range(spec.replicates))
+    return jobs
 
 
-def _blocks(jobs, size, budget, parts, key=lambda job: None):
+def _blocks(jobs, size, budget, parts, key=lambda job: None, group=None):
     """Consecutive jobs of equal key packed into blocks of at most budget
     units, each job `size` units (one job if a single job is larger), and
     of at most len(jobs) // parts jobs, so that there are at least `parts`
-    blocks for `parts` processes to share whenever there are that many jobs."""
+    blocks for `parts` processes to share whenever there are that many jobs.
+
+    Consecutive jobs of equal ``group`` (each job its own group if None)
+    go to one block: a group that does not fit in the last block starts a
+    new one, and only a group larger than a block is split, into whole
+    blocks and a last part."""
     per_block = max(1, min(budget // size, len(jobs) // parts))
+    runs = ([job] for job in jobs) if group is None else (
+        list(run) for _, run in itertools.groupby(jobs, group))
     blocks = []
-    for job in jobs:
-        if blocks and len(blocks[-1]) < per_block and key(blocks[-1][0]) == key(job):
-            blocks[-1].append(job)
+    for run in runs:
+        last = blocks[-1] if blocks else []
+        if last and len(last) + len(run) <= per_block and key(last[0]) == key(run[0]):
+            last.extend(run)
         else:
-            blocks.append([job])
+            blocks.extend(run[i:i + per_block] for i in range(0, len(run), per_block))
     return blocks
 
 
@@ -320,7 +336,11 @@ def discrete_jobs(spec: ExperimentSpec):
 
 
 def sde_jobs(spec: ExperimentSpec):
-    """One job per (h, p) adaptive cell and per h standard cell, per replicate."""
+    """One job per (h, p) adaptive cell and per h standard cell, per
+    replicate, in (h, replicate, cell) order: the order run_experiment packs
+    them in.  The adaptive jobs of one (h, replicate) share a seed (see
+    _jobs), so the ensembles of a block that share it draw its increments
+    once."""
     _common_checks(spec)
     if spec.mode != "sde":
         raise ValueError("spec.mode must be 'sde'")
@@ -345,7 +365,9 @@ def sde_jobs(spec: ExperimentSpec):
                            n_paths=spec.n_paths, seed=run_seed,
                            boundary_mode=spec.boundary_mode)
 
-    return _jobs(spec, hp_cells, make_config)
+    jobs = _jobs(spec, hp_cells, make_config, share=True)
+    jobs.sort(key=lambda job: (job.config.h, job.replicate))  # stable: cells stay in order
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -440,6 +462,8 @@ def run_experiment(spec: ExperimentSpec):
     A mode splits its grid into blocks, the unit of work of one process: a
     run of discrete jobs of at most DISCRETE_BLOCK_STEPS chain-steps, a run
     of same-h sde jobs of at most SDE_BLOCK_PATHS paths, or a coeff cell.
+    An sde block holds whole (h, replicate) groups, whose adaptive jobs
+    share a seed, unless a group alone is wider than a block.
     Discrete and sde grids split into at least as many blocks as there are
     processes to run them (see _blocks).
     Every block is built, and so the grid's input checked, before any of
@@ -452,12 +476,14 @@ def run_experiment(spec: ExperimentSpec):
         run_block = _discrete_block
     elif spec.mode == "sde":
         blocks = _blocks(sde_jobs(spec), spec.n_paths, SDE_BLOCK_PATHS, parts,
-                         lambda job: job.config.h)
+                         lambda job: job.config.h, lambda job: (job.config.h, job.replicate))
         run_block = _sde_block
     else:
         blocks, run_block = coeff_cells(spec), _coeff_block
     rows = [row for rows in _map_jobs(run_block, blocks, spec.workers) for row in rows]
-    if spec.mode == "coeff":
+    if spec.mode == "sde":
+        rows.sort(key=lambda r: (r.h, _p_key(r.p), r.replicate))
+    elif spec.mode == "coeff":
         rows.sort(key=lambda r: (COEFF_KINDS.index(r.kind), r.x, r.theta, r.n))
     return rows
 

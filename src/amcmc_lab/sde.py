@@ -17,12 +17,15 @@ previous position when a step would exit the support.
 run_ensembles steps ensembles that share a mesh as one array, EULER_CHUNK
 steps at a time, while a seeding.Helper thread draws the normals of the
 next chunk: the calling thread's wall time is the stepping plus the draws
-the helper has not taken.  Its step gives, path by path, the bits of the
-one-step oracle euler_step in tests/test_sde.py, writes into arrays
-allocated once per call, and folds the exponential's constant score away
-(see run_ensembles).
+the helper has not taken.  Ensembles that share a seed share one stream,
+drawn once: a grid seeds the adaptive cells of one (h, replicate) alike,
+so they step on the same increments.  Its step gives, path by path, the
+bits of the one-step oracle euler_step in tests/test_sde.py, writes into
+arrays allocated once per call, and folds the exponential's constant score
+away (see run_ensembles).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -122,13 +125,15 @@ def run_ensembles(target: TargetModel, configs) -> list:
     The configs must agree on every field but ``seed`` and ``p`` (None for
     a fixed scale).  An ensemble draws its Gaussian increments from the one
     stream stream_rng(seed): one standard normal per path per step, in
-    step-major order.  Each stream is read EULER_CHUNK steps at a time into
-    two buffers: while the calling thread steps one chunk, the next
-    chunk's ensembles are shared out, one at a time, through a
-    seeding.Helper.  An ensemble's chunk is drawn by one thread, after its
-    previous chunk, so chunked draws give the bits of one whole
-    (n_steps, n_paths) draw whichever thread makes them and whatever the
-    chunk size.  Every path takes the float operations of the test oracle
+    step-major order.  Ensembles with equal seeds read one stream, drawn
+    once, so each gets the bits it would get alone.  Each distinct seed's
+    stream is read EULER_CHUNK steps at a time into two buffers of one row
+    per seed: while the calling thread steps one chunk, the next chunk's
+    seeds are shared out, one at a time, through a seeding.Helper.  A
+    seed's chunk is drawn by one thread, after its previous chunk, so
+    chunked draws give the bits of one whole (n_steps, n_paths) draw
+    whichever thread makes them and whatever the chunk size.  Every path
+    takes the float operations of the test oracle
     ``tests/test_sde.py::euler_step`` in the same order, so each result is
     identical however the ensembles are grouped or scheduled.  The one
     difference is exp's constant score s = -1: its step runs x - ds where
@@ -162,16 +167,17 @@ def run_ensembles(target: TargetModel, configs) -> list:
     n, n_steps, h = first.n_paths, first.n_steps, first.h
     n_adaptive = sum(c.p is not None for c in configs)
     width, a = n * len(configs), n * n_adaptive  # a: paths of adaptive ensembles
-    rngs = [stream_rng(c.seed) for c in ordered]
-    # ensemble, step, path; chunk k is drawn into buffers[k % 2].  Two arrays,
+    seeds = list(dict.fromkeys(c.seed for c in ordered))
+    rngs = [stream_rng(seed) for seed in seeds]
+    # seed, step, path; chunk k is drawn into buffers[k % 2].  Two arrays,
     # not one of twice the size: the allocator can place each in heap memory
     # that earlier blocks freed, which keeps the peak RSS down.
-    buffers = [np.empty((len(configs), min(EULER_CHUNK, n_steps), n)) for _ in range(2)]
+    buffers = [np.empty((len(seeds), min(EULER_CHUNK, n_steps), n)) for _ in range(2)]
     n_chunks = math.ceil(n_steps / EULER_CHUNK)
 
-    def draw(k, ensembles):
+    def draw(k, units):
         m = min(EULER_CHUNK, n_steps - k * EULER_CHUNK)
-        for i in ensembles:  # an iterator both threads share: each i goes to one
+        for i in units:  # an iterator both threads share: each seed goes to one
             rngs[i].standard_normal(out=buffers[k % 2][i, :m])
         return m
 
@@ -192,6 +198,17 @@ def run_ensembles(target: TargetModel, configs) -> list:
     term = np.empty(width)
     # the same arrays, one row per ensemble, to meet z's step slices
     noise_rows, term_rows = noise_scale.reshape(-1, n), term.reshape(-1, n)
+    # Runs of consecutive ensembles on one seed, each as (its rows of
+    # noise_rows and term_rows, its seed's row of z), for one broadcast
+    # multiply a run; None when every seed is distinct, so that z's rows
+    # line up with the ensembles' and one multiply takes them all.
+    runs = None
+    if len(seeds) < len(configs):
+        runs, start = [], 0
+        for seed, run in itertools.groupby(c.seed for c in ordered):
+            stop = start + len(list(run))
+            runs.append((noise_rows[start:stop], term_rows[start:stop], seeds.index(seed)))
+            start = stop
     rate, gain = np.empty(a), np.empty(a)
     boundary = first.boundary_mode if target.boundary_policy == "reflect_at_zero" else None
     keep = np.empty(width, bool)
@@ -200,11 +217,11 @@ def run_ensembles(target: TargetModel, configs) -> list:
     # While this thread steps chunk k, the helper draws chunk k + 1 (see
     # seeding.Helper); this thread draws what it has left once it has stepped.
     with Helper() as helper:
-        finish = helper.share(partial(draw, 0), range(len(configs)))
+        finish = helper.share(partial(draw, 0), range(len(seeds)))
         for k in range(n_chunks):
             m, z = finish()[0], buffers[k % 2]
             if k + 1 < n_chunks:
-                finish = helper.share(partial(draw, k + 1), range(len(configs)))
+                finish = helper.share(partial(draw, k + 1), range(len(seeds)))
             for j in range(m):
                 # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
                 # the test oracle tests/test_sde.py::euler_step evaluates it, so
@@ -221,7 +238,11 @@ def run_ensembles(target: TargetModel, configs) -> list:
                     target.score(x, s)
                     np.multiply(drift_scale, s, term)
                     np.add(x, term, x_new)
-                np.multiply(noise_rows, z[:, j], term_rows)
+                if runs is None:
+                    np.multiply(noise_rows, z[:, j], term_rows)
+                else:
+                    for noise_run, term_run, row in runs:
+                        np.multiply(noise_run, z[row, j], term_run)
                 np.add(x_new, term, x_new)
                 if boundary == "reflect":
                     np.abs(x_new, x)

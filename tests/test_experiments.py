@@ -24,7 +24,7 @@ from amcmc_lab import cli, coeffs, experiments
 from amcmc_lab.cli import main
 from amcmc_lab.coeffs import COEFF_KINDS
 from amcmc_lab.experiments import DISCRETE_P_GRIDS, DISCRETE_THETA0_GRID, default_sde_cells
-from amcmc_lab.seeding import stream_rng
+from amcmc_lab.seeding import child_seed, stream_rng
 from amcmc_lab.stats import chain_summary, ks_statistic
 from amcmc_lab.targets import make_target
 
@@ -718,8 +718,100 @@ def test_sde_default_grid_runs_in_bounded_same_mesh_blocks(monkeypatch):
     widths = [sum(job.config.n_paths for job in block) for block in blocks]
     assert max(widths) <= experiments.SDE_BLOCK_PATHS
     assert all(len({job.config.h for job in block}) == 1 for block in blocks)
-    # 44 ensembles of 1000 paths at h = 1e-4 alone would make one 44 000-path block
-    assert len(blocks) == 6 + 9 + 7 + 9 + 11
+    # 44 ensembles of 1000 paths at h = 1e-4 alone would make one 44 000-path
+    # block.  Blocks hold whole (h, replicate) groups, of 4 ensembles at
+    # h = 1e-4 and 6, 5, 6 and 8 at the other meshes: two groups to a block
+    # (the eleventh alone) at h = 1e-4, one at every other mesh
+    groups = [len({job.replicate for job in block}) for block in blocks]
+    assert groups == [2] * 5 + [1] + [1] * 4 * 11
+    assert len(blocks) == 6 + 11 + 11 + 11 + 11
+
+
+def test_sde_jobs_seed_the_adaptive_cells_of_a_mesh_and_replicate_alike():
+    # replicate r of every adaptive cell at h takes the seed of the first
+    # adaptive cell at h, child_seed(seed, idx0, r); the standard cell keeps
+    # child_seed(seed, idx, r), its own under every contract
+    spec = small_sde_spec(hp_cells=((0.01, 1.0), (0.01, 2.0), (0.02, 3.0), (0.01, 0.5),
+                                    (0.02, 1.5)), replicates=3, seed=9)
+    seeds = {(job.config.h, job.config.p, job.replicate): job.config.seed
+             for job in experiments.sde_jobs(spec)}
+    cells = [(0.01, 0.5), (0.01, 1.0), (0.01, 2.0), (0.01, None),
+             (0.02, 1.5), (0.02, 3.0), (0.02, None)]  # coordinate order
+    first = {0.01: 0, 0.02: 4}
+    assert len(seeds) == len(cells) * 3
+    for idx, (h, p) in enumerate(cells):
+        for r in range(3):
+            assert seeds[h, p, r] == child_seed(9, idx if p is None else first[h], r)
+    standard = {seed for (_, p, _), seed in seeds.items() if p is None}
+    adaptive = {seed for (_, p, _), seed in seeds.items() if p is not None}
+    assert len(standard) == 2 * 3 and len(adaptive) == 2 * 3  # one per (h, r)
+    assert not standard & adaptive
+
+
+@pytest.mark.parametrize("groups,per_block,expected", [
+    ([4, 4, 4], 8, [8, 4]),
+    ([5, 5, 5], 8, [5, 5, 5]),  # a group that does not fit starts a block
+    ([2, 2, 1], 3, [2, 3]),  # ... and the next one may fill it
+    ([3, 10, 2], 4, [3, 4, 4, 4]),  # only a group wider than a block is split
+])
+def test_blocks_keep_each_group_whole_unless_it_is_wider_than_a_block(groups, per_block,
+                                                                        expected):
+    jobs = [(g, i) for g, size in enumerate(groups) for i in range(size)]
+    blocks = experiments._blocks(jobs, 1, per_block, 1, group=lambda job: job[0])
+    assert [len(block) for block in blocks] == expected
+    assert [job for block in blocks for job in block] == jobs
+    for g, size in enumerate(groups):
+        holding = [block for block in blocks if any(job[0] == g for job in block)]
+        assert len(holding) == (1 if size <= per_block else math.ceil(size / per_block))
+
+
+@pytest.mark.parametrize("target,workers,budget", [
+    ("normal", 1, None), ("normal", 2, None), ("exp", 2, None),
+    ("normal", 1, 2 * 1000),  # groups of 4 to 8 ensembles, blocks of 2: must split
+])
+def test_sde_blocks_split_an_h_replicate_group_only_when_they_must(monkeypatch, target,
+                                                                     workers, budget):
+    # the blocks are recorded, not run
+    blocks = []
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_sde_block", lambda jobs: blocks.append(jobs) or [])
+    if budget is not None:
+        monkeypatch.setattr(experiments, "SDE_BLOCK_PATHS", budget)
+    spec = ExperimentSpec(mode="sde", target=target, workers=workers)
+    assert run_experiment(spec) == []
+    per_block = max(len(block) for block in blocks)
+    holding = {}  # (h, replicate): the blocks that hold some of its jobs
+    for i, block in enumerate(blocks):
+        assert len({job.config.h for job in block}) == 1
+        for job in block:
+            holding.setdefault((job.config.h, job.replicate), set()).add(i)
+    assert len(holding) == 5 * 11
+    for (h, r), where in holding.items():
+        size = sum(job.config.h == h and job.replicate == r for block in blocks for job in block)
+        assert len(where) == (1 if size <= per_block else math.ceil(size / per_block))
+
+
+def test_sde_rows_of_a_replicated_grid_come_in_coordinate_order_under_any_workers(
+        tmp_path, monkeypatch):
+    # three replicates of five cells at two meshes, packed (h, replicate,
+    # cell) into blocks of at most three ensembles, so some (h, replicate)
+    # groups split, and two processes share them: the rows come back sorted
+    # (h, p, replicate), the same bytes as one process writes
+    monkeypatch.setattr(experiments, "SDE_BLOCK_PATHS", 3 * 40)
+    files = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.csv"
+        assert main(["sde", "--target", "normal", "--h", "0.01", "--h", "0.02", "--p", "1.0",
+                     "--p", "2.0", "--p", "3.0", "--paths", "40", "--horizon", "0.2",
+                     "--replicates", "3", "--seed", "5", "--workers", workers,
+                     "--out", str(out)]) == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+    rows = load_csv(tmp_path / "workers1.csv")
+    coordinates = [(row.h, math.inf if row.p is None else row.p, row.replicate) for row in rows]
+    assert coordinates == sorted(coordinates) and len(set(coordinates)) == 2 * 4 * 3
 
 
 class HalfWrite:

@@ -7,7 +7,7 @@ log-density bit or a CSV field shows up here as a different sha256.  Their
 batch and a partial one of uneven pieces, was added, taken while each
 batch was still summed as one whole array.
 
-Three stream-contract changes regenerated the rest, each declared in
+Four stream-contract changes regenerated the rest, each declared in
 CHANGES.md:
 
 * coeff-cauchy-batches, with coefficient contract v2: each piece of a
@@ -19,6 +19,12 @@ CHANGES.md:
   contract: an ensemble draws its increments step-major from
   stream_rng(seed) instead of one stream per path, so every sde row
   changed.
+* sde-cauchy, sde-exp, sde-exp-hold, sde-normal, sde-normal-adaptive and
+  sde-t2, with Euler contract v3: every adaptive cell of one (h, replicate)
+  takes the seed of the mesh's first adaptive cell, so the rows of the
+  other adaptive cells changed.  sde-normal-standard and the terminal-*
+  dumps hold single-cell or standard grids, whose seeds did not move.
+  SEED_KEPT_DIGESTS pins the rows whose seeds v3 kept, taken before it.
 * The four discrete-* CLI digests and the amcmc-* and smcmc-* trajectory
   digests, with discrete contract v2: a chain draws its normals from
   stream_rng(seed, 0) and its uniforms from stream_rng(seed, 1) instead of
@@ -105,19 +111,27 @@ CLI_DIGESTS = {
     "discrete-t2":
         "70a9c5c1be4562d99d9a5d54cc61c6c8fc87759f5a85cb5244f6ee5db0f3e947",
     "sde-cauchy":
-        "9b9c504c52a5867378a889269896bbd055fe71037cdda493ee8f934c4434ab5a",
+        "fc68f5b9ecf1e350198cb03382142f21781013b8c82ce62b08a9a90c6dc96f38",
     "sde-exp":
-        "311af4847a217fd064a5ce4a037b6291c889157db063dcf5dd359d23e16afbab",
+        "bc3fd47be5366e42f941e44962a161d8828bf4e2cfd427d6970ea5c262892527",
     "sde-exp-hold":
-        "2ba4cf8f87d3b3eb0e7b1b17fb165e0544e5978e595375561eb2b132ae6e54b0",
+        "f463dad80f29a5001b0c4e859473a31511c215b76c61edb0cd55a734476f018d",
     "sde-normal":
-        "eb1cb5a37c34be3de611e2e5cc1bb75b1629fd4c601fc75766f852636c2cc5da",
+        "7381547833237cc46be8f23462c046c78e9208e9d049705808a2bd3cf08e83fe",
     "sde-normal-adaptive":
-        "e34251245e72c069cb677b9452cc5421c0fa4fff7883e9e427619ba69bfb9d73",
+        "2730725d1b023e5d54cacad0029d9bbbbf8fd2712b5976c270cacd8ea7bc71f7",
     "sde-normal-standard":
         "654eed4c4dd63b6776ac6220df054b47abd462c148fcc5f66b29b012d377d7b0",
     "sde-t2":
-        "5e5955bfc9b74a906e8bedbaf611bea5691283c1415e00ed0fd39bd70830886c",
+        "540a9a64c411cb13273bede4ae1806b1f3f1e732f03aff42346c6aa392979674",
+}
+
+# The digest of a CLI CSV projected onto its standard rows and the rows of
+# each mesh's first adaptive cell (see seed_kept_lines): the rows whose
+# seeds Euler contract v3 kept.  Taken before v3, from the full CSV.
+SEED_KEPT_DIGESTS = {
+    "sde-normal":
+        "ae77fbde7f0a27f8ad8545a3f3025c4755e075f05768c14cc7a92952de39a784",
 }
 
 DUMP_DIGESTS = {
@@ -167,6 +181,19 @@ def cli_digest(tmp_path, mode, target, extra) -> str:
     argv = [mode, "--target", target, "--seed", "11", *extra, "--out", str(out)]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def seed_kept_lines(lines):
+    """The header and the sde rows whose seed is child_seed(seed, idx, r)
+    for their own cell index idx under every Euler contract: the standard
+    rows and those of the first adaptive p at each h."""
+    first_p = {}
+    kept = [lines[0]]
+    for line in lines[1:]:
+        _, _, arm, h, p, *_ = line.split(",")
+        if arm == "standard" or first_p.setdefault(h, p) == p:
+            kept.append(line)
+    return kept
 
 
 def dump_digest(tmp_path, name) -> str:
@@ -219,6 +246,19 @@ def test_cli_csv_digest_under_workers(tmp_path, monkeypatch, case):
     mode, target, extra = CLI_CASES[case]
     assert cli_digest(tmp_path, mode, target, (*extra, "--workers", "2")) == CLI_DIGESTS[case]
     assert pools == [{"max_workers": 2}] or os.cpu_count() == 1
+
+
+@pytest.mark.parametrize("case", sorted(SEED_KEPT_DIGESTS))
+def test_cli_csv_rows_whose_seeds_were_kept(tmp_path, case):
+    mode, target, extra = CLI_CASES[case]
+    out = tmp_path / "out.csv"
+    assert main([mode, "--target", target, "--seed", "11", *extra, "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    kept = seed_kept_lines(lines)
+    assert {line.split(",")[2] for line in lines[1:]} == {"adaptive", "standard"}
+    assert 1 < len(kept) - 1 < len(lines) - 1  # some rows kept, some dropped
+    digest = hashlib.sha256(("\n".join(kept) + "\n").encode("utf-8")).hexdigest()
+    assert digest == SEED_KEPT_DIGESTS[case]
 
 
 @pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))

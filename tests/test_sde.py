@@ -393,6 +393,66 @@ def test_run_ensembles_count_floor_hits_per_ensemble():
     assert_matches_oracle(NORMAL, configs)
 
 
+@pytest.mark.parametrize("kind,boundary_mode,h,theta0,ensembles", [
+    # a contiguous adaptive group on one seed, as a grid's (h, replicate)
+    # gives it, and the standard ensemble on a seed of its own
+    ("normal", "reflect", 0.01, 1.0, [(1.0, 7), (2.0, 7), (2.5, 7), (None, 8)]),
+    # a non-contiguous repeat: A, B, A
+    ("cauchy", "reflect", 0.01, 1.0, [(1.0, 7), (2.0, 8), (3.0, 7)]),
+    # an adaptive and a standard ensemble on one seed
+    ("t2", "reflect", 0.01, 1.0, [(2.0, 7), (None, 7)]),
+    # all three on the half-line, under both boundary modes
+    ("exp", "reflect", 0.01, 1.0, [(2.0, 7), (3.0, 7), (None, 7), (1.0, 8), (4.0, 7)]),
+    ("exp", "hold", 0.01, 1.0, [(2.0, 7), (3.0, 7), (None, 7), (1.0, 8), (4.0, 7)]),
+    # theta clamps at the floor in ensembles that share a seed
+    ("normal", "reflect", 0.5, 100.0, [(0.001, 6), (None, 6), (0.01, 6), (1.0, 5)]),
+])
+def test_run_ensembles_on_shared_seeds_give_each_ensemble_its_bits_alone(
+        kind, boundary_mode, h, theta0, ensembles):
+    # ensembles on one seed read one stream, drawn once: each still gets
+    # the bits it gets when it runs alone, and the oracle's
+    target = make_target(kind)
+    configs = [EulerConfig(h=h, horizon_t=(2 * EULER_CHUNK + 7) * h, p=p, theta0=theta0,
+                           x0=1.0, n_paths=5, seed=seed, boundary_mode=boundary_mode)
+               for p, seed in ensembles]
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = run_ensembles(target, configs)
+        alone = [run_ensemble(target, config) for config in configs]
+    for got, want in zip(together, alone):
+        assert same_bits(got.x_t, want.x_t) and same_bits(got.theta_t_all, want.theta_t_all)
+        assert got.theta_floor_hits == want.theta_floor_hits
+    assert_matches_oracle(target, configs)
+
+
+def test_run_ensembles_open_one_stream_per_distinct_seed_and_draw_it_once_a_chunk(
+        monkeypatch):
+    # six ensembles on three seeds, over three chunks: three streams, each
+    # drawn once a chunk, in order, whichever ensembles read it
+    opened, drawn = [], []  # seeds; (seed, rows drawn so far by its stream)
+
+    class SpyStream:
+        def __init__(self, seed):
+            opened.append(seed)
+            self.rng, self.seed, self.rows = stream_rng(seed), seed, 0
+
+        def standard_normal(self, out):
+            drawn.append((self.seed, self.rows))
+            self.rows += len(out)
+            self.rng.standard_normal(out=out)
+
+    h = 0.01
+    configs = [EulerConfig(h=h, horizon_t=(2 * EULER_CHUNK + 7) * h, p=p, theta0=1.0,
+                           n_paths=3, seed=seed)
+               for p, seed in ((1.0, 7), (2.0, 8), (None, 7), (3.0, 7), (None, 9), (0.5, 8))]
+    expected = run_ensembles(NORMAL, configs)
+    monkeypatch.setattr(amcmc_lab.sde, "stream_rng", SpyStream)
+    got = run_ensembles(NORMAL, configs)
+    assert all(same_bits(g.x_t, e.x_t) and same_bits(g.theta_t_all, e.theta_t_all)
+               for g, e in zip(got, expected))
+    assert sorted(opened) == [7, 8, 9]
+    assert sorted(drawn) == [(seed, k * EULER_CHUNK) for seed in (7, 8, 9) for k in range(3)]
+
+
 @pytest.mark.parametrize("field,value", [
     ("h", 0.02), ("horizon_t", 2.0), ("x0", 0.5), ("theta0", 2.0), ("n_paths", 3),
     ("boundary_mode", "hold"),
@@ -553,6 +613,23 @@ def test_euler_block_memory_is_its_two_chunk_buffers():
         tracemalloc.stop()
     assert peak <= (2 * EULER_CHUNK + 32) * 8 * width
     assert peak < 6 << 20
+
+
+def test_euler_block_buffers_hold_a_row_per_distinct_seed():
+    # the bench block's shape again, but its seven adaptive ensembles on one
+    # seed, as a grid's (h, replicate) gives them: two seeds' chunk buffers
+    # (1 MiB) and working arrays, not eight seeds' (4 MiB)
+    configs = [EulerConfig(h=0.01, horizon_t=1.0, p=p, theta0=1.0, n_paths=1000,
+                           seed=1 if p is None else 0)
+               for p in (0.5, 1.0, 2.0, 2.5, 2.75, 3.0, 3.5, None)]
+    n, width = 1000, 8 * 1000
+    tracemalloc.start()
+    try:
+        run_ensembles(CAUCHY, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * 2 * EULER_CHUNK * n + 32 * width) * 8
 
 
 def test_run_ensemble_memory_is_flat_in_the_horizon():
