@@ -357,7 +357,7 @@ def sde_jobs(spec: ExperimentSpec):
     buffer_bytes = 2 * EULER_CHUNK * 8 * spec.n_paths
     if buffer_bytes > SDE_BUFFER_BYTES:
         raise ValueError(f"n_paths={spec.n_paths} would draw into {buffer_bytes} bytes of "
-                         f"buffers per ensemble, past the cap of {SDE_BUFFER_BYTES} "
+                         f"buffers per seed, past the cap of {SDE_BUFFER_BYTES} "
                          f"({SDE_BUFFER_BYTES // (2 * EULER_CHUNK * 8)} paths)")
 
     def make_config(h, p, run_seed):

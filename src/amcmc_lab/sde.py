@@ -199,11 +199,12 @@ def run_ensembles(target: TargetModel, configs) -> list:
     # the same arrays, one row per ensemble, to meet z's step slices
     noise_rows, term_rows = noise_scale.reshape(-1, n), term.reshape(-1, n)
     # Runs of consecutive ensembles on one seed, each as (its rows of
-    # noise_rows and term_rows, its seed's row of z), for one broadcast
-    # multiply a run; None when every seed is distinct, so that z's rows
-    # line up with the ensembles' and one multiply takes them all.
-    runs = None
-    if len(seeds) < len(configs):
+    # noise_rows and term_rows, its seed's rows of z), for one broadcast
+    # multiply a run.  When every seed is distinct, z's rows line up with
+    # the ensembles' and one run, all rows, takes them all.
+    if len(seeds) == len(configs):
+        runs = [(noise_rows, term_rows, slice(None))]
+    else:
         runs, start = [], 0
         for seed, run in itertools.groupby(c.seed for c in ordered):
             stop = start + len(list(run))
@@ -238,11 +239,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
                     target.score(x, s)
                     np.multiply(drift_scale, s, term)
                     np.add(x, term, x_new)
-                if runs is None:
-                    np.multiply(noise_rows, z[:, j], term_rows)
-                else:
-                    for noise_run, term_run, row in runs:
-                        np.multiply(noise_run, z[row, j], term_run)
+                for noise_run, term_run, row in runs:
+                    np.multiply(noise_run, z[row, j], term_run)
                 np.add(x_new, term, x_new)
                 if boundary == "reflect":
                     np.abs(x_new, x)
