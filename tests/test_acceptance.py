@@ -20,9 +20,9 @@ from amcmc_lab import (
     limit_coefficient,
     make_target,
     run_amcmc,
-    run_ensemble,
-    run_smcmc,
+    run_ensembles,
 )
+from amcmc_lab.chains import run_chains
 from amcmc_lab.cli import main
 from amcmc_lab.coeffs import COEFF_KINDS, simulate_moments
 from amcmc_lab.sde import SQRT_2PI
@@ -128,23 +128,20 @@ def test_criterion_3_discrete_reference_bands():
     start = time.monotonic()
     normal = make_target("normal")
     t2 = make_target("t2")
-    adaptive_p, standard_d, standard_esjd = [], [], []
+    common = dict(n_samples=10_000, burn_in=1_000)
+    adaptive = [AdaptiveConfig(p=0.25, theta0=2.38, seed=seed, **common) for seed in SEEDS_11]
+    # seeds 0-10 at fixed scale 0.10, then at fixed scale 2.38
+    fixed = [AdaptiveConfig(p=None, theta0=theta0, seed=seed, **common)
+             for theta0 in (0.10, 2.38) for seed in SEEDS_11]
+    chains = run_chains(normal, adaptive + fixed)
+    slow, tuned = chains[11:22], chains[22:]
+    adaptive_p = [thinned_ks_pvalue(chain.x, normal, 1_000) for chain in chains[:11]]
     # negative controls for the thinned p-value: a chain that mixes too
     # slowly, and a correct chain scored against the wrong target
-    standard_p, t2_p = [], []
-    for seed in SEEDS_11:
-        cfg = AdaptiveConfig(p=0.25, theta0=2.38, n_samples=10_000,
-                             burn_in=1_000, seed=seed)
-        adaptive_p.append(thinned_ks_pvalue(run_amcmc(cfg, normal).x, normal, 1_000))
-        t2_p.append(thinned_ks_pvalue(run_amcmc(cfg, t2).x, normal, 1_000))
-        cfg = AdaptiveConfig(p=0.5, theta0=0.10, n_samples=10_000,
-                             burn_in=1_000, seed=seed)
-        x = run_smcmc(cfg, normal).x
-        standard_d.append(chain_summary(x, normal, 1_000).d)
-        standard_p.append(thinned_ks_pvalue(x, normal, 1_000))
-        cfg = AdaptiveConfig(p=0.5, theta0=2.38, n_samples=10_000,
-                             burn_in=1_000, seed=seed)
-        standard_esjd.append(chain_summary(run_smcmc(cfg, normal).x, normal, 1_000).esjd)
+    standard_p = [thinned_ks_pvalue(chain.x, normal, 1_000) for chain in slow]
+    t2_p = [thinned_ks_pvalue(chain.x, normal, 1_000) for chain in run_chains(t2, adaptive)]
+    standard_d = [chain_summary(chain.x, normal, 1_000).d for chain in slow]
+    standard_esjd = [chain_summary(chain.x, normal, 1_000).esjd for chain in tuned]
     n_thinned = len(range(1_000, 10_000, KS_STRIDE))
     med_p = median(adaptive_p)
     med_d = median(standard_d)
@@ -180,12 +177,13 @@ def test_criterion_4_heavy_tail_ordering():
     wins = {}
     for kind_name in ("cauchy", "t2"):
         target = make_target(kind_name)
+        common = dict(theta0=0.10, n_samples=10_000, burn_in=1_000)
+        chains = run_chains(target, [AdaptiveConfig(p=p, seed=seed, **common)
+                                     for p in (0.5, None) for seed in SEEDS_11])
         count = 0
-        for seed in SEEDS_11:
-            cfg = AdaptiveConfig(p=0.5, theta0=0.10, n_samples=10_000,
-                                 burn_in=1_000, seed=seed)
-            d_adaptive = chain_summary(run_amcmc(cfg, target).x, target, 1_000).d
-            d_standard = chain_summary(run_smcmc(cfg, target).x, target, 1_000).d
+        for adaptive, standard in zip(chains[:11], chains[11:]):
+            d_adaptive = chain_summary(adaptive.x, target, 1_000).d
+            d_standard = chain_summary(standard.x, target, 1_000).d
             count += d_adaptive < d_standard
         wins[kind_name] = count
     ok = all(count >= 9 for count in wins.values())
@@ -200,23 +198,19 @@ def test_criterion_5_sde_reference_bands():
     start = time.monotonic()
     normal = make_target("normal")
     cauchy = make_target("cauchy")
-    p_values = []
-    for seed in SEEDS_11:
-        cfg = EulerConfig(h=0.0005, horizon_t=1.0, p=5.0, theta0=1.0,
-                          n_paths=1000, seed=seed)
-        result = run_ensemble(normal, cfg)
-        p_values.append(ks_pvalue(ks_statistic(result.x_t, normal), 1000))
+    configs = [EulerConfig(h=0.0005, horizon_t=1.0, p=5.0, theta0=1.0, n_paths=1000,
+                           seed=seed) for seed in SEEDS_11]
+    p_values = [ks_pvalue(ks_statistic(result.x_t, normal), 1000)
+                for result in run_ensembles(normal, configs)]
     med_p = median(p_values)
     ok_normal = med_p > 0.01
 
-    adaptive_d, standard_d = [], []
-    for seed in SEEDS_11:
-        cfg = EulerConfig(h=0.01, horizon_t=1.0, p=2.75, theta0=1.0,
-                          n_paths=1000, seed=seed)
-        adaptive_d.append(ks_statistic(run_ensemble(cauchy, cfg).x_t, cauchy))
-        cfg = EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0,
-                          n_paths=1000, seed=1000 + seed)
-        standard_d.append(ks_statistic(run_ensemble(cauchy, cfg).x_t, cauchy))
+    configs = ([EulerConfig(h=0.01, horizon_t=1.0, p=2.75, theta0=1.0, n_paths=1000,
+                            seed=seed) for seed in SEEDS_11]
+               + [EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0, n_paths=1000,
+                              seed=1000 + seed) for seed in SEEDS_11])
+    d = [ks_statistic(result.x_t, cauchy) for result in run_ensembles(cauchy, configs)]
+    adaptive_d, standard_d = d[:11], d[11:]
     med_adaptive = median(adaptive_d)
     med_standard = median(standard_d)
     ok_cauchy = med_adaptive < med_standard
