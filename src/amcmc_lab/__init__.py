@@ -6,12 +6,7 @@ verification of the limit coefficients, and the KS/ESJD diagnostics used to
 compare the adaptive and fixed-scale samplers.
 """
 
-from .chains import (
-    AdaptiveConfig,
-    ChainTrajectory,
-    run_amcmc,
-    run_smcmc,
-)
+from .chains import AdaptiveConfig, ChainTrajectory, run_chains
 from .coeffs import (
     COEFF_KINDS,
     CoeffRow,
@@ -31,7 +26,6 @@ from .sde import (
     EnsembleResult,
     EulerConfig,
     drift,
-    run_ensemble,
     run_ensembles,
 )
 from .stats import RunSummary, chain_summary, esjd, ks_pvalue, ks_statistic
@@ -63,10 +57,8 @@ __all__ = [
     "load_csv",
     "make_target",
     "print_summary",
-    "run_amcmc",
-    "run_ensemble",
+    "run_chains",
     "run_ensembles",
     "run_experiment",
-    "run_smcmc",
     "__version__",
 ]

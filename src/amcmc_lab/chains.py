@@ -10,15 +10,15 @@ level.  Every config spells the standard chain p = None: its theta stays
 at theta0.  Each step takes one normal and one uniform draw from the
 chain's two streams.  Chains run in lockstep batches through one array
 step, metropolis_step.  run_chains takes a batch as AdaptiveConfigs, which
-check every run parameter, and run_amcmc and run_smcmc are its one-config
-case.  The scalar oracle of a step, under both of the chain's
-algebraically equivalent formulations (propose then accept, or draw the
-Bernoulli indicator first), is tests/test_chains.py::amcmc_step.
+check every run parameter; a single chain is a batch of one.  The scalar
+oracle of a step, under both of the chain's algebraically equivalent
+formulations (propose then accept, or draw the Bernoulli indicator
+first), is tests/test_chains.py::amcmc_step.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,12 +176,3 @@ def run_chains(target: TargetModel, configs, x_only: bool = False) -> list:
         return [ChainTrajectory(x, None, None) for x in paths[0]]
     return [ChainTrajectory(*arrays) for arrays in zip(*paths)]
 
-
-def run_amcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
-    """Chain of a config, adaptive or (p None) fixed-scale: n_samples steps."""
-    return run_chains(target, [config])[0]
-
-
-def run_smcmc(config: AdaptiveConfig, target: TargetModel) -> ChainTrajectory:
-    """Standard MH chain: identical mechanics, theta fixed at theta0 whatever p is."""
-    return run_chains(target, [replace(config, p=None)])[0]

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .chains import run_amcmc
+from .chains import run_chains
 from .coeffs import COEFF_KINDS
 from .experiments import (
     ARMS,
@@ -30,7 +30,7 @@ from .experiments import (
     sde_jobs,
     write_lines,
 )
-from .sde import BOUNDARY_MODES, run_ensemble
+from .sde import run_ensembles
 from .targets import TARGET_KINDS, make_target
 
 
@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     sde.add_argument("--horizon", type=float, dest="horizon_t")
     sde.add_argument("--replicates", type=int)
     sde.add_argument("--arm", choices=ARMS)
-    sde.add_argument("--boundary", choices=BOUNDARY_MODES, dest="boundary_mode",
-                     help="support repair for the exponential target")
     sde.add_argument("--dump-terminal", metavar="FILE",
                      help="debug: write the terminal sample of a single-cell "
                           "grid as a one-column CSV")
@@ -151,7 +149,7 @@ def _check_destinations(args) -> None:
 
 def _dump_trajectory(job, destination: str) -> None:
     """Debug export of one chain as step,x,theta,xi rows."""
-    trajectory = run_amcmc(job.config, make_target(job.target))
+    (trajectory,) = run_chains(make_target(job.target), [job.config])
     rows = zip(trajectory.x.tolist(), trajectory.theta.tolist(), trajectory.xi.tolist())
     lines = [f"{step},{x!r},{theta!r},{xi}" for step, (x, theta, xi) in enumerate(rows, 1)]
     write_lines(["step,x,theta,xi"] + lines, destination)
@@ -159,7 +157,7 @@ def _dump_trajectory(job, destination: str) -> None:
 
 def _dump_terminal(job, destination: str) -> None:
     """Debug export of one ensemble's terminal sample, one value per line."""
-    result = run_ensemble(make_target(job.target), job.config)
+    (result,) = run_ensembles(make_target(job.target), [job.config])
     write_lines(["x_T"] + [repr(float(v)) for v in result.x_t], destination)
 
 

@@ -133,7 +133,6 @@ class ExperimentSpec:
     seed: int = 0
     replicates: int = 11
     arm: str = "both"
-    boundary_mode: str = "reflect"
     workers: int = 1
 
     def effective_x0(self) -> float:
@@ -362,8 +361,7 @@ def sde_jobs(spec: ExperimentSpec):
 
     def make_config(h, p, run_seed):
         return EulerConfig(h=h, horizon_t=spec.horizon_t, p=p, theta0=theta0, x0=x0,
-                           n_paths=spec.n_paths, seed=run_seed,
-                           boundary_mode=spec.boundary_mode)
+                           n_paths=spec.n_paths, seed=run_seed)
 
     jobs = _jobs(spec, hp_cells, make_config, share=True)
     jobs.sort(key=lambda job: (job.config.h, job.replicate))  # stable: cells stay in order

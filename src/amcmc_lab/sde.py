@@ -11,8 +11,7 @@ normal target an Ornstein-Uhlenbeck process of stationary variance 1 at
 every theta.
 
 For the exponential target the positive half-line is preserved by
-reflecting X across zero after each step (the default) or by holding the
-previous position when a step would exit the support.
+reflecting X across zero after each step.
 
 run_ensembles steps ensembles that share a mesh as one array, EULER_CHUNK
 steps at a time, while a seeding.Helper thread draws the normals of the
@@ -37,7 +36,6 @@ from .targets import TargetModel, _constant
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
-BOUNDARY_MODES = ("reflect", "hold")
 EULER_CHUNK = 32  # steps of draws per buffer (run_ensembles keeps two) and per unit of work
 
 
@@ -52,7 +50,6 @@ class EulerConfig:
     x0: float = 0.0
     n_paths: int = 1
     seed: int = 0
-    boundary_mode: str = "reflect"
 
     def __post_init__(self):
         if not 0.0 < self.h < math.inf:
@@ -70,8 +67,6 @@ class EulerConfig:
             raise ValueError("x0 must be finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
         # n_steps steps of h must reach the horizon, not stop short of it or
         # pass it; the message names the steps that rounding up would take
         if not math.isclose(self.n_steps * self.h, self.horizon_t, rel_tol=1e-9):
@@ -108,12 +103,7 @@ def drift(target: TargetModel, state, p: float):
     return b_x, b_theta
 
 
-def run_ensemble(target: TargetModel, config: EulerConfig) -> EnsembleResult:
-    """Integrate n_paths independent paths to the horizon; see run_ensembles."""
-    return run_ensembles(target, [config])[0]
-
-
-_SHARED_FIELDS = ("h", "horizon_t", "x0", "theta0", "n_paths", "boundary_mode")
+_SHARED_FIELDS = ("h", "horizon_t", "x0", "theta0", "n_paths")
 
 
 # A diverging ensemble overflows to inf and then NaN; its caller checks the
@@ -155,8 +145,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
         if any(getattr(c, name) != getattr(first, name) for c in configs):
             raise ValueError(f"ensembles run together must share {name}")
     # The step folds exp's constant score away, so its support check runs
-    # once, at x0, before any draw: a reflected or held x is >= 0 or NaN,
-    # so no later step could fail it.
+    # once, at x0, before any draw: a reflected x is >= 0 or NaN, so no
+    # later step could fail it.
     constant_score = target.kind == "exp"
     if constant_score:
         target.score(first.x0)
@@ -211,8 +201,7 @@ def run_ensembles(target: TargetModel, configs) -> list:
             runs.append((noise_rows[start:stop], term_rows[start:stop], seeds.index(seed)))
             start = stop
     rate, gain = np.empty(a), np.empty(a)
-    boundary = first.boundary_mode if target.boundary_policy == "reflect_at_zero" else None
-    keep = np.empty(width, bool)
+    reflect = target.boundary_policy == "reflect_at_zero"
     floor_hits = np.zeros(n_adaptive, np.int64)
 
     # While this thread steps chunk k, the helper draws chunk k + 1 (see
@@ -242,11 +231,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
                 for noise_run, term_run, row in runs:
                     np.multiply(noise_run, z[row, j], term_run)
                 np.add(x_new, term, x_new)
-                if boundary == "reflect":
+                if reflect:
                     np.abs(x_new, x)
-                elif boundary == "hold":
-                    np.greater_equal(x_new, 0.0, keep)
-                    np.copyto(x, x_new, where=keep)
                 else:
                     x, x_new = x_new, x
                 if a:

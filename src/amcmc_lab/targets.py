@@ -196,7 +196,7 @@ class TargetModel:
         """d/dx log density(x) on the support; ``out`` as for log_density.
 
         At the exponential's boundary x = 0 (and -0.0) it is the one-sided
-        derivative -1: reflected and held Euler paths can land exactly there.
+        derivative -1: reflected Euler paths can land exactly there.
         The heavy-tailed scores take one temporary, their denominator.
         """
         o = out

@@ -14,8 +14,6 @@ from amcmc_lab import (
     AdaptiveConfig,
     ChainTrajectory,
     make_target,
-    run_amcmc,
-    run_smcmc,
 )
 from amcmc_lab.chains import STEP_CHUNK, chain_streams, metropolis_step, run_chains
 from amcmc_lab.coeffs import EvalPoint, embedded_benchmark, simulate_moments
@@ -28,8 +26,8 @@ T2 = make_target("t2")
 
 def test_run_amcmc_deterministic_and_sized():
     config = AdaptiveConfig(p=0.4, theta0=1.5, n_samples=500, seed=42)
-    first = run_amcmc(config, NORMAL)
-    second = run_amcmc(config, NORMAL)
+    (first,) = run_chains(NORMAL, [config])
+    (second,) = run_chains(NORMAL, [config])
     assert len(first) == 500
     assert np.array_equal(first.x, second.x)
     assert np.array_equal(first.theta, second.theta)
@@ -38,22 +36,22 @@ def test_run_amcmc_deterministic_and_sized():
 
 def test_single_step_run_equals_one_advanced_state():
     config = AdaptiveConfig(p=0.3, theta0=2.0, x0=0.7, n_samples=1, seed=9)
-    trajectory = run_amcmc(config, NORMAL)
+    (trajectory,) = run_chains(NORMAL, [config])
     manual = amcmc_step(ChainState(0.7, 2.0, 0, 0), config, NORMAL, chain_streams(9))
     assert ChainState(trajectory.x[0], trajectory.theta[0], trajectory.xi[0], 1) == manual
 
 
 def test_formulations_coincide_under_shared_seed():
-    # run_amcmc proposes and then accepts; the oracle draws the Bernoulli
+    # run_chains proposes and then accepts; the oracle draws the Bernoulli
     # indicator first and moves by theta * (xi * eps)
     config = AdaptiveConfig(p=0.35, theta0=0.8, x0=-1.0, n_samples=400, seed=77)
-    assert chain_bytes(run_amcmc(config, NORMAL)) == chain_bytes(
+    assert chain_bytes(run_chains(NORMAL, [config])[0]) == chain_bytes(
         oracle_chain(NORMAL, config, bernoulli_first=True))
 
 
 def test_higher_benchmark_raises_acceptance_rate():
     # stochastic-approximation fixed point: theta shrinks until acceptance ~ p
-    # (the chains of run_amcmc, seeds 0-9, run in lockstep)
+    # (seeds 0-9, run in lockstep)
     low, high = (run_chains(NORMAL, [AdaptiveConfig(p=p, theta0=1.0, n_samples=3000, seed=seed)
                                      for seed in range(10)])
                  for p in (0.10, 0.75))
@@ -63,7 +61,7 @@ def test_higher_benchmark_raises_acceptance_rate():
 
 def test_diminishing_adaptation_bound():
     config = AdaptiveConfig(p=0.25, theta0=2.38, n_samples=2000, seed=5)
-    trajectory = run_amcmc(config, NORMAL)
+    (trajectory,) = run_chains(NORMAL, [config])
     log_theta = np.log(np.concatenate([[config.theta0], trajectory.theta]))
     steps = np.arange(1, len(trajectory) + 1)
     bound = max(config.p, 1 - config.p) / np.sqrt(steps)
@@ -72,7 +70,7 @@ def test_diminishing_adaptation_bound():
 
 def test_theta_stays_positive():
     config = AdaptiveConfig(p=0.9, theta0=1e-3, n_samples=5000, seed=3)
-    trajectory = run_amcmc(config, NORMAL)
+    (trajectory,) = run_chains(NORMAL, [config])
     assert trajectory.theta.min() > 0.0
 
 
@@ -86,28 +84,28 @@ def test_reference_cell_ks_pvalue_scale():
 
 
 def test_smcmc_theta_constant_and_p_ignored():
-    config = AdaptiveConfig(p=0.9, theta0=0.7, n_samples=300, seed=8)
-    trajectory = run_smcmc(config, NORMAL)
+    # p None is the fixed-scale spelling: theta stays at theta0, the
+    # oracle's Bernoulli-first run gives the same bytes, and so does a batch
+    # whose other chains adapt to benchmarks 0.3 and 0.9
+    config = AdaptiveConfig(p=None, theta0=0.7, n_samples=300, seed=8)
+    (trajectory,) = run_chains(NORMAL, [config])
     assert np.all(trajectory.theta == 0.7)
-    # p None is the fixed-scale spelling: run_amcmc of it, and the oracle's
-    # Bernoulli-first run of it, give the bytes of run_smcmc at any p
-    fixed = replace(config, p=None)
-    for chain in (run_amcmc(fixed, NORMAL), oracle_chain(NORMAL, fixed, bernoulli_first=True)):
-        for p in (None, 0.3, 0.9):
-            assert chain_bytes(chain) == chain_bytes(run_smcmc(replace(config, p=p), NORMAL))
+    batched = run_chains(NORMAL, [config, replace(config, p=0.3), replace(config, p=0.9)])[0]
+    for chain in (oracle_chain(NORMAL, config, bernoulli_first=True), batched):
+        assert chain_bytes(chain) == chain_bytes(trajectory)
 
 
 def test_smcmc_small_scale_mixes_poorly():
     # reference: D = 0.1369 for fixed scale 0.10
-    config = AdaptiveConfig(p=0.5, theta0=0.10, n_samples=10_000, burn_in=1_000, seed=0)
-    summary = chain_summary(run_smcmc(config, NORMAL).x, NORMAL, 1_000)
+    config = AdaptiveConfig(p=None, theta0=0.10, n_samples=10_000, burn_in=1_000, seed=0)
+    summary = chain_summary(run_chains(NORMAL, [config])[0].x, NORMAL, 1_000)
     assert 0.08 < summary.d < 0.25
 
 
 def test_smcmc_reference_scale_esjd_band():
     # reference: ESJD = 0.71047 for fixed scale 2.38
-    config = AdaptiveConfig(p=0.5, theta0=2.38, n_samples=10_000, burn_in=1_000, seed=0)
-    summary = chain_summary(run_smcmc(config, NORMAL).x, NORMAL, 1_000)
+    config = AdaptiveConfig(p=None, theta0=2.38, n_samples=10_000, burn_in=1_000, seed=0)
+    summary = chain_summary(run_chains(NORMAL, [config])[0].x, NORMAL, 1_000)
     assert 0.5 < summary.esjd < 0.9
 
 
@@ -122,7 +120,7 @@ def _iact(x, c=5.0):
 
 
 def test_smcmc_preserves_target_distribution():
-    # fixed scale 2.38 (the chains of run_smcmc, seeds 0-9, in lockstep)
+    # fixed scale 2.38 (seeds 0-9, in lockstep)
     # passes the KS test at level 0.001 in >= 8/10 replicates.  ks_pvalue
     # takes its draws as independent, so the 90 000 retained draws count as
     # 90 000 / tau, tau their integrated autocorrelation time (about 4.4).
@@ -380,16 +378,15 @@ def chain_bytes(chain):
                 st.sampled_from((STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 7))),
 )
 def test_shared_loop_matches_amcmc_step_oracle(kind, seed, p, theta0, x0, n):
-    # run_amcmc's propose-then-accept chain is the lockstep runner's
-    # one-chain case, and a grid block mixes fixed-scale (None) and adaptive
-    # benchmarks in one batch; amcmc_step, stepped by hand on a chain's two
-    # streams, is the scalar oracle of each.  A negative x0 starts exp off
-    # its support.
+    # a chain run alone, and a batch that mixes fixed-scale (None) and
+    # adaptive benchmarks as a grid block does: amcmc_step, stepped by hand
+    # on a chain's two streams, is the scalar oracle of each.  A negative
+    # x0 starts exp off its support.
     target = make_target(kind)
     config = AdaptiveConfig(p=p, theta0=theta0, x0=x0, n_samples=n, seed=seed)
     block = [config, replace(config, seed=seed + 1, theta0=theta0 / 2, p=None),
              replace(config, seed=seed + 2, theta0=2 * theta0, p=0.3)]
-    trajectories = [run_amcmc(config, target)] + run_chains(target, block)
+    trajectories = run_chains(target, [config]) + run_chains(target, block)
     for trajectory, chain in zip(trajectories, block[:1] + block):
         assert chain_bytes(trajectory) == chain_bytes(oracle_chain(target, chain))
 

@@ -13,8 +13,8 @@ import pytest
 import amcmc_lab.chains
 import amcmc_lab.coeffs
 import amcmc_lab.sde
-from amcmc_lab import (AdaptiveConfig, ChainTrajectory, EvalPoint, limit_coefficient,
-                       make_target)
+from amcmc_lab import (AdaptiveConfig, ChainTrajectory, EulerConfig, EvalPoint,
+                       limit_coefficient, make_target)
 from amcmc_lab.chains import metropolis_step
 from amcmc_lab.coeffs import (
     _BATCH,
@@ -159,22 +159,26 @@ def test_public_surface_is_pinned():
     # a name joins or leaves the package on purpose; the one-step Euler
     # oracle (SdeState, euler_step) lives in tests/test_sde.py, and the
     # scalar Metropolis oracle (ChainState, amcmc_step), with both of the
-    # chain's formulations, in tests/test_chains.py, not here
+    # chain's formulations, in tests/test_chains.py, not here.  One chain
+    # or ensemble is a batch of one: run_chains and run_ensembles are the
+    # only runners, and exp paths are always reflected
     assert set(amcmc_lab.__all__) == {
         "AdaptiveConfig", "ChainTrajectory", "CoeffRow", "COEFF_KINDS",
         "DiscreteRow", "EnsembleResult", "EulerConfig", "EvalPoint", "ExperimentSpec",
         "RunSummary", "SdeRow", "TARGET_KINDS", "TargetModel",
         "chain_summary", "drift", "emit_csv", "esjd", "ks_pvalue", "ks_statistic",
-        "limit_coefficient", "load_csv", "make_target", "print_summary", "run_amcmc",
-        "run_ensemble", "run_ensembles", "run_experiment", "run_smcmc", "__version__",
+        "limit_coefficient", "load_csv", "make_target", "print_summary", "run_chains",
+        "run_ensembles", "run_experiment", "__version__",
     }
-    assert not hasattr(amcmc_lab.sde, "euler_step")
-    assert not hasattr(amcmc_lab.sde, "SdeState")
-    for name in ("amcmc_step", "ChainState", "FORMULATIONS"):
+    for name in ("euler_step", "SdeState", "run_ensemble", "BOUNDARY_MODES"):
+        assert not hasattr(amcmc_lab.sde, name)
+    for name in ("amcmc_step", "ChainState", "FORMULATIONS", "run_amcmc", "run_smcmc"):
         assert not hasattr(amcmc_lab.chains, name)
     assert [field.name for field in fields(AdaptiveConfig)] == [
         "p", "theta0", "n_samples", "x0", "burn_in", "seed"]
     assert not hasattr(ChainTrajectory, "state")
+    assert [field.name for field in fields(EulerConfig)] == [
+        "h", "horizon_t", "p", "theta0", "x0", "n_paths", "seed"]
 
 
 def v2_draws(rng, m):

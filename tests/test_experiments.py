@@ -194,7 +194,7 @@ def test_sde_start_off_the_support_is_refused_before_any_block_runs(monkeypatch)
     monkeypatch.setattr(experiments, "_sde_block", _no_work)
     with pytest.raises(ValueError, match="x0=-1.0 outside the support of the exp target"):
         run_experiment(small_sde_spec(target="exp", x0=-1.0))
-    # the boundary itself is a start a reflected or held path can take
+    # the boundary itself is a start a reflected path can take
     monkeypatch.undo()
     assert len(run_experiment(small_sde_spec(target="exp", x0=0.0, replicates=1))) == 2
 

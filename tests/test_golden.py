@@ -19,10 +19,10 @@ CHANGES.md:
   contract: an ensemble draws its increments step-major from
   stream_rng(seed) instead of one stream per path, so every sde row
   changed.
-* sde-cauchy, sde-exp, sde-exp-hold, sde-normal, sde-normal-adaptive and
-  sde-t2, with Euler contract v3: every adaptive cell of one (h, replicate)
-  takes the seed of the mesh's first adaptive cell, so the rows of the
-  other adaptive cells changed.  sde-normal-standard and the terminal-*
+* sde-cauchy, sde-exp, sde-normal, sde-normal-adaptive and sde-t2, with
+  Euler contract v3: every adaptive cell of one (h, replicate) takes the
+  seed of the mesh's first adaptive cell, so the rows of the other
+  adaptive cells changed.  sde-normal-standard and the terminal-*
   dumps hold single-cell or standard grids, whose seeds did not move.
   SEED_KEPT_DIGESTS pins the rows whose seeds v3 kept, taken before it.
 * The four discrete-* CLI digests and the amcmc-* and smcmc-* trajectory
@@ -41,7 +41,7 @@ so a digest failure on a runner can be read against the runner's dispatch.
 
 The one-arm digests of the discrete and sde normal grids and DUMP_DIGESTS
 were added, taken before each grid mode's arms became cells through one
-rule and before the dumped chain ran through run_amcmc: those paths were
+rule and before the dumped chain ran through run_chains: those paths were
 rewritten to keep these bytes.
 """
 
@@ -51,7 +51,7 @@ import os
 
 import pytest
 
-from amcmc_lab import AdaptiveConfig, experiments, make_target, run_amcmc, run_smcmc
+from amcmc_lab import AdaptiveConfig, experiments, make_target, run_chains
 from amcmc_lab.cli import main
 
 _DISCRETE = ("--theta0", "1.0", "--theta0", "10.0", "--p", "0.25", "--p", "0.5",
@@ -62,16 +62,15 @@ _COEFF = ("--x", "0.5", "--x", "2.0", "--theta0", "1.0", "--n", "100", "--n", "1
           "--draws", "2000")
 
 CLI_CASES = {
-    f"{mode}-{target}{suffix}": (mode, target, extra)
+    f"{mode}-{target}": (mode, target, grid)
     for mode, grid in (("discrete", _DISCRETE), ("sde", _SDE), ("coeff", _COEFF))
     for target in ("normal", "cauchy", "t2", "exp")
-    for suffix, extra in [("", grid)] + ([("-hold", grid + ("--boundary", "hold"))]
-                                         if (mode, target) == ("sde", "exp") else [])
 }
 # The bench coeff workload's scale: batches of several pieces each.
 CLI_CASES["coeff-cauchy-batches"] = ("coeff", "cauchy", ("--x", "2.0", "--theta0", "1.0",
                                                          "--n", "100", "--draws", "600000"))
-# Each arm on its own: the cells of one arm, seeded as in the two-arm grid.
+# Each arm on its own.  experiments._jobs numbers the cells of a one-arm
+# grid among that arm alone, so these seeds are not the two-arm grid's.
 for _mode, _grid in (("discrete", _DISCRETE), ("sde", _SDE)):
     for _arm in ("adaptive", "standard"):
         CLI_CASES[f"{_mode}-normal-{_arm}"] = (_mode, "normal", _grid + ("--arm", _arm))
@@ -114,8 +113,6 @@ CLI_DIGESTS = {
         "fc68f5b9ecf1e350198cb03382142f21781013b8c82ce62b08a9a90c6dc96f38",
     "sde-exp":
         "bc3fd47be5366e42f941e44962a161d8828bf4e2cfd427d6970ea5c262892527",
-    "sde-exp-hold":
-        "f463dad80f29a5001b0c4e859473a31511c215b76c61edb0cd55a734476f018d",
     "sde-normal":
         "7381547833237cc46be8f23462c046c78e9208e9d049705808a2bd3cf08e83fe",
     "sde-normal-adaptive":
@@ -209,19 +206,18 @@ def _x0(kind):
     return 1.0 if kind == "exp" else -0.5
 
 
-def trajectory_runs():
-    """Named chains of every runner on every target, with the odd start."""
-    runs = {}
-    for kind in ("normal", "cauchy", "t2", "exp"):
-        target = make_target(kind)
-        config = AdaptiveConfig(p=0.3, theta0=2.0, x0=_x0(kind), n_samples=700, seed=5)
-        runs[f"amcmc-{kind}"] = lambda c=config, t=target: run_amcmc(c, t)
-        runs[f"smcmc-{kind}"] = lambda c=config, t=target: run_smcmc(c, t)
-    # a start off the exponential's support: every ratio reads -inf or nan
-    off = AdaptiveConfig(p=0.3, theta0=0.4, x0=-0.5, n_samples=200, seed=6)
-    runs["smcmc-exp-off-support"] = lambda: run_smcmc(off, make_target("exp"))
-    runs["amcmc-exp-off-support"] = lambda: run_amcmc(off, make_target("exp"))
-    return runs
+def trajectory_configs():
+    """Named chains of both arms on every target, with the odd start:
+    amcmc-* adapts to the benchmark 0.3, smcmc-* keeps its scale fixed."""
+    configs = {}
+    for arm, p in (("amcmc", 0.3), ("smcmc", None)):
+        for kind in ("normal", "cauchy", "t2", "exp"):
+            configs[f"{arm}-{kind}"] = kind, AdaptiveConfig(p=p, theta0=2.0, x0=_x0(kind),
+                                                            n_samples=700, seed=5)
+        # a start off the exponential's support: every ratio reads -inf or nan
+        configs[f"{arm}-exp-off-support"] = "exp", AdaptiveConfig(p=p, theta0=0.4, x0=-0.5,
+                                                                  n_samples=200, seed=6)
+    return configs
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
@@ -266,7 +262,8 @@ def test_dump_digest(tmp_path, name):
     assert dump_digest(tmp_path, name) == DUMP_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(trajectory_runs()))
+@pytest.mark.parametrize("name", sorted(trajectory_configs()))
 def test_trajectory_digest(name):
-    trajectory = trajectory_runs()[name]()
+    kind, config = trajectory_configs()[name]
+    (trajectory,) = run_chains(make_target(kind), [config])
     assert _sha256(trajectory.x, trajectory.theta, trajectory.xi) == TRAJECTORY_DIGESTS[name]

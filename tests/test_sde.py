@@ -20,10 +20,9 @@ from amcmc_lab import (
     ks_pvalue,
     ks_statistic,
     make_target,
-    run_ensemble,
     run_ensembles,
 )
-from amcmc_lab.sde import BOUNDARY_MODES, EULER_CHUNK, SQRT_2PI, THETA_FLOOR
+from amcmc_lab.sde import EULER_CHUNK, SQRT_2PI, THETA_FLOOR
 from amcmc_lab.seeding import stream_rng
 
 NORMAL = make_target("normal")
@@ -82,8 +81,8 @@ def test_one_step_moment_consistency():
 
 def test_run_ensemble_deterministic():
     config = EulerConfig(h=0.01, horizon_t=0.5, p=2.0, theta0=1.0, n_paths=64, seed=5)
-    a = run_ensemble(NORMAL, config)
-    b = run_ensemble(NORMAL, config)
+    (a,) = run_ensembles(NORMAL, [config])
+    (b,) = run_ensembles(NORMAL, [config])
     assert np.array_equal(a.x_t, b.x_t)
     assert np.array_equal(a.theta_t_all, b.theta_t_all)
     assert a.theta_floor_hits == b.theta_floor_hits
@@ -93,7 +92,7 @@ def test_run_ensemble_deterministic():
 def test_single_path_single_step_matches_euler_step():
     config = EulerConfig(h=0.05, horizon_t=0.05, p=1.0, theta0=2.0, x0=0.3,
                          n_paths=1, seed=17)
-    result = run_ensemble(NORMAL, config)
+    (result,) = run_ensembles(NORMAL, [config])
     z = stream_rng(17).standard_normal(1)[0]
     manual = euler_step(NORMAL, SdeState(0.3, 2.0), config, z)
     assert result.x_t[0] == manual.x
@@ -105,7 +104,7 @@ def test_ensemble_reference_band_normal():
     # (reference single run: p-value 0.4774, theta(T) = 14.424)
     config = EulerConfig(h=0.0005, horizon_t=1.0, p=5.0, theta0=1.0,
                          n_paths=1000, seed=2)
-    result = run_ensemble(NORMAL, config)
+    (result,) = run_ensembles(NORMAL, [config])
     d = ks_statistic(result.x_t, NORMAL)
     assert ks_pvalue(d, 1000) > 1e-3
     assert 11.0 < result.theta_t_mean < 18.0
@@ -116,7 +115,7 @@ def test_ensemble_fixed_well_tuned_scale_reaches_stationarity():
     # this mesh; the unstated starting scale there is consistent with 2.38)
     config = EulerConfig(h=0.0001, horizon_t=1.0, p=None, theta0=2.38,
                          n_paths=400, seed=12)
-    result = run_ensemble(NORMAL, config)
+    (result,) = run_ensembles(NORMAL, [config])
     d = ks_statistic(result.x_t, NORMAL)
     assert ks_pvalue(d, 400) > 0.01
     assert np.all(result.theta_t_all == 2.38)
@@ -125,7 +124,7 @@ def test_ensemble_fixed_well_tuned_scale_reaches_stationarity():
 def test_exponential_ensemble_stays_on_half_line():
     config = EulerConfig(h=0.005, horizon_t=1.0, p=2.0, theta0=1.0, x0=1.0,
                          n_paths=200, seed=9)
-    result = run_ensemble(EXP, config)
+    (result,) = run_ensembles(EXP, [config])
     assert np.all(result.x_t >= 0.0)
 
 
@@ -220,8 +219,6 @@ def test_euler_config_validation():
         EulerConfig(h=0.01, horizon_t=1.0, p=-1.0, theta0=1.0)
     with pytest.raises(ValueError):
         EulerConfig(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, n_paths=0)
-    with pytest.raises(ValueError):
-        EulerConfig(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, boundary_mode="wrap")
     # p None is the fixed-scale limit: no range check on p
     assert EulerConfig(h=0.01, horizon_t=1.0, p=None, theta0=1.0).p is None
 
@@ -269,10 +266,7 @@ def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> 
         theta_new = state.theta
 
     if target.boundary_policy == "reflect_at_zero":
-        if config.boundary_mode == "reflect":
-            x_new = np.abs(x_new)
-        else:
-            x_new = np.where(x_new >= 0.0, x_new, state.x)
+        x_new = np.abs(x_new)
 
     if np.ndim(x_new) == 0:
         return SdeState(float(x_new), float(theta_new))
@@ -299,13 +293,6 @@ def test_euler_step_reflects_exponential_target():
     new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
     # raw move 0.05 - 0.005 - 0.1 = -0.055 is reflected across zero
     assert new.x == pytest.approx(0.055, abs=1e-15)
-
-
-def test_euler_step_hold_boundary_mode():
-    config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0,
-                         boundary_mode="hold")
-    new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
-    assert new.x == 0.05
 
 
 def test_euler_step_clamps_scale_at_floor():
@@ -349,7 +336,6 @@ def assert_matches_oracle(target, configs):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(TARGET_KINDS),
-    boundary_mode=st.sampled_from(BOUNDARY_MODES),
     n_steps=st.sampled_from((1, 2, 37, EULER_CHUNK - 1, EULER_CHUNK, EULER_CHUNK + 1,
                              2 * EULER_CHUNK + 7)),
     h=st.sampled_from((1e-3, 0.01, 0.05, 0.5)),
@@ -360,16 +346,13 @@ def assert_matches_oracle(target, configs):
                        min_size=1, max_size=4),
 )
 # a coarse mesh with a small p: theta clamps at the floor on the first step
-@example(kind="normal", boundary_mode="reflect", n_steps=EULER_CHUNK + 1, h=0.5,
-         theta0=100.0, x0=3.0, n_paths=3,
+@example(kind="normal", n_steps=EULER_CHUNK + 1, h=0.5, theta0=100.0, x0=3.0, n_paths=3,
          ensembles=[(False, 1.0, 5), (True, 0.001, 6), (True, 0.01, 7)])
 # the same on exp, whose step folds its constant score into the theta update
-@example(kind="exp", boundary_mode="reflect", n_steps=EULER_CHUNK + 1, h=0.5, theta0=100.0,
-         x0=3.0, n_paths=3, ensembles=[(True, 0.001, 6)])
-@example(kind="exp", boundary_mode="hold", n_steps=EULER_CHUNK + 1, h=0.5, theta0=100.0,
-         x0=3.0, n_paths=3, ensembles=[(True, 0.001, 6)])
-def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps, h, theta0,
-                                                   x0, n_paths, ensembles):
+@example(kind="exp", n_steps=EULER_CHUNK + 1, h=0.5, theta0=100.0, x0=3.0, n_paths=3,
+         ensembles=[(True, 0.001, 6)])
+def test_run_ensembles_match_the_euler_step_oracle(kind, n_steps, h, theta0, x0, n_paths,
+                                                   ensembles):
     # chunked draws and one wide array per mesh give every bit of the
     # whole-matrix loop over euler_step, field by field and ensemble by
     # ensemble; an ensemble drawn as not adaptive runs at a fixed scale
@@ -377,8 +360,7 @@ def test_run_ensembles_match_the_euler_step_oracle(kind, boundary_mode, n_steps,
     if kind == "exp":
         x0 = abs(x0)
     configs = [EulerConfig(h=h, horizon_t=n_steps * h, p=p if adaptive else None,
-                           theta0=theta0, x0=x0, n_paths=n_paths, seed=seed,
-                           boundary_mode=boundary_mode)
+                           theta0=theta0, x0=x0, n_paths=n_paths, seed=seed)
                for adaptive, p, seed in ensembles]
     assert configs[0].n_steps == n_steps
     assert_matches_oracle(target, configs)
@@ -393,31 +375,30 @@ def test_run_ensembles_count_floor_hits_per_ensemble():
     assert_matches_oracle(NORMAL, configs)
 
 
-@pytest.mark.parametrize("kind,boundary_mode,h,theta0,ensembles", [
+@pytest.mark.parametrize("kind,h,theta0,ensembles", [
     # a contiguous adaptive group on one seed, as a grid's (h, replicate)
     # gives it, and the standard ensemble on a seed of its own
-    ("normal", "reflect", 0.01, 1.0, [(1.0, 7), (2.0, 7), (2.5, 7), (None, 8)]),
+    ("normal", 0.01, 1.0, [(1.0, 7), (2.0, 7), (2.5, 7), (None, 8)]),
     # a non-contiguous repeat: A, B, A
-    ("cauchy", "reflect", 0.01, 1.0, [(1.0, 7), (2.0, 8), (3.0, 7)]),
+    ("cauchy", 0.01, 1.0, [(1.0, 7), (2.0, 8), (3.0, 7)]),
     # an adaptive and a standard ensemble on one seed
-    ("t2", "reflect", 0.01, 1.0, [(2.0, 7), (None, 7)]),
-    # all three on the half-line, under both boundary modes
-    ("exp", "reflect", 0.01, 1.0, [(2.0, 7), (3.0, 7), (None, 7), (1.0, 8), (4.0, 7)]),
-    ("exp", "hold", 0.01, 1.0, [(2.0, 7), (3.0, 7), (None, 7), (1.0, 8), (4.0, 7)]),
+    ("t2", 0.01, 1.0, [(2.0, 7), (None, 7)]),
+    # all three on the half-line
+    ("exp", 0.01, 1.0, [(2.0, 7), (3.0, 7), (None, 7), (1.0, 8), (4.0, 7)]),
     # theta clamps at the floor in ensembles that share a seed
-    ("normal", "reflect", 0.5, 100.0, [(0.001, 6), (None, 6), (0.01, 6), (1.0, 5)]),
+    ("normal", 0.5, 100.0, [(0.001, 6), (None, 6), (0.01, 6), (1.0, 5)]),
 ])
 def test_run_ensembles_on_shared_seeds_give_each_ensemble_its_bits_alone(
-        kind, boundary_mode, h, theta0, ensembles):
+        kind, h, theta0, ensembles):
     # ensembles on one seed read one stream, drawn once: each still gets
     # the bits it gets when it runs alone, and the oracle's
     target = make_target(kind)
     configs = [EulerConfig(h=h, horizon_t=(2 * EULER_CHUNK + 7) * h, p=p, theta0=theta0,
-                           x0=1.0, n_paths=5, seed=seed, boundary_mode=boundary_mode)
+                           x0=1.0, n_paths=5, seed=seed)
                for p, seed in ensembles]
     with np.errstate(over="ignore", invalid="ignore"):
         together = run_ensembles(target, configs)
-        alone = [run_ensemble(target, config) for config in configs]
+        alone = [run_ensembles(target, [config])[0] for config in configs]
     for got, want in zip(together, alone):
         assert same_bits(got.x_t, want.x_t) and same_bits(got.theta_t_all, want.theta_t_all)
         assert got.theta_floor_hits == want.theta_floor_hits
@@ -455,7 +436,6 @@ def test_run_ensembles_open_one_stream_per_distinct_seed_and_draw_it_once_a_chun
 
 @pytest.mark.parametrize("field,value", [
     ("h", 0.02), ("horizon_t", 2.0), ("x0", 0.5), ("theta0", 2.0), ("n_paths", 3),
-    ("boundary_mode", "hold"),
 ])
 def test_run_ensembles_reject_configs_that_do_not_share_a_mesh(field, value):
     base = dict(h=0.01, horizon_t=1.0, p=1.0, theta0=1.0, x0=0.0, n_paths=2)
@@ -501,12 +481,12 @@ def test_run_ensembles_join_their_draw_thread_on_return_and_on_raise():
     config = EulerConfig(h=h, horizon_t=3 * EULER_CHUNK * h, p=2.0, theta0=1.0,
                          n_paths=1000, seed=5)
     before = threading.active_count()
-    run_ensemble(NORMAL, config)
+    run_ensembles(NORMAL, [config])
     assert threading.active_count() == before
 
     target = FailingScore(fail_at=EULER_CHUNK + EULER_CHUNK // 2)
     with pytest.raises(RuntimeError) as raised:
-        run_ensemble(target, config)
+        run_ensembles(target, [config])
     assert raised.value is target.error
     assert target.threads_at_failure == before + 1
     assert threading.active_count() == before
@@ -640,7 +620,7 @@ def test_run_ensemble_memory_is_flat_in_the_horizon():
                              seed=3)
         tracemalloc.start()
         try:
-            run_ensemble(NORMAL, config)
+            run_ensembles(NORMAL, [config])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -648,11 +628,10 @@ def test_run_ensemble_memory_is_flat_in_the_horizon():
     assert abs(peak_bytes(160.0) - peak_bytes(10.0)) < 1 << 20
 
 
-@pytest.mark.parametrize("boundary_mode", BOUNDARY_MODES)
-def test_exponential_ensemble_starts_on_the_boundary(boundary_mode):
+def test_exponential_ensemble_starts_on_the_boundary():
     # the score is one-sided at x = 0, so paths that sit there run on
     config = EulerConfig(h=0.01, horizon_t=0.5, p=2.0, theta0=1.0, x0=0.0, n_paths=50,
-                         seed=4, boundary_mode=boundary_mode)
-    result = run_ensemble(EXP, config)
+                         seed=4)
+    (result,) = run_ensembles(EXP, [config])
     assert np.all(result.x_t >= 0.0)
     assert_matches_oracle(EXP, [config])

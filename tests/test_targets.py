@@ -48,7 +48,7 @@ def test_score_closed_forms(kind, x, expected):
 
 def test_score_errors_at_exp_boundary():
     target = make_target("exp")
-    # one-sided at the boundary, where reflected and held paths can land
+    # one-sided at the boundary, where reflected paths can land
     assert target.score(0.0) == -1.0
     assert target.score(-0.0) == -1.0
     with pytest.raises(ValueError):
