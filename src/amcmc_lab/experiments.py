@@ -135,13 +135,6 @@ class ExperimentSpec:
     arm: str = "both"
     workers: int = 1
 
-    def effective_x0(self) -> float:
-        if self.x0 is not None:
-            return self.x0
-        if self.mode == "sde" and self.target == "exp":
-            return 1.0
-        return 0.0
-
 
 @dataclass(frozen=True)
 class DiscreteRow:
@@ -192,10 +185,15 @@ def _common_checks(spec: ExperimentSpec):
 
 
 def _start(spec: ExperimentSpec) -> float:
-    """The spec's x0, refused off the target's support: a chain would never
-    reach the support from there if its scale shrinks first, and an Euler
-    path reads the score at x0.  A non-finite x0 is left to the configs."""
-    x0 = spec.effective_x0()
+    """The grid's x0: spec.x0, by default 0.0, or 1.0 for an exp sde grid.
+
+    It is refused off the target's support: a chain would never reach the
+    support from there if its scale shrinks first, and an Euler path's
+    drift, the score, is undefined there.  A non-finite x0 is left to the
+    configs."""
+    x0 = spec.x0
+    if x0 is None:
+        x0 = 1.0 if spec.mode == "sde" and spec.target == "exp" else 0.0
     if math.isfinite(x0) and not make_target(spec.target).in_support(x0):
         raise ValueError(f"x0={x0} outside the support of the {spec.target} target")
     return x0
@@ -494,34 +492,25 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def _header_and_lines(rows, row_type):
-    header = _CSV_HEADERS[row_type]
-    lines = [header]
-    names = [f.name for f in fields(row_type)]
-    for row in rows:
-        lines.append(",".join(_format_field(getattr(row, name)) for name in names))
-    return lines
-
-
-def emit_csv(rows, destination, row_type=None) -> None:
+def emit_csv(rows, destination) -> None:
     """Write homogeneous rows as UTF-8, LF-terminated, comma-separated CSV.
 
     ``destination`` is a path or a writable text file, written by
     write_lines.  Floats are printed as their shortest round-trip decimals.
-    ``row_type`` is only needed for an empty row set, where a header-only
-    file is produced.
+    Every run yields rows, so an empty row set is refused and nothing is
+    written.
     """
     rows = list(rows)
-    if rows:
-        inferred = type(rows[0])
-        if row_type is not None and row_type is not inferred:
-            raise ValueError("row_type disagrees with the rows")
-        row_type = inferred
-        if any(type(r) is not row_type for r in rows):
-            raise ValueError("rows must all have the same mode")
-    elif row_type is None:
-        raise ValueError("an empty row set needs an explicit row_type")
-    write_lines(_header_and_lines(rows, row_type), destination)
+    if not rows:
+        raise ValueError("no rows to write")
+    row_class = type(rows[0])
+    if any(type(r) is not row_class for r in rows):
+        raise ValueError("rows must all have the same mode")
+    names = [f.name for f in fields(row_class)]
+    lines = [_CSV_HEADERS[row_class]]
+    for row in rows:
+        lines.append(",".join(_format_field(getattr(row, name)) for name in names))
+    write_lines(lines, destination)
 
 
 def write_lines(lines, destination) -> None:
@@ -551,7 +540,7 @@ def write_lines(lines, destination) -> None:
         raise
 
 
-_HEADER_TYPES = {header: row_type for row_type, header in _CSV_HEADERS.items()}
+_HEADER_TYPES = {header: row_class for row_class, header in _CSV_HEADERS.items()}
 
 
 def load_csv(source):
@@ -567,16 +556,16 @@ def load_csv(source):
     header = lines[0]
     if header not in _HEADER_TYPES:
         raise ValueError(f"unrecognized CSV header: {header!r}")
-    row_type = _HEADER_TYPES[header]
+    row_class = _HEADER_TYPES[header]
     # one converter per column; an empty field reads None
-    parsers = [f.type if f.type in (int, float) else str for f in fields(row_type)]
+    parsers = [f.type if f.type in (int, float) else str for f in fields(row_class)]
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(parsers):
             raise ValueError(f"malformed CSV line: {line!r}")
-        rows.append(row_type(*[parse(part) if part else None
-                               for parse, part in zip(parsers, parts)]))
+        rows.append(row_class(*[parse(part) if part else None
+                                for parse, part in zip(parsers, parts)]))
     return rows
 
 

@@ -11,7 +11,8 @@ normal target an Ornstein-Uhlenbeck process of stationary variance 1 at
 every theta.
 
 For the exponential target the positive half-line is preserved by
-reflecting X across zero after each step.
+reflecting X across zero after each step; every ensemble's start is
+checked against the target's support once, before any draw.
 
 run_ensembles steps ensembles that share a mesh as one array, EULER_CHUNK
 steps at a time, while a seeding.Helper thread draws the normals of the
@@ -134,8 +135,8 @@ def run_ensembles(target: TargetModel, configs) -> list:
     arrays allocated once per call; only a cauchy or t2 score takes a
     temporary, its denominator.  Memory is bounded by the chunk, not by
     the horizon.  Returns one EnsembleResult per config, in the order
-    given.  An exp ensemble whose x0 is off the support raises ValueError
-    before any draw.
+    given.  An x0 off the target's support raises ValueError before any
+    stream opens, in the words of the grid's own start check.
     """
     configs = list(configs)
     if not configs:
@@ -144,12 +145,12 @@ def run_ensembles(target: TargetModel, configs) -> list:
     for name in _SHARED_FIELDS:
         if any(getattr(c, name) != getattr(first, name) for c in configs):
             raise ValueError(f"ensembles run together must share {name}")
-    # The step folds exp's constant score away, so its support check runs
-    # once, at x0, before any draw: a reflected x is >= 0 or NaN, so no
-    # later step could fail it.
-    constant_score = target.kind == "exp"
-    if constant_score:
-        target.score(first.x0)
+    # The start is checked once, before any stream opens: a reflected x is
+    # >= 0 or NaN, so no step leaves the support.  exp's score, the constant
+    # -1, is folded into the step, and its paths are reflected at zero.
+    if not target.in_support(first.x0):
+        raise ValueError(f"x0={first.x0} outside the support of the {target.kind} target")
+    exp = target.kind == "exp"
 
     # Adaptive ensembles first, so the theta update touches a leading slice.
     order = sorted(range(len(configs)), key=lambda i: configs[i].p is None)
@@ -201,7 +202,6 @@ def run_ensembles(target: TargetModel, configs) -> list:
             runs.append((noise_rows[start:stop], term_rows[start:stop], seeds.index(seed)))
             start = stop
     rate, gain = np.empty(a), np.empty(a)
-    reflect = target.boundary_policy == "reflect_at_zero"
     floor_hits = np.zeros(n_adaptive, np.int64)
 
     # While this thread steps chunk k, the helper draws chunk k + 1 (see
@@ -222,7 +222,7 @@ def run_ensembles(target: TargetModel, configs) -> list:
                     np.multiply(half_h, theta_a, drift_a)
                     np.multiply(drift_a, theta_a, drift_a)
                     np.multiply(sqrt_h, theta_a, noise_a)
-                if constant_score:
+                if exp:
                     np.subtract(x, drift_scale, x_new)
                 else:
                     target.score(x, s)
@@ -231,13 +231,13 @@ def run_ensembles(target: TargetModel, configs) -> list:
                 for noise_run, term_run, row in runs:
                     np.multiply(noise_run, z[row, j], term_run)
                 np.add(x_new, term, x_new)
-                if reflect:
+                if exp:
                     np.abs(x_new, x)
                 else:
                     x, x_new = x_new, x
                 if a:
                     # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
-                    if constant_score:
+                    if exp:
                         np.divide(theta_a, sqrt_2pi, rate)
                     else:
                         np.abs(s_a, rate)

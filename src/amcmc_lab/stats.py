@@ -18,7 +18,6 @@ class RunSummary:
     d: float
     p_value: float
     esjd: float
-    n_retained: int
 
 
 def ks_statistic(sample, target: TargetModel) -> float:
@@ -79,7 +78,6 @@ def chain_summary(chain, target: TargetModel, burn_in: int = 0) -> RunSummary:
         d=d,
         p_value=ks_pvalue(d, retained.size),
         esjd=esjd(chain, burn_in),
-        n_retained=retained.size,
     )
 
 

@@ -141,14 +141,12 @@ class TargetModel:
     """Immutable 1-D target density; all methods are pure functions.
 
     ``support`` is the closed-interval hull of the region where the density
-    is positive.  ``boundary_policy`` records how a simulation that leaves
-    the support should be repaired ("reflect_at_zero" for the exponential,
-    "none" otherwise); enforcement lives with the simulators.
+    is positive.  Only the exponential's is bounded; how a simulation keeps
+    to it (sde.run_ensembles reflects at zero) lives with the simulators.
     """
 
     kind: str
     support: tuple
-    boundary_policy: str
 
     def in_support(self, x) -> bool:
         lo, hi = self.support
@@ -237,6 +235,5 @@ def make_target(kind: str) -> TargetModel:
     """Build one of the supported targets: "normal", "cauchy", "t2", "exp"."""
     if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}; expected one of {TARGET_KINDS}")
-    if kind == "exp":
-        return TargetModel(kind=kind, support=(0.0, math.inf), boundary_policy="reflect_at_zero")
-    return TargetModel(kind=kind, support=(-math.inf, math.inf), boundary_policy="none")
+    lo = 0.0 if kind == "exp" else -math.inf
+    return TargetModel(kind=kind, support=(lo, math.inf))

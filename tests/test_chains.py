@@ -18,6 +18,7 @@ from amcmc_lab import (
 from amcmc_lab.chains import STEP_CHUNK, chain_streams, metropolis_step, run_chains
 from amcmc_lab.coeffs import EvalPoint, embedded_benchmark, simulate_moments
 from amcmc_lab.stats import chain_summary, ks_pvalue, ks_statistic
+from amcmc_lab.targets import _ndtr
 
 
 NORMAL = make_target("normal")
@@ -161,6 +162,77 @@ def test_fixed_scale_acceptance_oracle_sees_a_two_percent_scale_error(sigma):
     # negative control: chains at 1.02 sigma fall outside 4 SE of the
     # value at sigma (at sigma = 0.1 the curve is too flat to see 2%)
     assert abs(_acceptance_z(1.02 * sigma, sigma)) >= 4.0
+
+
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(64)
+
+
+def _stationary_esjd(sigma, panels=16, cut=12.0):
+    """sigma^2 E[eps^2 2 Phi(-sigma |eps| / 2)], eps ~ N(0,1): the stationary
+    ESJD of random-walk Metropolis on N(0,1) with N(0, sigma^2) steps, whose
+    acceptance given eps is 2 Phi(-sigma |eps| / 2).  The integrand is even
+    with a kink at eps = 0, so it is twice the integral over [0, cut], by
+    64-node Gauss-Legendre on equal panels that start at the kink; past
+    cut = 12 the normal density is below 1e-31."""
+    nodes, weights = _GAUSS_LEGENDRE
+    edges = np.linspace(0.0, cut, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        eps = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        f = eps * eps * 2.0 * _ndtr(-0.5 * sigma * eps) * np.exp(-0.5 * eps * eps)
+        total += 0.5 * (hi - lo) * np.dot(weights, f)
+    return sigma * sigma * 2.0 * total / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("sigma, expected", [
+    (0.1, 0.00936), (1.0, 0.45018), (2.38, 0.74403), (10.0, 0.32390)])
+def test_stationary_esjd_quadrature_matches_scipy_quad(sigma, expected):
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    def integrand(eps):
+        return eps * eps * 2.0 * ndtr(-0.5 * sigma * eps) * math.exp(-0.5 * eps * eps)
+
+    reference = 2.0 * sigma * sigma * quad(integrand, 0.0, math.inf, epsabs=1e-14,
+                                           epsrel=1e-13)[0] / math.sqrt(2.0 * math.pi)
+    assert _stationary_esjd(sigma) == pytest.approx(reference, rel=1e-12)
+    assert round(_stationary_esjd(sigma), 5) == expected
+
+
+ESJD_SCALES = (0.1, 1.0, 2.38, 10.0, 1.02, 10.2)  # the last two: 1.02 x 1 and 1.02 x 10
+
+
+@functools.cache
+def _fixed_scale_esjds(sigma):
+    """The esjd column of 200 fixed-scale chains of 10^4 steps on N(0,1) at
+    scale sigma, burn-in 1000, run as one batch and scored as a discrete
+    block scores them (seeds 950_000 + 1000 k + i for the k-th scale of
+    ESJD_SCALES)."""
+    first = 950_000 + 1000 * ESJD_SCALES.index(sigma)
+    configs = [AdaptiveConfig(p=None, theta0=sigma, n_samples=10_000, burn_in=1_000,
+                              seed=seed) for seed in range(first, first + 200)]
+    chains = run_chains(NORMAL, configs, x_only=True)
+    return np.array([chain_summary(chain.x, NORMAL).esjd for chain in chains])
+
+
+def _esjd_z(sigma, scored_at):
+    """z of the mean esjd at scale sigma against the stationary ESJD at
+    scored_at; the standard error is the spread across chains over sqrt(200)."""
+    esjds = _fixed_scale_esjds(sigma)
+    std_error = esjds.std(ddof=1) / math.sqrt(esjds.size)
+    return (esjds.mean() - _stationary_esjd(scored_at)) / std_error
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 2.38, 10.0])
+def test_fixed_scale_esjd_matches_its_closed_form(sigma):
+    assert abs(_esjd_z(sigma, sigma)) < 4.0
+
+
+@pytest.mark.parametrize("sigma", [1.0, 10.0])
+def test_fixed_scale_esjd_oracle_sees_a_two_percent_scale_error(sigma):
+    # negative control: chains at 1.02 sigma fall outside 4 SE of the ESJD
+    # at sigma; near the optimum, about 2.43, the curve is too flat to see 2%
+    assert abs(_esjd_z(round(1.02 * sigma, 2), sigma)) >= 4.0
 
 
 FIXED_POINT_PS = (0.25, 0.5, 0.75)

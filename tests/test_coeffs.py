@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import sys
@@ -179,6 +180,11 @@ def test_public_surface_is_pinned():
     assert not hasattr(ChainTrajectory, "state")
     assert [field.name for field in fields(EulerConfig)] == [
         "h", "horizon_t", "p", "theta0", "x0", "n_paths", "seed"]
+    # the kind alone says how a target is treated at its support's edge
+    assert [field.name for field in fields(amcmc_lab.TargetModel)] == ["kind", "support"]
+    assert [field.name for field in fields(amcmc_lab.RunSummary)] == ["d", "p_value", "esjd"]
+    assert not hasattr(amcmc_lab.ExperimentSpec, "effective_x0")
+    assert list(inspect.signature(amcmc_lab.emit_csv).parameters) == ["rows", "destination"]
 
 
 def v2_draws(rng, m):
@@ -335,7 +341,7 @@ class FailingDensity:
     """The normal target, but its log density raises on call number fail_at
     (counted over both threads); the thread count then is kept."""
 
-    kind, boundary_policy = "normal", "none"
+    kind = "normal"
 
     def __init__(self, fail_at):
         self.calls, self.fail_at = itertools.count(1), fail_at

@@ -247,7 +247,7 @@ def test_sde_runs_at_the_spec_theta0():
 def test_sde_exponential_defaults_start_inside_support():
     spec = ExperimentSpec(mode="sde", target="exp", hp_cells=((0.01, 2.0),),
                           n_paths=30, horizon_t=0.1, replicates=1, seed=6)
-    assert spec.effective_x0() == 1.0
+    assert all(job.config.x0 == 1.0 for job in experiments.sde_jobs(spec))
     rows = run_experiment(spec)
     assert all(0.0 <= row.d <= 1.0 for row in rows)
 
@@ -330,13 +330,16 @@ def test_emit_csv_single_row_format(tmp_path):
     assert lines[1] == "normal,discrete,adaptive,2.38,0.5,7,0,0.015,0.028,0.71"
 
 
-def test_emit_csv_header_only_for_empty_rows(tmp_path):
+def test_emit_csv_refuses_empty_rows_and_writes_nothing(tmp_path):
+    # every run yields rows, so an empty set can only be a caller's mistake
     path = tmp_path / "empty.csv"
-    emit_csv([], path, row_type=SdeRow)
-    assert path.read_text(encoding="utf-8") == (
-        "target,mode,arm,h,p,seed,replicate,D,p_value,theta_T_mean\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no rows to write"):
         emit_csv([], path)
+    assert list(tmp_path.iterdir()) == []
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="no rows to write"):
+        emit_csv(iter([]), buffer)
+    assert buffer.getvalue() == ""
 
 
 def test_emit_csv_rejects_mixed_modes(tmp_path):

@@ -15,6 +15,7 @@ import amcmc_lab.sde
 from amcmc_lab import (
     TARGET_KINDS,
     EulerConfig,
+    ExperimentSpec,
     TargetModel,
     drift,
     ks_pvalue,
@@ -22,6 +23,7 @@ from amcmc_lab import (
     make_target,
     run_ensembles,
 )
+from amcmc_lab import experiments
 from amcmc_lab.sde import EULER_CHUNK, SQRT_2PI, THETA_FLOOR
 from amcmc_lab.seeding import stream_rng
 
@@ -265,7 +267,7 @@ def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> 
         x_new = state.x + h * 0.5 * theta0 * theta0 * s + sqrt_h * theta0 * z
         theta_new = state.theta
 
-    if target.boundary_policy == "reflect_at_zero":
+    if target.kind == "exp":
         x_new = np.abs(x_new)
 
     if np.ndim(x_new) == 0:
@@ -452,19 +454,54 @@ def test_run_ensembles_refuse_an_exp_start_off_the_support_before_any_draw(monke
     monkeypatch.setattr(amcmc_lab.sde, "stream_rng", no_stream)
     configs = [EulerConfig(h=0.01, horizon_t=1.0, p=p, theta0=1.0, x0=-0.5, n_paths=2,
                            seed=seed) for seed, p in ((1, 2.0), (2, None))]
-    with pytest.raises(ValueError, match="requires x >= 0"):
+    with pytest.raises(ValueError, match="outside the support of the exp target"):
         run_ensembles(EXP, configs)
+
+
+@pytest.mark.parametrize("kind", ["exp", "normal"])
+@pytest.mark.parametrize("x0", [-1.0, -5e-324, -0.0, 0.0, 0.5])
+def test_run_ensembles_state_the_start_rule_in_the_grid_words(monkeypatch, kind, x0):
+    # exactly the starts off the support are refused, before any stream
+    # opens, with the message of the grid's own start check; -0.0 and 0.0
+    # are on exp's closed half-line and run
+    opened = []
+
+    def recorded_stream(seed):
+        opened.append(seed)
+        return stream_rng(seed)
+
+    monkeypatch.setattr(amcmc_lab.sde, "stream_rng", recorded_stream)
+    target = make_target(kind)
+    configs = [EulerConfig(h=0.01, horizon_t=0.1, p=p, theta0=1.0, x0=x0, n_paths=3,
+                           seed=seed) for seed, p in ((1, 2.0), (2, None))]
+    if kind == "exp" and x0 in (-1.0, -5e-324):
+        spec = ExperimentSpec(mode="sde", target=kind, hp_cells=((0.01, 2.0),),
+                              horizon_t=0.1, n_paths=3, x0=x0, replicates=1)
+        with pytest.raises(ValueError) as grid:
+            experiments.sde_jobs(spec)
+        with pytest.raises(ValueError) as direct:
+            run_ensembles(target, configs)
+        assert str(direct.value) == str(grid.value) == (
+            f"x0={x0} outside the support of the {kind} target")
+        assert opened == []
+    else:
+        results = run_ensembles(target, configs)
+        assert opened == [1, 2]
+        assert all(target.in_support(result.x_t) for result in results)
 
 
 class FailingScore:
     """The normal target, but its score raises on call number fail_at; the
     thread count at that moment is kept in threads_at_failure."""
 
-    kind, boundary_policy = "normal", "none"
+    kind = "normal"
 
     def __init__(self, fail_at):
         self.calls, self.fail_at = 0, fail_at
         self.error, self.threads_at_failure = RuntimeError("score failed"), None
+
+    def in_support(self, x):
+        return NORMAL.in_support(x)
 
     def score(self, x, out=None):
         self.calls += 1

@@ -123,10 +123,9 @@ def test_vectorized_evaluation_matches_scalar():
 def test_target_metadata():
     exp = make_target("exp")
     assert exp.support == (0.0, math.inf)
-    assert exp.boundary_policy == "reflect_at_zero"
     assert not exp.in_support(-0.1)
     normal = make_target("normal")
-    assert normal.boundary_policy == "none"
+    assert normal.support == (-math.inf, math.inf)
     assert normal.in_support(-1e300)
 
 
