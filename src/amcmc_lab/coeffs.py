@@ -16,26 +16,40 @@ The chain at resolution n proposes with scale theta/sqrt(n) and retunes
 theta by exp((xi - p_n)/sqrt(n)); embedded_benchmark gives p_n = 1 - p/sqrt(n).
 simulate_moments draws independent one-step transitions from a fixed state,
 averages the requested scaled moments over them, and sets each against its
-analytic limit in a row.  Each kind has its own number of draws (n_draws,
-or its entry in draws_of), and the contract (coefficient contract v2) is
-per kind: its transitions come in batches of _BATCH draws, batch b from
-the stream (seed, b), only the last batch shorter, and within a batch
-each of its pieces (below), in order, draws its normals and then its
-uniforms.  A call's units of work are the distinct (batch, length) pairs
-its kinds read; each is stepped once, for every kind that reads it, so
-kinds of different lengths share their common full batches.  A unit is
-drawn, stepped, and its moment values formed and summed, piece by piece:
-the pieces are the ones numpy's pairwise sum splits the unit into (halve,
-rounding the first half down to a multiple of 8, until a piece holds at
-most _SLICE values), and the piece sums are added back along the same
-split.  Each piece sum is the subtree numpy's sum computes for those
-values, and each kind's row is summed on its own, so each unit total is
-bit for bit the sum of a whole-batch array of that kind's values, whoever
-shares the unit.  The calling thread and a seeding.Helper thread take a
+analytic limit in a row.  A transition's values are fixed by its accept
+flag xi and by eps xi, eps its standard normal: with scale = theta/sqrt(n)
+and dtheta d1 if accepted and d0 if not,
+
+    B1 = n scale eps xi,  A11 = n scale^2 (eps xi)^2,  A12 = n scale d1 eps xi,
+    B2 = n d1 or n d0,    A22 = n d1^2 or n d0^2.
+
+So every kind's sum and sum of squares over N transitions follows from
+four statistics of them (coefficient scoring v2): K = sum xi, S1 = sum
+eps xi, S2 = sum (eps xi)^2 and S4 = sum (eps xi)^4.  _kind_sums holds
+those formulas, and fixes their float order.
+
+Each kind has its own number of draws (n_draws, or its entry in
+draws_of), and the contract (coefficient contract v2) is per kind: its
+transitions come in batches of _BATCH draws, batch b from the stream
+(seed, b), only the last batch shorter, and within a batch each of its
+pieces (below), in order, draws its normals and then its uniforms.  A
+call's units of work are the distinct (batch, length) pairs its kinds
+read; each is stepped once, for every kind that reads it, so kinds of
+different lengths share their common full batches.  A unit is drawn,
+stepped, and its statistics summed, piece by piece: the pieces are the
+ones numpy's pairwise sum splits the unit into (halve, rounding the
+first half down to a multiple of 8, until a piece holds at most _SLICE
+values), and the piece sums are added back along the same split.  Each
+piece sum is the subtree numpy's sum computes for those values, so a
+unit's S1, S2 and S4 are bit for bit the sums of whole-batch arrays of
+eps xi and its powers, and K is a count.  A unit that only B2 or A22
+reads counts its accepts and sums nothing.  Each kind adds up the
+statistics of the units it reads, so its row does not depend on which
+kinds share them.  The calling thread and a seeding.Helper thread take a
 call's units one at a time until none is left; each holds one set of
 piece-sized buffers, so a call's draw memory is two pieces whatever its
-number of draws, and a unit's sums are folded into the kinds' totals as
-soon as every earlier unit's are.
+number of draws, and a unit's statistics are folded into the kinds'
+totals as soon as every earlier unit's are.
 """
 
 import itertools
@@ -57,9 +71,8 @@ _BATCH = 1 << 19
 _SLICE = 1 << 14  # most draws of a piece: about L2
 _MIN_DRAWS = 1_000
 
-# Each kind's value is n times its factors, multiplied in this order.
-_FACTORS = {"B1": ("dx",), "B2": ("dtheta",), "A11": ("dx", "dx"),
-            "A22": ("dtheta", "dtheta"), "A12": ("dx", "dtheta")}
+# The kinds whose values read eps xi; B2 and A22 read the accept flag alone.
+_DX_KINDS = ("B1", "A11", "A12")
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,20 @@ def _fold(sums, m: int):
     return _fold(sums, half) + _fold(sums, m - half)
 
 
+def _kind_sums(kind: str, n: int, scale: float, d0: float, d1: float, count, stats) -> tuple:
+    """Sum and sum of squares of kind's values over count transitions whose
+    statistics are stats = (K, S1, S2, S4), in this float order."""
+    k, s1, s2, s4 = stats
+    if kind not in _DX_KINDS:  # a value per outcome, v1 if accepted and v0 if not
+        v1, v0 = (n * d1, n * d0) if kind == "B2" else (n * d1 * d1, n * d0 * d0)
+        rejected = count - k
+        return v1 * k + v0 * rejected, v1 * v1 * k + v0 * v0 * rejected
+    # a factor times eps xi (B1, A12) or (eps xi)^2 (A11)
+    factor, total, total_sq = {"B1": (n * scale, s1, s2), "A11": (n * scale * scale, s2, s4),
+                               "A12": (n * scale * d1, s1, s2)}[kind]
+    return factor * total, factor * factor * total_sq
+
+
 def embedded_benchmark(p: float, n: int) -> float:
     """Acceptance benchmark p_n = 1 - p/sqrt(n) of the chain at resolution n,
     which must be at least 1, at most the largest float, and large enough
@@ -181,17 +208,20 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     then its uniforms, so each kind's row is identical whether computed
     alone or together with others, of any lengths.  Each distinct (batch,
     length) of the kinds is one unit, stepped once for the kinds that read
-    it.  A unit is drawn, stepped, and its moment values formed and
-    summed, one of its _pieces at a time; _fold adds the piece sums along
-    numpy's pairwise split, so the rows are those of summing whole-batch
-    arrays.  The calling thread and a seeding.Helper thread each take the
-    next unit until none is left, and each kind adds its unit sums in
-    batch order, so no bit depends on which thread ran a unit.  A unit's
-    sums are added once every earlier unit's are, so a finished unit waits
-    only for one still running, whatever the number of units.  An unknown
-    kind, or fewer than _MIN_DRAWS draws for a kind, is refused before any
-    draw.  A row whose estimate, standard error or limit is not finite
-    raises ValueError.
+    it.  A unit is drawn and stepped, and its statistics K, S1, S2 and S4
+    summed, one of its _pieces at a time: after metropolis_step, a unit
+    that only B2 or A22 reads counts its accepts, and any other writes
+    eps xi over eps and squares it in place twice.  _fold adds the piece
+    sums along numpy's pairwise split, so a unit's statistics are those of
+    summing whole-batch arrays.  The calling thread and a seeding.Helper
+    thread each take the next unit until none is left, and each kind adds
+    up its units' statistics in batch order, so no bit depends on which
+    thread ran a unit.  A unit's statistics are added once every earlier
+    unit's are, so a finished unit waits only for one still running,
+    whatever the number of units.  _kind_sums turns each kind's statistics
+    into its sum and sum of squares.  An unknown kind, or fewer than
+    _MIN_DRAWS draws for a kind, is refused before any draw.  A row whose
+    estimate, standard error or limit is not finite raises ValueError.
     """
     draws_of = draws_of or {}
     for kind in (*kinds, *draws_of):
@@ -210,37 +240,35 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     scale = theta / sqrt_n
     lp_x = target.log_density(x)
     # dtheta = theta expm1((xi - p_n)/sqrt(n)) at xi = 0 and at xi = 1
-    d0, d1 = theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)
+    d0, d1 = (theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)).tolist()
     piece = min(_SLICE, max(draws, default=0))
 
-    # each kind adds its unit sums in batch order, which is the units'
-    # order: not sum(), whose compensation would change the bits.  A unit
-    # done before an earlier one waits in done until that one is in.
-    totals = np.zeros((2, len(kinds)))
+    # each kind adds its units' statistics in batch order, which is the
+    # units' order: not sum(), whose compensation would change the bits.
+    # A unit done before an earlier one waits in done until that one is in.
+    totals = np.zeros((len(kinds), 4))
     done, lock = {}, threading.Lock()
     folded = 0  # the units folded into totals
 
-    def fold(index, readers, unit_sums):
+    def fold(index, readers, unit_stats):
         nonlocal folded
         with lock:
-            done[index] = readers, unit_sums
+            done[index] = readers, unit_stats
             while folded in done:
-                readers, unit_sums = done.pop(folded)
-                totals[:, readers] += unit_sums
+                readers, unit_stats = done.pop(folded)
+                totals[readers] += unit_stats
                 folded += 1
 
     def run(pending):
-        """Step, sum and fold each unit this thread takes."""
+        """Step each unit this thread takes, and sum and fold its statistics."""
         eps = None
         for index, (batch, m, readers) in pending:
             rng = stream_rng(seed, batch)
             if eps is None:  # this thread's one buffer set
-                eps, u, values = np.empty(piece), np.empty(piece), np.empty((len(kinds), piece))
+                eps, u = np.empty(piece), np.empty(piece)
                 proposal, accept = np.empty((2, piece)), np.empty(piece, bool)
-            factors = [_FACTORS[kinds[i]] for i in readers]
-            reads_dx = any("dx" in kind_factors for kind_factors in factors)
-            reads_dtheta = any("dtheta" in kind_factors for kind_factors in factors)
-            piece_sums = []
+            reads_dx = any(kinds[i] in _DX_KINDS for i in readers)
+            piece_stats = []
             for lo, hi in _pieces(m):
                 # the contract's order: the piece's normals, then its uniforms
                 step = rng.standard_normal(out=eps[:hi - lo])
@@ -248,28 +276,22 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 (y, lp_y), xi = proposal[:, :hi - lo], accept[:hi - lo]
                 # y is not read here, so the log ratio goes over it
                 metropolis_step(x, lp_x, scale, step, log_u, target, (y, lp_y, y, xi))
-                terms = {}
-                if reads_dx:  # the step has read eps: it holds dx from here on
-                    terms["dx"] = np.multiply(scale, np.where(xi, step, 0.0), out=step)
-                if reads_dtheta:
-                    terms["dtheta"] = np.where(xi, d1, d0)
-                rows = values[:len(readers), :hi - lo]
-                for row, kind_factors in zip(rows, factors):
-                    np.multiply(n, terms[kind_factors[0]], out=row)
-                    for factor in kind_factors[1:]:
-                        row *= terms[factor]
-                # Each row's sum is numpy's pairwise sum of that row alone.
-                piece_sum = np.empty((2, len(readers)))
-                rows.sum(axis=1, out=piece_sum[0])
-                np.square(rows, out=rows).sum(axis=1, out=piece_sum[1])
-                piece_sums.append(piece_sum)
-            fold(index, list(readers), _fold(piece_sums, m))
+                stats = np.zeros(4)  # K, S1, S2, S4
+                stats[0] = np.count_nonzero(xi)
+                if reads_dx:  # the step has read eps: e = eps xi goes over it
+                    e = np.multiply(step, xi, out=step)
+                    stats[1] = e.sum()
+                    stats[2] = np.square(e, out=e).sum()
+                    stats[3] = np.square(e, out=e).sum()
+                piece_stats.append(stats)
+            fold(index, list(readers), _fold(piece_stats, m))
 
     with Helper() as helper:
         helper.share(run, enumerate(_units(draws)))()
 
     rows = {}
-    for kind, count, total, total_sq in zip(kinds, draws, *totals.tolist()):
+    for kind, count, stats in zip(kinds, draws, totals.tolist()):
+        total, total_sq = _kind_sums(kind, n, scale, d0, d1, count, stats)
         estimate = total / count
         var = (total_sq - total * total / count) / (count - 1)
         std_error = math.sqrt(max(var, 0.0) / count)

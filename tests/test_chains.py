@@ -167,19 +167,22 @@ def test_fixed_scale_acceptance_oracle_sees_a_two_percent_scale_error(sigma):
 _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(64)
 
 
-def _stationary_esjd(sigma, panels=16, cut=12.0):
+def _stationary_esjd(sigma, panels=16, cut=12.0, halved=True):
     """sigma^2 E[eps^2 2 Phi(-sigma |eps| / 2)], eps ~ N(0,1): the stationary
     ESJD of random-walk Metropolis on N(0,1) with N(0, sigma^2) steps, whose
     acceptance given eps is 2 Phi(-sigma |eps| / 2).  The integrand is even
     with a kink at eps = 0, so it is twice the integral over [0, cut], by
     64-node Gauss-Legendre on equal panels that start at the kink; past
-    cut = 12 the normal density is below 1e-31."""
+    cut = 12 the normal density is below 1e-31.  With halved False the
+    acceptance misses its division by 2, 2 Phi(-sigma |eps|), which is the
+    acceptance at scale 2 sigma: a negative control."""
     nodes, weights = _GAUSS_LEGENDRE
     edges = np.linspace(0.0, cut, panels + 1)
+    half = 0.5 if halved else 1.0
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         eps = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        f = eps * eps * 2.0 * _ndtr(-0.5 * sigma * eps) * np.exp(-0.5 * eps * eps)
+        f = eps * eps * 2.0 * _ndtr(-half * sigma * eps) * np.exp(-0.5 * eps * eps)
         total += 0.5 * (hi - lo) * np.dot(weights, f)
     return sigma * sigma * 2.0 * total / math.sqrt(2.0 * math.pi)
 
@@ -197,6 +200,31 @@ def test_stationary_esjd_quadrature_matches_scipy_quad(sigma, expected):
                                            epsrel=1e-13)[0] / math.sqrt(2.0 * math.pi)
     assert _stationary_esjd(sigma) == pytest.approx(reference, rel=1e-12)
     assert round(_stationary_esjd(sigma), 5) == expected
+
+
+def _esjd_argmax(halved=True):
+    """The scale at which _stationary_esjd is largest, by bounded Brent
+    search over [0.5, 6] to 1e-8."""
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(lambda sigma: -_stationary_esjd(sigma, halved=halved),
+                           bounds=(0.5, 6.0), method="bounded", options={"xatol": 1e-8}).x
+
+
+def test_one_dimensional_optimum_accepts_at_the_papers_benchmark():
+    # the fixed-scale chain on N(0,1) moves furthest per step at sigma =
+    # 2.426, where it accepts (2/pi) arctan(2/sigma) = 0.4389: the 0.44 of
+    # Gelman, Roberts & Gilks (1996) that the paper takes as its benchmark,
+    # computed here rather than cited
+    sigma = _esjd_argmax()
+    assert 2.41 <= sigma <= 2.44
+    assert 0.435 <= 2.0 / math.pi * math.atan(2.0 / sigma) <= 0.443
+
+
+def test_one_dimensional_optimum_oracle_sees_an_acceptance_missing_its_halving():
+    # negative control: the acceptance 2 Phi(-sigma |eps|), that of scale
+    # 2 sigma, peaks at half the scale, 1.213, outside the band
+    assert not 2.41 <= _esjd_argmax(halved=False) <= 2.44
 
 
 ESJD_SCALES = (0.1, 1.0, 2.38, 10.0, 1.02, 10.2)  # the last two: 1.02 x 1 and 1.02 x 10

@@ -23,6 +23,7 @@ from amcmc_lab.coeffs import (
     COEFF_KINDS,
     CoeffRow,
     _fold,
+    _kind_sums,
     _pieces,
     embedded_benchmark,
     simulate_moments,
@@ -199,24 +200,51 @@ def v1_draws(rng, m):
     return rng.standard_normal(m), rng.random(m)
 
 
-def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draw=v2_draws):
-    """The rows of simulate_moments by its plain estimator: whole-batch
-    arrays of each kind's values, summed batch by batch, the batch's
-    normals and uniforms drawn whole in the order draw gives."""
-    p_n = embedded_benchmark(point.p, n)
-    x, theta, target = point.x, point.theta, point.target
-    sqrt_n = math.sqrt(n)
+def stepped_batches(point, n, n_draws, seed, draw=v2_draws):
+    """Each batch's normals and accept flags: the batch's normals and
+    uniforms drawn whole in the order draw gives, then one metropolis_step
+    of each from the point.  Run it under the errstate of simulate_moments."""
+    x, target = point.x, point.target
     lp_x = target.log_density(x)
+    for batch, start in enumerate(range(0, n_draws, _BATCH)):
+        m = min(_BATCH, n_draws - start)
+        eps, u = draw(stream_rng(seed, batch), m)
+        xi = np.empty(m, bool)
+        metropolis_step(x, lp_x, point.theta / math.sqrt(n), eps, np.log(u), target,
+                        (*np.empty((3, m)), xi))
+        yield eps, xi
+
+
+def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draw=v2_draws):
+    """The rows of simulate_moments by its plain estimator: the statistics
+    K, S1, S2 and S4 of whole-batch arrays of the accept flag xi and of
+    e = eps xi, added up batch by batch, then each kind's sums by
+    _kind_sums; the batch's normals and uniforms drawn whole in the order
+    draw gives."""
+    p_n = embedded_benchmark(point.p, n)
+    theta, sqrt_n = point.theta, math.sqrt(n)
+    d0, d1 = (theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)).tolist()
+    stats = [0.0, 0.0, 0.0, 0.0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for eps, xi in stepped_batches(point, n, n_draws, seed, draw):
+            e = eps * xi
+            e2 = e * e
+            batch_stats = np.count_nonzero(xi), e.sum(), e2.sum(), (e2 * e2).sum()
+            stats = [total + float(value) for total, value in zip(stats, batch_stats)]
+        sums = {kind: (n_draws, *_kind_sums(kind, n, theta / sqrt_n, d0, d1, n_draws, stats))
+                for kind in kinds}
+    return rows_of(point, n, sums)
+
+
+def per_kind_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
+    """The rows of simulate_moments under coefficient scoring v1: whole-batch
+    arrays of each kind's values, each summed and squared and summed, batch
+    by batch, the batch's normals and uniforms drawn in the v2 order."""
+    p_n = embedded_benchmark(point.p, n)
+    theta, sqrt_n = point.theta, math.sqrt(n)
     sums = {kind: [0, 0.0, 0.0] for kind in kinds}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for batch, start in enumerate(range(0, n_draws, _BATCH)):
-            m = min(_BATCH, n_draws - start)
-            rng = stream_rng(seed, batch)
-            eps, u = draw(rng, m)
-            log_u = np.log(u)
-            xi = np.empty(m, bool)
-            metropolis_step(x, lp_x, theta / sqrt_n, eps, log_u, target,
-                            (*np.empty((3, m)), xi))
+        for eps, xi in stepped_batches(point, n, n_draws, seed):
             dx = (theta / sqrt_n) * np.where(xi, eps, 0.0)
             dtheta = theta * np.expm1((xi.astype(float) - p_n) / sqrt_n)
             for kind in kinds:
@@ -233,9 +261,14 @@ def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draw=v2_draws):
                 sums[kind][0] += values.size
                 sums[kind][1] += float(values.sum())
                 sums[kind][2] += float(np.square(values).sum())
+    return rows_of(point, n, sums)
+
+
+def rows_of(point, n, sums):
+    """CoeffRows, as simulate_moments forms them, from each kind's (count,
+    sum, sum of squares)."""
     rows = {}
-    for kind in kinds:
-        count, total, total_sq = sums[kind]
+    for kind, (count, total, total_sq) in sums.items():
         estimate = total / count
         var = (total_sq - total * total / count) / (count - 1)
         std_error = math.sqrt(max(var, 0.0) / count)
@@ -244,8 +277,8 @@ def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draw=v2_draws):
             z = (estimate - limit) / std_error
         else:
             z = 0.0 if estimate == limit else math.inf
-        rows[kind] = CoeffRow(kind, target.kind, x, theta, point.p, n, estimate, std_error,
-                              limit, z)
+        rows[kind] = CoeffRow(kind, point.target.kind, point.x, point.theta, point.p, n,
+                              estimate, std_error, limit, z)
     return rows
 
 
@@ -283,6 +316,22 @@ def test_rows_match_the_plain_estimator_bit_for_bit(point, n, n_draws):
         assert got == {kind: expected[kind] for kind in kinds}
 
 
+@pytest.mark.parametrize("point, n, n_draws", [
+    pytest.param(point, n, n_draws, id=name + suffix)
+    for suffix, n_draws in [("", ORACLE_DRAWS), ("-uneven", UNEVEN_DRAWS)]
+    for name, (point, n) in ORACLE_CELLS.items()
+])
+def test_scoring_v2_moves_only_rounding(point, n, n_draws):
+    # coefficient scoring v2 takes each kind's sums from the statistics K,
+    # S1, S2 and S4; v1 summed whole-batch arrays of each kind's values.
+    # The same transitions give the same rows up to rounding (measured
+    # here: 1.6e-14 relative on estimates, 3.7e-16 on standard errors)
+    got = simulate_moments(point, n, n_draws, 41)
+    for kind, expected in per_kind_moments(point, n, n_draws, 41).items():
+        assert math.isclose(got[kind].estimate, expected.estimate, rel_tol=1e-12)
+        assert math.isclose(got[kind].std_error, expected.std_error, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("n_draws, v1_agrees", [(2_000, True), (_SLICE + 8, False),
                                                 (ORACLE_DRAWS, False)])
 def test_only_a_batch_of_several_pieces_tells_the_draw_orders_apart(n_draws, v1_agrees):
@@ -314,10 +363,10 @@ SPLIT_LENGTHS = ([1, 7, 8, 129, _SLICE, _SLICE + 1, 3 * _SLICE + 5, 330_016, 475
 
 @pytest.mark.parametrize("m", SPLIT_LENGTHS)
 def test_piece_sums_fold_to_numpys_sum_bit_for_bit(m):
-    # simulate_moments sums a batch one (kinds, piece) view at a time and
-    # folds the piece sums; that is ndarray.sum() of the whole batch only if
-    # the pieces follow numpy's own pairwise split, and each row of the view
-    # is summed as that row alone
+    # simulate_moments sums a batch's e = eps xi, e^2 and e^4 one piece at
+    # a time and folds the arrays of piece sums; that is ndarray.sum() of
+    # each whole-batch array only if the pieces follow numpy's own pairwise
+    # split (three rows here, each summed as that row alone)
     pieces = _pieces(m)
     assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
     assert pieces[-1][1] == m and all(0 < hi - lo <= _SLICE for lo, hi in pieces)
@@ -426,13 +475,25 @@ def test_each_batch_goes_to_one_thread_under_fast_switching(monkeypatch):
 
 
 def test_an_overflow_in_either_thread_ends_in_one_clean_error():
-    # each batch overflows (n dx)^2; the helper thread inherits the caller's
-    # errstate (seeding.Helper), and no warning reaches a filter
+    # each batch's proposals overflow the log density in both threads, so
+    # every one is rejected, and the row's limit theta^2/2 psi'/psi
+    # overflows; the helper thread inherits the caller's errstate
+    # (seeding.Helper), and no warning reaches a filter
     point = EvalPoint(x=0.5, theta=1e200, p=0.5, target=NORMAL)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="kind B1: estimate"):
             simulate_moments(point, 100, 2 * _BATCH, 53, ("B1",))
+
+
+def test_a_row_whose_factor_overflows_is_refused_even_with_no_accept():
+    # at theta = 1e160 every proposal overflows the log density and is
+    # rejected, and A12's factor n scale d1 overflows: inf times its zero
+    # sums is nan, so the row is refused.  Coefficient scoring v1 wrote
+    # estimate 0, std_error 0 and z 0 here, a perfect score made of overflow
+    point = EvalPoint(x=0.5, theta=1e160, p=0.5, target=NORMAL)
+    with pytest.raises(ValueError, match="kind A12: estimate nan"):
+        simulate_moments(point, 100, 2_000, 3, ("A12",))
 
 
 def traced_peak(n_draws):
@@ -446,12 +507,15 @@ def traced_peak(n_draws):
 
 def test_simulate_moments_memory_is_two_buffer_sets():
     # each thread holds one set of piece-sized buffers, whatever the batch
-    # size or the number of draws; a thread that held one batch's normals,
-    # 8 bytes a draw, peaked at 10.1 MiB here, and the whole-array
-    # estimator at 37 MiB
+    # size or the number of draws: 2^14 normals, uniforms, a two-row
+    # proposal and accept flags, 528 KiB, so two sets are 1.03 MiB, and the
+    # call peaked at 1.19 MiB here.  With a (5, 2^14) row of per-kind
+    # values in each set (coefficient scoring v1) it peaked at 2.3 MiB, a
+    # thread that held one batch's normals, 8 bytes a draw, at 10.1 MiB,
+    # and the whole-array estimator at 37 MiB
     simulate_moments(POINT, 10_000, 2_000, 47, ("B1",))  # imports the helper's pool
     peak = traced_peak(2_000_000)
-    assert peak <= 3 << 20
+    assert peak <= 3 << 19
     # 4 times the draws, 12 more units, peak no higher: each unit's sums are
     # folded in once every earlier unit's are (kept to the end of the call,
     # they read +3 KiB here, and +84 KiB while a unit's piece sums lived on

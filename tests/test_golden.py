@@ -1,20 +1,24 @@
 """Golden digests of the CLI CSVs and of chain trajectories.
 
-The coeff-* digests were taken from the package before the chains moved
-onto the float fast path, and are pinned: any change in a random stream, a
-log-density bit or a CSV field shows up here as a different sha256.  Their
-2000 draws are one piece of one batch, so coeff-cauchy-batches, a full
-batch and a partial one of uneven pieces, was added, taken while each
-batch was still summed as one whole array.
+Every digest is pinned: any change in a random stream, a log-density bit,
+a rounding of the scoring or a CSV field shows up here as a different
+sha256.  The coeff-* grids' 2000 draws are one piece of one batch, so
+coeff-cauchy-batches, a full batch and a partial one of uneven pieces, was
+added beside them.
 
-Four stream-contract changes regenerated the rest, each declared in
-CHANGES.md:
+Four stream-contract changes and one scoring change regenerated digests,
+each declared in CHANGES.md:
 
 * coeff-cauchy-batches, with coefficient contract v2: each piece of a
   batch draws its normals and then its uniforms, where v1 drew all of the
   batch's normals first.  A one-piece batch draws in the same order under
   both, so the other coeff-* digests held.
-
+* All five coeff-* digests (coeff-cauchy, coeff-cauchy-batches, coeff-exp,
+  coeff-normal and coeff-t2), with coefficient scoring v2: each kind's sum
+  and sum of squares come from four statistics of its transitions (the
+  accept count and the sums of eps xi, (eps xi)^2 and (eps xi)^4), where
+  v1 summed an array of the kind's values.  The draws and transitions are
+  the same; the estimates and standard errors moved by rounding only.
 * The five sde-* CLI digests, with the Euler ensembles' one-stream
   contract: an ensemble draws its increments step-major from
   stream_rng(seed) instead of one stream per path, so every sde row
@@ -88,15 +92,15 @@ _DUMPS = {
 
 CLI_DIGESTS = {
     "coeff-cauchy":
-        "0e48898e13b4ce6fc317c633e07be5956e4e68cdb6adb253b3de99bec77c5ff4",
+        "0ca281d73a9b36e7b9977b89a47782aa9246da5fb9b7dfdd6d3d76016c28c129",
     "coeff-cauchy-batches":
-        "2c4f356e0b62a3c13f9e2a4bac11f38fbd9cef10b43adeaccca5a87540020fed",
+        "5f76a2dadb4659c8e96dcc31cdb4b27364e472484de9d439880e08d0614a5733",
     "coeff-exp":
-        "2d1b2415f855d41532742ec334394be89c27080e5d6be7886d0ef028eb7a6bcd",
+        "6040549244a49c99bc05808df3071e9fcfe00d1f8bc6f88591070fbcf9e10d1b",
     "coeff-normal":
-        "17e0bc27df512d9f07b2f34e509079bc97c9ab6d9034db0b67ecf2ee62646a08",
+        "4fbac0026fdf6c23bd2991bc846c9ec8518aabe46ae6597ad562387242d20154",
     "coeff-t2":
-        "2fe6f0958c1caf1865f598e12100423df8a6f720ebd28345623e620d90ecd085",
+        "43b7902920b907dc01e65e1da6eceaaf43a9def4546e4fc6f56bd73186bd156a",
     "discrete-cauchy":
         "440cf5fb18797b7be9e96943616f9af18f79c5f1acb8125481fda3ccd484447b",
     "discrete-exp":
