@@ -579,11 +579,7 @@ def _median(values):
 
 
 def print_summary(rows, file=None) -> None:
-    """Human-readable per-cell medians, flagging the best p per group.
-
-    ``best_in_group`` marks, within each mesh size (sde) or starting scale
-    (discrete), the adaptive cell with the highest median KS p-value.
-    """
+    """Human-readable per-cell medians, one line per cell."""
     out = file if file is not None else sys.stdout
     rows = list(rows)
     if not rows:
@@ -611,22 +607,14 @@ def print_summary(rows, file=None) -> None:
             "p_value": _median(r.p_value for r in cell_rows),
             "tail": _median((r.theta_t_mean if sde else r.esjd) for r in cell_rows),
         })
-    best = {}
-    for entry in summary:
-        if entry["arm"] != "adaptive":
-            continue
-        key = entry["group"]
-        if key not in best or entry["p_value"] > best[key]["p_value"]:
-            best[key] = entry
 
     print(f"{group_name:>10} {'p':>8} {'arm':>9} {'D(med)':>10} "
-          f"{'p_value(med)':>13} {tail_name:>13} {'best_in_group':>13}", file=out)
+          f"{'p_value(med)':>13} {tail_name:>13}", file=out)
     for entry in summary:
-        flag = 1 if best.get(entry["group"]) is entry else 0
         p_text = "" if entry["p"] is None else f"{entry['p']:g}"
         print(f"{entry['group']:>10g} {p_text:>8} {entry['arm']:>9} "
               f"{entry['d']:>10.4f} {format_pvalue(entry['p_value']):>13} "
-              f"{entry['tail']:>13.4f} {flag:>13}", file=out)
+              f"{entry['tail']:>13.4f}", file=out)
 
 
 def _print_coeff_summary(rows, out) -> None:

@@ -19,7 +19,10 @@ steps at a time, while a seeding.Helper thread draws the normals of the
 next chunk: the calling thread's wall time is the stepping plus the draws
 the helper has not taken.  Ensembles that share a seed share one stream,
 drawn once: a grid seeds the adaptive cells of one (h, replicate) alike,
-so they step on the same increments.  Its step gives, path by path, the
+so they step on the same increments.  Its step (Euler scheme v2) carries
+the noise scale sigma = sqrt(h) theta in place of theta, which lets X's
+drift and sigma's share one square and folds h into constants; it differs
+from stepping theta by rounding only.  The step gives, path by path, the
 bits of the one-step oracle euler_step in tests/test_sde.py, writes into
 arrays allocated once per call, and folds the exponential's constant score
 away (see run_ensembles).
@@ -33,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .seeding import Helper, stream_rng
-from .targets import TargetModel, _constant
+from .targets import _HALF, TargetModel, _constant
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 THETA_FLOOR = 1e-12
@@ -123,20 +126,27 @@ def run_ensembles(target: TargetModel, configs) -> list:
     seeds are shared out, one at a time, through a seeding.Helper.  A
     seed's chunk is drawn by one thread, after its previous chunk, so
     chunked draws give the bits of one whole (n_steps, n_paths) draw
-    whichever thread makes them and whatever the chunk size.  Every path
-    takes the float operations of the test oracle
+    whichever thread makes them and whatever the chunk size.
+
+    A path's state is (x, sigma), sigma = sqrt(h) theta.  With s the score
+    at x and u = sigma^2 / 2, a step takes x to x + u s + sigma z and sigma
+    to sigma (1 + h p) - k u |s|, k = 2 sqrt(h) / sqrt(2 pi); a sigma at or
+    below 0 is clamped to sqrt(h) THETA_FLOOR and counted.  A fixed-scale
+    ensemble's sigma and u are set once.  theta_T is sigma_T / sqrt(h),
+    THETA_FLOOR itself on the floor, and theta0 itself at a fixed scale.
+    Every path takes the float operations of the test oracle
     ``tests/test_sde.py::euler_step`` in the same order, so each result is
     identical however the ensembles are grouped or scheduled.  The one
-    difference is exp's constant score s = -1: its step runs x - ds where
-    the oracle runs x + ds * s (ds = h/2 theta^2), and theta / sqrt(2 pi)
-    where it runs theta * |s| / sqrt(2 pi).  Multiplying by -1 or by 1 is
-    exact and x - ds is x + (-ds) in IEEE arithmetic, so the bits are the
-    same.  The step writes the score and its other intermediates into
-    arrays allocated once per call; only a cauchy or t2 score takes a
-    temporary, its denominator.  Memory is bounded by the chunk, not by
-    the horizon.  Returns one EnsembleResult per config, in the order
-    given.  An x0 off the target's support raises ValueError before any
-    stream opens, in the words of the grid's own start check.
+    difference is exp's constant score s = -1: its step runs x - u where
+    the oracle runs x + u s, and u k where it runs k (u |s|).  Multiplying
+    by -1 or by 1 is exact, x - u is x + (-u) and products commute in IEEE
+    arithmetic, so the bits are the same.  The step writes the score and
+    its other intermediates into arrays allocated once per call; only a
+    cauchy or t2 score takes a temporary, its denominator.  Memory is
+    bounded by the chunk, not by the horizon.  Returns one EnsembleResult
+    per config, in the order given.  An x0 off the target's support raises
+    ValueError before any stream opens, in the words of the grid's own
+    start check.
     """
     configs = list(configs)
     if not configs:
@@ -174,85 +184,91 @@ def run_ensembles(target: TargetModel, configs) -> list:
 
     x = np.full(width, first.x0)
     x_new = np.empty(width)
-    theta = np.full(width, first.theta0)
-    theta_a = theta[:a]
-    p = np.repeat([c.p for c in ordered[:n_adaptive]], n)
-    # h/2, sqrt(h), h and sqrt(2 pi) as read-only 0-d arrays (see targets._constant)
-    half_h, sqrt_h, h, sqrt_2pi = map(_constant, (h * 0.5, math.sqrt(h), h, SQRT_2PI))
-    # The scales of the drift and of the noise: h/2 theta^2 and sqrt(h) theta.
-    # Only their adaptive slice changes from step to step.
-    drift_scale = half_h * theta * theta
-    noise_scale = sqrt_h * theta
-    drift_a, noise_a = drift_scale[:a], noise_scale[:a]
+    # The state is (x, sigma), sigma = sqrt(h) theta the noise scale, and
+    # u = sigma^2 / 2 = h/2 theta^2 the drift scale.  Only their adaptive
+    # slice changes from step to step; the fixed slice's are set here, once.
+    sqrt_h = math.sqrt(h)
+    sigma = np.full(width, sqrt_h * first.theta0)
+    u = sigma * sigma * 0.5
+    sigma_a, u_a = sigma[:a], u[:a]
+    # sigma's update sigma (1 + h p) - k u |s|, k = 2 sqrt(h) / sqrt(2 pi):
+    # 1 + h p per path, and k, like 1/2, a read-only 0-d array (see
+    # targets._constant)
+    hp1 = 1.0 + h * np.repeat([c.p for c in ordered[:n_adaptive]], n)
+    k = _constant(2.0 * sqrt_h / SQRT_2PI)
+    sigma_floor = sqrt_h * THETA_FLOOR
     s = np.empty(width)  # the score at x, unless it is exp's constant
     s_a = s[:a]
     term = np.empty(width)
     # the same arrays, one row per ensemble, to meet z's step slices
-    noise_rows, term_rows = noise_scale.reshape(-1, n), term.reshape(-1, n)
+    sigma_rows, term_rows = sigma.reshape(-1, n), term.reshape(-1, n)
     # Runs of consecutive ensembles on one seed, each as (its rows of
-    # noise_rows and term_rows, its seed's rows of z), for one broadcast
+    # sigma_rows and term_rows, its seed's rows of z), for one broadcast
     # multiply a run.  When every seed is distinct, z's rows line up with
     # the ensembles' and one run, all rows, takes them all.
     if len(seeds) == len(configs):
-        runs = [(noise_rows, term_rows, slice(None))]
+        runs = [(sigma_rows, term_rows, slice(None))]
     else:
         runs, start = [], 0
         for seed, run in itertools.groupby(c.seed for c in ordered):
             stop = start + len(list(run))
-            runs.append((noise_rows[start:stop], term_rows[start:stop], seeds.index(seed)))
+            runs.append((sigma_rows[start:stop], term_rows[start:stop], seeds.index(seed)))
             start = stop
-    rate, gain = np.empty(a), np.empty(a)
+    rate = np.empty(a)
     floor_hits = np.zeros(n_adaptive, np.int64)
 
-    # While this thread steps chunk k, the helper draws chunk k + 1 (see
+    # While this thread steps a chunk, the helper draws the next (see
     # seeding.Helper); this thread draws what it has left once it has stepped.
     with Helper() as helper:
         finish = helper.share(partial(draw, 0), range(len(seeds)))
-        for k in range(n_chunks):
-            m, z = finish()[0], buffers[k % 2]
-            if k + 1 < n_chunks:
-                finish = helper.share(partial(draw, k + 1), range(len(seeds)))
+        for chunk in range(n_chunks):
+            m, z = finish()[0], buffers[chunk % 2]
+            if chunk + 1 < n_chunks:
+                finish = helper.share(partial(draw, chunk + 1), range(len(seeds)))
             for j in range(m):
-                # x + h/2 theta^2 s + sqrt(h) theta z, operation by operation as
-                # the test oracle tests/test_sde.py::euler_step evaluates it, so
+                # x + u s + sigma z, operation by operation as the test
+                # oracle tests/test_sde.py::euler_step evaluates it, so
                 # every path gets the same bits.
                 # Each is a ufunc call with its out passed by position: an
                 # augmented assignment (a *= b) costs about twice the overhead.
                 if a:
-                    np.multiply(half_h, theta_a, drift_a)
-                    np.multiply(drift_a, theta_a, drift_a)
-                    np.multiply(sqrt_h, theta_a, noise_a)
+                    np.multiply(sigma_a, sigma_a, u_a)
+                    np.multiply(u_a, _HALF, u_a)
                 if exp:
-                    np.subtract(x, drift_scale, x_new)
+                    np.subtract(x, u, x_new)
                 else:
                     target.score(x, s)
-                    np.multiply(drift_scale, s, term)
+                    np.multiply(u, s, term)
                     np.add(x, term, x_new)
-                for noise_run, term_run, row in runs:
-                    np.multiply(noise_run, z[row, j], term_run)
+                for sigma_run, term_run, row in runs:
+                    np.multiply(sigma_run, z[row, j], term_run)
                 np.add(x_new, term, x_new)
                 if exp:
                     np.abs(x_new, x)
                 else:
                     x, x_new = x_new, x
                 if a:
-                    # theta + h theta (p - theta |s| / sqrt(2 pi)), in that order
+                    # sigma (1 + h p) - (|s| u) k, in that order
                     if exp:
-                        np.divide(theta_a, sqrt_2pi, rate)
+                        np.multiply(u_a, k, rate)
                     else:
                         np.abs(s_a, rate)
-                        np.multiply(theta_a, rate, rate)
-                        np.divide(rate, sqrt_2pi, rate)
-                    np.subtract(p, rate, rate)
-                    np.multiply(h, theta_a, gain)
-                    np.multiply(gain, rate, gain)
-                    np.add(theta_a, gain, theta_a)
+                        np.multiply(rate, u_a, rate)
+                        np.multiply(rate, k, rate)
+                    np.multiply(sigma_a, hp1, sigma_a)
+                    np.subtract(sigma_a, rate, sigma_a)
                     # Clamps and floor hits need a minimum (NaN aside) at or
                     # below the floor; checking it first costs one pass, not two.
-                    if np.fmin.reduce(theta_a) <= THETA_FLOOR:
-                        theta_a[theta_a <= 0.0] = THETA_FLOOR
+                    if np.fmin.reduce(sigma_a) <= sigma_floor:
+                        sigma_a[sigma_a <= 0.0] = sigma_floor
                         floor_hits += np.count_nonzero(
-                            (theta_a == THETA_FLOOR).reshape(n_adaptive, n), axis=1)
+                            (sigma_a == sigma_floor).reshape(n_adaptive, n), axis=1)
+
+    # theta_T: sigma_T / sqrt(h) on the adaptive slice, THETA_FLOOR itself
+    # where a path ends on the floor, and theta0 itself on the fixed slice
+    theta = np.full(width, first.theta0)
+    np.divide(sigma_a, sqrt_h, theta[:a])
+    theta[:a][sigma_a == sigma_floor] = THETA_FLOOR
 
     results = [None] * len(configs)
     for slot, i in enumerate(order):

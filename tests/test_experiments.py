@@ -356,21 +356,22 @@ def test_coeff_csv_round_trip(tmp_path):
     assert load_csv(path) == rows
 
 
-def test_print_summary_flags_best_cell():
+def test_print_summary_prints_one_line_per_cell():
+    # medians only: no column ranks the cells of a group
     rows = run_experiment(small_sde_spec(hp_cells=((0.01, 1.0), (0.01, 2.0)),
                                          replicates=1))
     buffer = io.StringIO()
     print_summary(rows, file=buffer)
-    text = buffer.getvalue()
-    assert "best_in_group" in text
-    flagged = [line for line in text.splitlines()
-               if line.strip().endswith(" 1") and "adaptive" in line]
-    assert len(flagged) == 1
+    header, *lines = buffer.getvalue().splitlines()
+    assert header.split() == ["h", "p", "arm", "D(med)", "p_value(med)", "theta_T(med)"]
+    # each line ends in the cell's three medians
+    assert [line.split()[:-3] for line in lines] == [
+        ["0.01", "1", "adaptive"], ["0.01", "2", "adaptive"], ["0.01", "standard"]]
 
 
 def summary_rows(replicates):
     """Discrete rows of two adaptive cells and a fixed-scale one; the first
-    cell's median p-value is the higher at 3 replicates and the lower at 4."""
+    cell's values are uneven, so its medians differ at 3 and 4 replicates."""
     values = {0.25: ([0.3, 0.1, 0.2, 0.4], [0.5, 0.125, 0.25, 0.0625], [1.0, 3.0, 2.0, 4.0]),
               0.5: ([0.2] * 4, [0.2] * 4, [1.5] * 4),
               None: ([0.7] * 4, [1e-20] * 4, [0.5] * 4)}
@@ -379,19 +380,18 @@ def summary_rows(replicates):
             for p, (d, p_value, esjd) in values.items() for r in range(replicates)]
 
 
-SUMMARY_HEADER = ("    theta0        p       arm     D(med)  p_value(med)     esjd(med) "
-                  "best_in_group\n")
+SUMMARY_HEADER = "    theta0        p       arm     D(med)  p_value(med)     esjd(med)\n"
 
 
 @pytest.mark.parametrize("replicates, lines", [
     # the middle value
-    (3, ["         1     0.25  adaptive     0.2000          0.25        2.0000             1",
-         "         1      0.5  adaptive     0.2000           0.2        1.5000             0",
-         "         1           standard     0.7000      <2.2e-16        0.5000             0"]),
+    (3, ["         1     0.25  adaptive     0.2000          0.25        2.0000",
+         "         1      0.5  adaptive     0.2000           0.2        1.5000",
+         "         1           standard     0.7000      <2.2e-16        0.5000"]),
     # the mean of the two middle ones, as statistics.median gives
-    (4, ["         1     0.25  adaptive     0.2500        0.1875        2.5000             0",
-         "         1      0.5  adaptive     0.2000           0.2        1.5000             1",
-         "         1           standard     0.7000      <2.2e-16        0.5000             0"]),
+    (4, ["         1     0.25  adaptive     0.2500        0.1875        2.5000",
+         "         1      0.5  adaptive     0.2000           0.2        1.5000",
+         "         1           standard     0.7000      <2.2e-16        0.5000"]),
 ])
 def test_print_summary_medians_at_odd_and_even_replicate_counts(replicates, lines):
     buffer = io.StringIO()

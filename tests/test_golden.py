@@ -6,8 +6,8 @@ sha256.  The coeff-* grids' 2000 draws are one piece of one batch, so
 coeff-cauchy-batches, a full batch and a partial one of uneven pieces, was
 added beside them.
 
-Four stream-contract changes and one scoring change regenerated digests,
-each declared in CHANGES.md:
+Four stream-contract changes, one scoring change and one scheme change
+regenerated digests, each declared in CHANGES.md:
 
 * coeff-cauchy-batches, with coefficient contract v2: each piece of a
   batch draws its normals and then its uniforms, where v1 drew all of the
@@ -29,6 +29,11 @@ each declared in CHANGES.md:
   adaptive cells changed.  sde-normal-standard and the terminal-*
   dumps hold single-cell or standard grids, whose seeds did not move.
   SEED_KEPT_DIGESTS pins the rows whose seeds v3 kept, taken before it.
+* sde-cauchy, sde-exp, sde-normal, sde-normal-adaptive, sde-t2,
+  SEED_KEPT_DIGESTS and both terminal-* dumps, with Euler scheme v2: the
+  step carries the noise scale sigma = sqrt(h) theta instead of theta, on
+  both arms, with the same draws.  The results moved by rounding only.
+  sde-normal-standard held: none of its D bits moved.
 * The four discrete-* CLI digests and the amcmc-* and smcmc-* trajectory
   digests, with discrete contract v2: a chain draws its normals from
   stream_rng(seed, 0) and its uniforms from stream_rng(seed, 1) instead of
@@ -114,32 +119,33 @@ CLI_DIGESTS = {
     "discrete-t2":
         "70a9c5c1be4562d99d9a5d54cc61c6c8fc87759f5a85cb5244f6ee5db0f3e947",
     "sde-cauchy":
-        "fc68f5b9ecf1e350198cb03382142f21781013b8c82ce62b08a9a90c6dc96f38",
+        "ff0c38cb1d415c69c4cde9eb4d1cbb3d140e1c3fbcb00d8966ae296ad340e393",
     "sde-exp":
-        "bc3fd47be5366e42f941e44962a161d8828bf4e2cfd427d6970ea5c262892527",
+        "1eed024ae1d6b6f19d17fd33b58212419066e4973b92ede56291bc04b6c7744f",
     "sde-normal":
-        "7381547833237cc46be8f23462c046c78e9208e9d049705808a2bd3cf08e83fe",
+        "cb9008e41aa391139c74103f643f738db84e45c85a9f4ad923e9b4c48b004c65",
     "sde-normal-adaptive":
-        "2730725d1b023e5d54cacad0029d9bbbbf8fd2712b5976c270cacd8ea7bc71f7",
+        "fda25f961ebe4602e53705853eebdfedf0417ab17fedcaf995695ba41ac599af",
     "sde-normal-standard":
         "654eed4c4dd63b6776ac6220df054b47abd462c148fcc5f66b29b012d377d7b0",
     "sde-t2":
-        "540a9a64c411cb13273bede4ae1806b1f3f1e732f03aff42346c6aa392979674",
+        "ed0e63d47da412e16052b97d96fd5fa9095086f7c4fc92d10d1f0bef8cb265ee",
 }
 
 # The digest of a CLI CSV projected onto its standard rows and the rows of
 # each mesh's first adaptive cell (see seed_kept_lines): the rows whose
-# seeds Euler contract v3 kept.  Taken before v3, from the full CSV.
+# seeds Euler contract v3 kept.  Taken before v3, from the full CSV, and
+# taken again with Euler scheme v2, which moved those rows by rounding.
 SEED_KEPT_DIGESTS = {
     "sde-normal":
-        "ae77fbde7f0a27f8ad8545a3f3025c4755e075f05768c14cc7a92952de39a784",
+        "f2dd4ea4fc48a22ea0c01c5175660a1b71013051167a9df6d5a7aaa106af8653",
 }
 
 DUMP_DIGESTS = {
     "terminal-adaptive":
-        "5d171e1d1fe0f3a86c8381243d533c25c1b2f502ead1d4d2676699b9772b269a",
+        "6dbad35e3a04f409b7a4aa6850f815b08161e5004f5760bea6f8ec2d0fd45eda",
     "terminal-standard":
-        "1e1ae05e6aad9224a6b93a170a28dcc815b98bf9458654d6425f25576edd0cdc",
+        "8aa9792bd20fc36b0301b73b145b49e400a4f19498f8017a2007ee1781a03bf5",
     "trajectory-adaptive":
         "73ceeae523b277130a8aea89b25640a764d5e2134edd003504af1020fe4739d1",
     "trajectory-standard":

@@ -70,7 +70,7 @@ def test_drift_takes_any_x_theta_pair(kind):
 def test_one_step_moment_consistency():
     # increment mean ~ h * b_x and variance ~ h * theta^2, within 4 MC errors
     config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
-    state = SdeState(x=np.full(1_000_000, 1.0), theta=np.full(1_000_000, 1.0))
+    state = SdeState(x=np.full(1_000_000, 1.0), theta=np.full(1_000_000, 0.1))  # sigma
     z = stream_rng(301).standard_normal(1_000_000)
     increments = euler_step(NORMAL, state, config, z).x - 1.0
     m = increments.size
@@ -96,9 +96,10 @@ def test_single_path_single_step_matches_euler_step():
                          n_paths=1, seed=17)
     (result,) = run_ensembles(NORMAL, [config])
     z = stream_rng(17).standard_normal(1)[0]
-    manual = euler_step(NORMAL, SdeState(0.3, 2.0), config, z)
+    sqrt_h = math.sqrt(0.05)
+    manual = euler_step(NORMAL, SdeState(0.3, sqrt_h * 2.0), config, z)
     assert result.x_t[0] == manual.x
-    assert result.theta_t_all[0] == manual.theta
+    assert result.theta_t_all[0] == manual.theta / sqrt_h
 
 
 def test_ensemble_reference_band_normal():
@@ -132,7 +133,7 @@ def test_exponential_ensemble_stays_on_half_line():
 
 def test_reflection_keeps_every_visited_point_nonnegative():
     config = EulerConfig(h=0.01, horizon_t=1.0, p=3.0, theta0=1.0, x0=0.2)
-    state = SdeState(0.2, 1.0)
+    state = SdeState(0.2, 0.1)  # sigma = sqrt(h) theta0
     rng = stream_rng(33)
     for _ in range(2000):
         state = euler_step(EXP, state, config, rng.standard_normal())
@@ -189,10 +190,12 @@ def _euler_law_pvalues(cell):
                              seed=970_000 + 100 * EXACT_LAW_CELLS.index(cell) + j)
         normals = stream_rng(config.seed)
         x = np.full((len(EXACT_LAW_TERMS), n), config.x0)
+        sigma = math.sqrt(h) * theta
+        u = sigma * sigma * 0.5
         for _ in range(config.n_steps):
             # euler_step's operations, each term scaled by its factor
-            x = (x + drift_factor * (h * 0.5 * theta * theta * NORMAL.score(x))
-                 + noise_factor * (math.sqrt(h) * theta * normals.standard_normal(n)))
+            x = (x + drift_factor * (u * NORMAL.score(x))
+                 + noise_factor * (sigma * normals.standard_normal(n)))
         assert x[0].tobytes() == run_ensembles(NORMAL, [config])[0].x_t.tobytes()
         samples.append(x)
     mean, sd = _euler_law(h, theta, 1.0, config.n_steps)
@@ -212,6 +215,98 @@ def test_euler_law_oracle_sees_a_scaled_term(cell, term):
     # negative controls: the drift term x 1.05 or the noise term x 1.02
     # gives a KS p-value below 1e-3 against the scheme's law
     assert _euler_law_pvalues(cell)[list(EXACT_LAW_TERMS).index(term)] < 1e-3
+
+
+# Euler scheme v2 steps sigma = sqrt(h) theta, scheme v1 theta itself: the
+# two agree in real arithmetic.  run_ensembles is read against v1's map,
+# kept here, over 1000 steps of each mesh; the gap of a sample is
+# max |a - b| / max |b|, with b the theta form's.  The tolerance and the
+# controls (sigma's constant k, or 1 + h p, off by a relative 1e-6) were
+# fixed before the first run.
+TWO_FORM_MESHES = (1e-2, 1e-3)
+TWO_FORM_TOLERANCE = 1e-10
+TWO_FORM_TERMS = {"scheme": (1.0, 1.0), "k x (1 + 1e-6)": (1.0 + 1e-6, 1.0),
+                  "1 + h p x (1 + 1e-6)": (1.0, 1.0 + 1e-6)}  # factors of k and 1 + h p
+
+
+def _theta_form(target, config, z):
+    """(x_T, theta_T) of Euler scheme v1, which steps theta by
+    theta + h theta (p - theta |s| / sqrt(2 pi)), on the increments z."""
+    h, sqrt_h, p = config.h, math.sqrt(config.h), config.p
+    x = np.full(config.n_paths, config.x0)
+    theta = np.full(config.n_paths, config.theta0)
+    for z_i in z:
+        s = target.score(x)
+        x = x + h * 0.5 * theta * theta * s + sqrt_h * theta * z_i
+        if p is not None:
+            theta = theta + h * theta * (p - theta * np.abs(s) / SQRT_2PI)
+            theta = np.where(theta <= 0.0, THETA_FLOOR, theta)
+        if target.kind == "exp":
+            x = np.abs(x)
+    return x, theta
+
+
+@functools.cache
+def _two_form_gaps(kind, h):
+    """{arm: {entry: (x gap, theta gap)}} between the sigma form and
+    _theta_form: 500 paths of 1000 steps from x0 = 1, theta0 = 1, p = 2 on
+    the adaptive arm, seeds 36_000 + 10 c + (0 adaptive, 1 standard) at the
+    c-th (kind, h).
+
+    The adaptive arm's sigma form is simulated here once per TWO_FORM_TERMS
+    entry, with k and 1 + h p scaled by the entry's factors; the scheme's
+    entry must be run_ensembles' bit for bit.  The standard arm has neither
+    constant and is read from run_ensembles alone.
+    """
+    target = make_target(kind)
+    cell = TARGET_KINDS.index(kind) * len(TWO_FORM_MESHES) + TWO_FORM_MESHES.index(h)
+    k_factor, hp1_factor = np.array(list(TWO_FORM_TERMS.values())).T[:, :, None]
+    gaps = {}
+    for arm, p in (("adaptive", 2.0), ("standard", None)):
+        config = EulerConfig(h=h, horizon_t=1000 * h, p=p, theta0=1.0, x0=1.0, n_paths=500,
+                             seed=36_000 + 10 * cell + (p is None))
+        z = stream_rng(config.seed).standard_normal((config.n_steps, config.n_paths))
+        (result,) = run_ensembles(target, [config])
+        want = _theta_form(target, config, z)
+        samples = {"scheme": (result.x_t, result.theta_t_all)}
+        if p is not None:
+            sqrt_h = math.sqrt(h)
+            k, hp1 = 2.0 * sqrt_h / SQRT_2PI * k_factor, (1.0 + h * p) * hp1_factor
+            x = np.full((len(TWO_FORM_TERMS), config.n_paths), config.x0)
+            sigma = np.full_like(x, sqrt_h * config.theta0)
+            for z_i in z:
+                # euler_step's operations, k and 1 + h p scaled by their factors
+                s = target.score(x)
+                u = sigma * sigma * 0.5
+                x = x + u * s + sigma * z_i
+                sigma = sigma * hp1 - k * (u * np.abs(s))
+                sigma = np.where(sigma <= 0.0, sqrt_h * THETA_FLOOR, sigma)
+                if kind == "exp":
+                    x = np.abs(x)
+            theta = np.where(sigma == sqrt_h * THETA_FLOOR, THETA_FLOOR, sigma / sqrt_h)
+            assert same_bits(x[0], result.x_t) and same_bits(theta[0], result.theta_t_all)
+            samples = dict(zip(TWO_FORM_TERMS, zip(x, theta)))
+        gaps[arm] = {entry: tuple(np.max(np.abs(a - b)) / np.max(np.abs(b))
+                                  for a, b in zip(sample, want))
+                     for entry, sample in samples.items()}
+    return gaps
+
+
+@pytest.mark.parametrize("h", TWO_FORM_MESHES)
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_sigma_form_agrees_with_the_theta_form_to_rounding(kind, h):
+    gaps = _two_form_gaps(kind, h)
+    assert max(gaps["adaptive"]["scheme"]) <= TWO_FORM_TOLERANCE, gaps
+    assert max(gaps["standard"]["scheme"]) <= TWO_FORM_TOLERANCE, gaps
+
+
+@pytest.mark.parametrize("term", list(TWO_FORM_TERMS)[1:])
+@pytest.mark.parametrize("h", TWO_FORM_MESHES)
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_two_form_check_sees_a_constant_off_by_a_millionth(kind, h, term):
+    # negative controls: k, or 1 + h p, off by a relative 1e-6 leaves the
+    # theta form by more than the tolerance
+    assert max(_two_form_gaps(kind, h)["adaptive"][term]) > TWO_FORM_TOLERANCE
 
 
 def test_euler_config_validation():
@@ -247,24 +342,33 @@ class SdeState(NamedTuple):
 
 
 def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> SdeState:
-    """One Euler update; `state` fields and `z` may be scalars or arrays.
+    """One Euler update (scheme v2); `state` fields and `z` may be scalars
+    or arrays.
 
     The bit-for-bit oracle of run_ensembles' step, written as plain
-    expressions.  The theta update is noiseless.  If it lands at or below
-    zero it is clamped to THETA_FLOOR; the true dynamics keep theta
+    expressions.  The step runs in the noise scale sigma = sqrt(h) theta:
+    with u = sigma^2 / 2, x moves by u s + sigma z and sigma by
+    sigma h p - k u |s|, k = 2 sqrt(h) / sqrt(2 pi), which is theta's
+    update times sqrt(h).  For an adaptive config `state.theta` holds
+    sigma; a fixed config takes sigma from theta0 and returns `state.theta`
+    as it is.  The sigma update is noiseless.  If it lands at or below zero
+    it is clamped to sqrt(h) THETA_FLOOR; the true dynamics keep theta
     positive, so a clamp means the mesh is too coarse for the chosen p.
     """
     h = config.h
     sqrt_h = math.sqrt(h)
     s = target.score(state.x)
     if config.p is not None:
-        theta = state.theta
-        x_new = state.x + h * 0.5 * theta * theta * s + sqrt_h * theta * z
-        theta_raw = theta + h * theta * (config.p - theta * np.abs(s) / SQRT_2PI)
-        theta_new = np.where(theta_raw <= 0.0, THETA_FLOOR, theta_raw)
+        sigma = state.theta
+        u = sigma * sigma * 0.5
+        x_new = state.x + u * s + sigma * z
+        k = 2.0 * sqrt_h / SQRT_2PI
+        sigma_raw = sigma * (1.0 + h * config.p) - k * (u * np.abs(s))
+        theta_new = np.where(sigma_raw <= 0.0, sqrt_h * THETA_FLOOR, sigma_raw)
     else:
-        theta0 = config.theta0
-        x_new = state.x + h * 0.5 * theta0 * theta0 * s + sqrt_h * theta0 * z
+        sigma0 = sqrt_h * config.theta0
+        u0 = sigma0 * sigma0 * 0.5
+        x_new = state.x + u0 * s + sigma0 * z
         theta_new = state.theta
 
     if target.kind == "exp":
@@ -275,12 +379,13 @@ def euler_step(target: TargetModel, state: SdeState, config: EulerConfig, z) -> 
     return SdeState(np.asarray(x_new, float), np.asarray(theta_new, float))
 
 
-# The oracle's own anchors: single steps worked out by hand.
+# The oracle's own anchors: single steps worked out by hand.  An adaptive
+# state's second field is sigma = sqrt(h) theta.
 def test_euler_step_zero_noise_zero_score():
     config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
-    new = euler_step(NORMAL, SdeState(0.0, 1.0), config, z=0.0)
+    new = euler_step(NORMAL, SdeState(0.0, 0.1), config, z=0.0)
     assert new.x == 0.0
-    assert new.theta == pytest.approx(1.005, abs=1e-15)
+    assert new.theta == pytest.approx(0.1 * 1.005, abs=1e-15)
 
 
 def test_euler_step_fixed_scale():
@@ -292,29 +397,37 @@ def test_euler_step_fixed_scale():
 
 def test_euler_step_reflects_exponential_target():
     config = EulerConfig(h=0.01, horizon_t=1.0, p=0.5, theta0=1.0)
-    new = euler_step(EXP, SdeState(0.05, 1.0), config, z=-1.0)
+    new = euler_step(EXP, SdeState(0.05, 0.1), config, z=-1.0)
     # raw move 0.05 - 0.005 - 0.1 = -0.055 is reflected across zero
     assert new.x == pytest.approx(0.055, abs=1e-15)
 
 
 def test_euler_step_clamps_scale_at_floor():
     config = EulerConfig(h=0.5, horizon_t=1.0, p=0.001, theta0=100.0)
-    new = euler_step(NORMAL, SdeState(3.0, 100.0), config, z=0.0)
-    assert new.theta == THETA_FLOOR
+    new = euler_step(NORMAL, SdeState(3.0, math.sqrt(0.5) * 100.0), config, z=0.0)
+    assert new.theta == math.sqrt(0.5) * THETA_FLOOR
 
 
 def whole_matrix_oracle(target, config):
     """The ensemble as a loop over euler_step, with every increment drawn
     up front, step-major, from the ensemble's one stream:
-    (x_t, theta_t_all, theta_floor_hits)."""
+    (x_t, theta_t_all, theta_floor_hits).  An adaptive ensemble steps
+    sigma = sqrt(h) theta and reports sigma_T / sqrt(h), THETA_FLOOR itself
+    where sigma_T is on its floor."""
+    sqrt_h = math.sqrt(config.h)
     z = stream_rng(config.seed).standard_normal((config.n_steps, config.n_paths))
-    state = SdeState(np.full(config.n_paths, config.x0), np.full(config.n_paths, config.theta0))
+    adaptive = config.p is not None
+    scale = sqrt_h * config.theta0 if adaptive else config.theta0
+    state = SdeState(np.full(config.n_paths, config.x0), np.full(config.n_paths, scale))
     floor_hits = 0
     for i in range(config.n_steps):
         state = euler_step(target, state, config, z[i])
-        if config.p is not None:
-            floor_hits += int(np.count_nonzero(state.theta == THETA_FLOOR))
-    return state.x, state.theta, floor_hits
+        if adaptive:
+            floor_hits += int(np.count_nonzero(state.theta == sqrt_h * THETA_FLOOR))
+    theta_t = state.theta
+    if adaptive:
+        theta_t = np.where(theta_t == sqrt_h * THETA_FLOOR, THETA_FLOOR, theta_t / sqrt_h)
+    return state.x, theta_t, floor_hits
 
 
 def same_bits(a, b):
