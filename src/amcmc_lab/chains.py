@@ -65,9 +65,10 @@ class ChainTrajectory:
         return len(self.x)
 
 
-def chain_streams(seed: int):
-    """Chain `seed`'s streams of standard normals and of uniforms, one of each per step."""
-    return stream_rng(seed, 0), stream_rng(seed, 1)
+def chain_streams(*key):
+    """The streams of standard normals and of uniforms, one of each per
+    step, keyed key: a chain's (seed,), or a coefficient batch's (seed, b)."""
+    return stream_rng(*key, 0), stream_rng(*key, 1)
 
 
 def metropolis_step(x, lp_x, scale, eps, log_u, target: TargetModel, out):

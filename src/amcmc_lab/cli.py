@@ -22,6 +22,7 @@ from .chains import run_chains
 from .coeffs import COEFF_KINDS
 from .experiments import (
     ARMS,
+    CAUCHY_B2_DRAW_FACTOR,
     ExperimentSpec,
     discrete_jobs,
     emit_csv,
@@ -94,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     coeff.add_argument("--p", type=float, action="append", dest="p_grid")
     coeff.add_argument("--n", type=int, action="append", dest="n_grid",
                        help="embedding resolution (repeatable)")
-    coeff.add_argument("--draws", type=int, dest="n_draws")
+    coeff.add_argument("--draws", type=int, dest="n_draws",
+                       help=f"draws per kind; on cauchy, B2 takes {CAUCHY_B2_DRAW_FACTOR} times "
+                            "as many")
 
     return parser
 

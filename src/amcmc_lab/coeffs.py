@@ -29,30 +29,26 @@ eps xi, S2 = sum (eps xi)^2 and S4 = sum (eps xi)^4.  _kind_sums holds
 those formulas, and fixes their float order.
 
 Each kind has its own number of draws (n_draws, or its entry in
-draws_of), and the contract (coefficient contract v2) is per kind: its
-transitions come in batches of _BATCH draws, batch b from the stream
-(seed, b), only the last batch shorter, and within a batch each of its
-pieces (below), in order, draws its normals and then its uniforms.  A
-call's units of work are the distinct (batch, length) pairs its kinds
-read; each is stepped once, for every kind that reads it, so kinds of
-different lengths share their common full batches.  A unit is drawn,
-stepped, and its statistics summed, piece by piece: the pieces are the
-ones numpy's pairwise sum splits the unit into (halve, rounding the
-first half down to a multiple of 8, until a piece holds at most _SLICE
-values), and the piece sums are added back along the same split.  Each
-piece sum is the subtree numpy's sum computes for those values, so a
-unit's S1, S2 and S4 are bit for bit the sums of whole-batch arrays of
-eps xi and its powers, and K is a count.  A unit that only B2 or A22
-reads counts its accepts and sums nothing.  Each kind adds up the
-statistics of the units it reads, so its row does not depend on which
-kinds share them.  The calling thread and a seeding.Helper thread take a
-call's units one at a time until none is left; each holds one set of
-piece-sized buffers, so a call's draw memory is two pieces whatever its
-number of draws, and a unit's statistics are folded into the kinds'
-totals as soon as every earlier unit's are.
+draws_of), and reads a prefix of one sequence of transitions
+(coefficient contract v3): batch b of _BATCH transitions reads its
+normals from stream_rng(seed, b, 0) and its uniforms from
+stream_rng(seed, b, 1), the pair chains.chain_streams gives a chain, and
+transition i of a batch reads normal i and uniform i.  A fill of a
+stream in pieces gives the bits of one whole fill, so a kind with c
+draws reads the first c transitions whatever the other kinds read.  A
+call steps each batch once, up to the end of its longest reader, one
+slice of at most _SLICE transitions at a time.  A kind's statistics over
+a slice are count_nonzero and ndarray.sum of the slice cut at the kind's
+count, added in slice order within a batch, and a batch's are added in
+batch order, so a kind's row has the same bits alone or with others.  A
+slice that none of B1, A11 and A12 reads counts its accepts and sums
+nothing.  The calling thread and a seeding.Helper thread take a call's
+batches one at a time until none is left; each holds one set of
+slice-sized buffers, so a call's draw memory is two slices whatever its
+number of draws, and a batch's statistics are folded into the kinds'
+totals as soon as every earlier batch's are.
 """
 
-import itertools
 import math
 import sys
 import threading
@@ -60,15 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import metropolis_step
+from .chains import chain_streams, metropolis_step
 from .sde import drift
-from .seeding import Helper, stream_rng
+from .seeding import Helper
 from .targets import TargetModel
 
 COEFF_KINDS = ("B1", "B2", "A11", "A22", "A12")
 
 _BATCH = 1 << 19
-_SLICE = 1 << 14  # most draws of a piece: about L2
+_SLICE = 1 << 14  # most transitions of a slice: about L2
 _MIN_DRAWS = 1_000
 
 # The kinds whose values read eps xi; B2 and A22 read the accept flag alone.
@@ -114,36 +110,6 @@ class CoeffRow:
     z: float
 
 
-def _half(m: int) -> int:
-    """Where numpy's pairwise sum splits m values: at half, rounded down to
-    a multiple of its 8-wide unroll."""
-    half = m // 2
-    return half - half % 8
-
-
-def _pieces(m: int) -> list:
-    """(lo, hi) bounds of the pieces of m values: numpy's pairwise split,
-    applied until a piece holds at most _SLICE values.  A full batch gives
-    32 pieces of _SLICE."""
-    if m <= _SLICE:
-        return [(0, m)]
-    half = _half(m)
-    return _pieces(half) + [(half + lo, half + hi) for lo, hi in _pieces(m - half)]
-
-
-def _fold(sums, m: int):
-    """The sums of the _pieces(m), in order, added along the split that made
-    them: the sum numpy gives the m values, bit for bit."""
-    # one iterator for the whole recursion (iter of an iterator is itself),
-    # and no recursive closure: that is a reference cycle, which would keep
-    # each unit's piece sums alive until the garbage collector runs
-    sums = iter(sums)
-    if m <= _SLICE:
-        return next(sums)
-    half = _half(m)
-    return _fold(sums, half) + _fold(sums, m - half)
-
-
 def _kind_sums(kind: str, n: int, scale: float, d0: float, d1: float, count, stats) -> tuple:
     """Sum and sum of squares of kind's values over count transitions whose
     statistics are stats = (K, S1, S2, S4), in this float order."""
@@ -174,25 +140,6 @@ def embedded_benchmark(p: float, n: int) -> float:
     return p_n
 
 
-def _units(draws):
-    """The units of work of kinds with these draw counts, in batch order:
-    (batch, length, readers), one per distinct (batch, length) pair that
-    the kinds read, readers the indices of the kinds that read it.  A C
-    iterator that makes each unit when it is taken, so the two threads of a
-    seeding.Helper can share it, and a huge count builds nothing up front."""
-    segments, done = [], 0
-    for count in sorted(set(draws)):
-        full, rest = divmod(count, _BATCH)
-        # full batches done..full-1 are read by every kind with full or more
-        readers = tuple(i for i, d in enumerate(draws) if d // _BATCH >= full)
-        segments.append(zip(range(done, full), itertools.repeat(_BATCH),
-                            itertools.repeat(readers)))
-        if rest:
-            segments.append([(full, rest, tuple(i for i, d in enumerate(draws) if d == count))])
-        done = full
-    return itertools.chain(*segments)
-
-
 # No overflow warning: a row that overflowed is not finite, and is refused
 # below.  The helper thread runs under the same errstate.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -203,25 +150,25 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
 
     Each kind is estimated from n_draws transitions, or from draws_of[kind]
     if draws_of names it.  Each transition is one metropolis_step from the
-    fixed state.  Batch b of a kind's draws comes from the stream (seed, b)
-    with a fixed batch size, each of its _pieces drawing its normals and
-    then its uniforms, so each kind's row is identical whether computed
-    alone or together with others, of any lengths.  Each distinct (batch,
-    length) of the kinds is one unit, stepped once for the kinds that read
-    it.  A unit is drawn and stepped, and its statistics K, S1, S2 and S4
-    summed, one of its _pieces at a time: after metropolis_step, a unit
-    that only B2 or A22 reads counts its accepts, and any other writes
-    eps xi over eps and squares it in place twice.  _fold adds the piece
-    sums along numpy's pairwise split, so a unit's statistics are those of
-    summing whole-batch arrays.  The calling thread and a seeding.Helper
-    thread each take the next unit until none is left, and each kind adds
-    up its units' statistics in batch order, so no bit depends on which
-    thread ran a unit.  A unit's statistics are added once every earlier
-    unit's are, so a finished unit waits only for one still running,
-    whatever the number of units.  _kind_sums turns each kind's statistics
-    into its sum and sum of squares.  An unknown kind, or fewer than
-    _MIN_DRAWS draws for a kind, is refused before any draw.  A row whose
-    estimate, standard error or limit is not finite raises ValueError.
+    fixed state, and a kind with c draws reads the first c transitions of
+    the call (coefficient contract v3: batch b's normals and uniforms come
+    from chain_streams(seed, b)), so each kind's row is identical whether
+    computed alone or together with others, of any lengths.  Each batch is
+    drawn and stepped once, up to the end of its longest reader, one slice
+    of at most _SLICE transitions at a time.  After metropolis_step a slice
+    counts each reader's accepts; if B1, A11 or A12 reads it, it also
+    writes eps xi over eps and its square and fourth power over the
+    proposal buffers, and sums each power up to each reader's end.  Each
+    kind adds up its slice statistics K, S1, S2 and S4 in slice order and
+    its batch statistics in batch order.  The calling thread and a
+    seeding.Helper thread each take the next batch until none is left, so
+    no bit depends on which thread ran a batch.  A batch's statistics are
+    added once every earlier batch's are, so a finished batch waits only
+    for one still running, whatever the number of batches.  _kind_sums
+    turns each kind's statistics into its sum and sum of squares.  An
+    unknown kind, or fewer than _MIN_DRAWS draws for a kind, is refused
+    before any draw.  A row whose estimate, standard error or limit is not
+    finite raises ValueError.
     """
     draws_of = draws_of or {}
     for kind in (*kinds, *draws_of):
@@ -241,53 +188,74 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     lp_x = target.log_density(x)
     # dtheta = theta expm1((xi - p_n)/sqrt(n)) at xi = 0 and at xi = 1
     d0, d1 = (theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)).tolist()
-    piece = min(_SLICE, max(draws, default=0))
+    longest = max(draws, default=0)
+    width = min(_SLICE, longest)  # of the buffers
 
-    # each kind adds its units' statistics in batch order, which is the
-    # units' order: not sum(), whose compensation would change the bits.
-    # A unit done before an earlier one waits in done until that one is in.
+    # each kind adds its batches' statistics in batch order: not sum(),
+    # whose compensation would change the bits.  A batch done before an
+    # earlier one waits in done until that one is in.
     totals = np.zeros((len(kinds), 4))
     done, lock = {}, threading.Lock()
-    folded = 0  # the units folded into totals
+    folded = 0  # the batches folded into totals
 
-    def fold(index, readers, unit_stats):
-        nonlocal folded
+    def fold(batch, batch_stats):
+        nonlocal folded, totals
         with lock:
-            done[index] = readers, unit_stats
+            done[batch] = batch_stats
             while folded in done:
-                readers, unit_stats = done.pop(folded)
-                totals[readers] += unit_stats
+                # a kind that does not read a batch adds a row of +0.0, which
+                # moves no bit: totals start at +0.0, so none is ever -0.0
+                totals += done.pop(folded)
                 folded += 1
 
-    def run(pending):
-        """Step each unit this thread takes, and sum and fold its statistics."""
+    def run(batches):
+        """Step each batch this thread takes, and sum and fold its statistics."""
         eps = None
-        for index, (batch, m, readers) in pending:
-            rng = stream_rng(seed, batch)
+        for batch in batches:
+            normals, uniforms = chain_streams(seed, batch)
             if eps is None:  # this thread's one buffer set
-                eps, u = np.empty(piece), np.empty(piece)
-                proposal, accept = np.empty((2, piece)), np.empty(piece, bool)
-            reads_dx = any(kinds[i] in _DX_KINDS for i in readers)
-            piece_stats = []
-            for lo, hi in _pieces(m):
-                # the contract's order: the piece's normals, then its uniforms
-                step = rng.standard_normal(out=eps[:hi - lo])
-                log_u = np.log(rng.random(out=u[:hi - lo]), out=u[:hi - lo])
-                (y, lp_y), xi = proposal[:, :hi - lo], accept[:hi - lo]
+                eps, u = np.empty(width), np.empty(width)
+                proposal, accept = np.empty((2, width)), np.empty(width, bool)
+            # the kinds that read the batch's first `end` transitions, by end
+            readers = {}
+            for i, count in enumerate(draws):
+                if count > batch * _BATCH:
+                    readers.setdefault(min(count - batch * _BATCH, _BATCH), []).append(i)
+            # the batch's first dx_end transitions are read by B1, A11 or A12
+            dx_end = max((end for end, group in readers.items()
+                          if any(kinds[i] in _DX_KINDS for i in group)), default=0)
+            batch_stats = np.zeros((len(readers), 4))  # K, S1, S2, S4 of each end
+            stepped = max(readers)
+            for lo in range(0, stepped, _SLICE):
+                m = min(_SLICE, stepped - lo)
+                step = normals.standard_normal(out=eps[:m])
+                log_u = np.log(uniforms.random(out=u[:m]), out=u[:m])
+                (y, lp_y), xi = proposal[:, :m], accept[:m]
                 # y is not read here, so the log ratio goes over it
                 metropolis_step(x, lp_x, scale, step, log_u, target, (y, lp_y, y, xi))
-                stats = np.zeros(4)  # K, S1, S2, S4
-                stats[0] = np.count_nonzero(xi)
-                if reads_dx:  # the step has read eps: e = eps xi goes over it
-                    e = np.multiply(step, xi, out=step)
-                    stats[1] = e.sum()
-                    stats[2] = np.square(e, out=e).sum()
-                    stats[3] = np.square(e, out=e).sum()
-                piece_stats.append(stats)
-            fold(index, list(readers), _fold(piece_stats, m))
+                # the step has read eps, y and lp_y: a slice that B1, A11 or A12
+                # reads writes e = eps xi, e^2 and e^4 over them.  xi goes to
+                # y as floats first: a bool factor is cast in a 64 KiB buffer
+                powers = ()
+                if lo < dx_end:
+                    np.copyto(y, xi)
+                    e = np.multiply(step, y, out=step)
+                    powers = e, np.square(e, out=y), np.square(y, out=lp_y)
+                sums = {}  # the slice's statistics, by the length read
+                for stats, end in zip(batch_stats, readers):
+                    if end > lo:
+                        cut = min(end - lo, m)
+                        if cut not in sums:
+                            sums[cut] = [np.count_nonzero(xi[:cut]),
+                                         *(power[:cut].sum() for power in powers)]
+                        stats[:len(sums[cut])] += sums[cut]
+            kind_stats = np.zeros((len(kinds), 4))
+            for group, stats in zip(readers.values(), batch_stats):
+                kind_stats[group] = stats
+            fold(batch, kind_stats)
 
     with Helper() as helper:
-        helper.share(run, enumerate(_units(draws)))()
+        helper.share(run, range(-(-longest // _BATCH)))()
 
     rows = {}
     for kind, count, stats in zip(kinds, draws, totals.tolist()):

@@ -445,9 +445,9 @@ def _sde_block(jobs) -> list:
 
 
 def _coeff_block(cell: CoeffCell) -> list:
-    """Rows of one coeff cell: one simulate_moments call, whose kinds share
-    their common batches and whose units the calling thread shares with one
-    helper thread."""
+    """Rows of one coeff cell: one simulate_moments call, whose kinds read
+    prefixes of transitions it steps once and whose batches the calling
+    thread shares with one helper thread."""
     return list(simulate_moments(cell.point, cell.n, cell.n_draws, cell.seed, cell.kinds,
                                  draws_of=cell.draws_of).values())
 

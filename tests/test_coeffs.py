@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import itertools
 import math
@@ -10,24 +11,26 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amcmc_lab.chains
 import amcmc_lab.coeffs
 import amcmc_lab.sde
 from amcmc_lab import (AdaptiveConfig, ChainTrajectory, EulerConfig, EvalPoint,
                        limit_coefficient, make_target)
-from amcmc_lab.chains import metropolis_step
+from amcmc_lab.chains import chain_streams, metropolis_step
 from amcmc_lab.coeffs import (
     _BATCH,
+    _MIN_DRAWS,
     _SLICE,
     COEFF_KINDS,
     CoeffRow,
-    _fold,
     _kind_sums,
-    _pieces,
     embedded_benchmark,
     simulate_moments,
 )
+from amcmc_lab.experiments import CAUCHY_B2_DRAW_FACTOR
 from amcmc_lab.sde import SQRT_2PI
 from amcmc_lab.seeding import stream_rng
 
@@ -188,58 +191,65 @@ def test_public_surface_is_pinned():
     assert list(inspect.signature(amcmc_lab.emit_csv).parameters) == ["rows", "destination"]
 
 
-def v2_draws(rng, m):
-    """A batch's normals and uniforms under coefficient contract v2: each
-    of its pieces, in order, draws its normals and then its uniforms."""
-    draws = [(rng.standard_normal(hi - lo), rng.random(hi - lo)) for lo, hi in _pieces(m)]
-    return tuple(map(np.concatenate, zip(*draws)))
-
-
-def v1_draws(rng, m):
-    """The same under contract v1: all of the batch's normals first."""
-    return rng.standard_normal(m), rng.random(m)
-
-
-def stepped_batches(point, n, n_draws, seed, draw=v2_draws):
-    """Each batch's normals and accept flags: the batch's normals and
-    uniforms drawn whole in the order draw gives, then one metropolis_step
-    of each from the point.  Run it under the errstate of simulate_moments."""
+def stepped_batches(point, n, longest, seed):
+    """Each batch's normals and accept flags under coefficient contract v3:
+    the batch's normals drawn whole from stream_rng(seed, batch, 0) and its
+    uniforms from stream_rng(seed, batch, 1), up to the end of the longest
+    reader, then one metropolis_step of each from the point.  Run it under
+    the errstate of simulate_moments."""
     x, target = point.x, point.target
     lp_x = target.log_density(x)
-    for batch, start in enumerate(range(0, n_draws, _BATCH)):
-        m = min(_BATCH, n_draws - start)
-        eps, u = draw(stream_rng(seed, batch), m)
+    for batch, start in enumerate(range(0, longest, _BATCH)):
+        m = min(_BATCH, longest - start)
+        eps = stream_rng(seed, batch, 0).standard_normal(m)
+        u = stream_rng(seed, batch, 1).random(m)
         xi = np.empty(m, bool)
         metropolis_step(x, lp_x, point.theta / math.sqrt(n), eps, np.log(u), target,
                         (*np.empty((3, m)), xi))
         yield eps, xi
 
 
-def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draw=v2_draws):
-    """The rows of simulate_moments by its plain estimator: the statistics
-    K, S1, S2 and S4 of whole-batch arrays of the accept flag xi and of
-    e = eps xi, added up batch by batch, then each kind's sums by
-    _kind_sums; the batch's normals and uniforms drawn whole in the order
-    draw gives."""
+def slice_sums(values):
+    """The ndarray.sum of each _SLICE-long slice of values, added in order."""
+    total = 0.0
+    for lo in range(0, len(values), _SLICE):
+        total += values[lo:lo + _SLICE].sum()
+    return total
+
+
+def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draws_of=None):
+    """The rows of simulate_moments by its plain estimator: each kind's
+    statistics K, S1, S2 and S4 over its prefix of each whole batch, the
+    accept count and the slice sums of e = eps xi, e^2 and e^4, added up
+    batch by batch, then its sums by _kind_sums.  Each kind takes n_draws
+    draws, or its entry in draws_of."""
     p_n = embedded_benchmark(point.p, n)
     theta, sqrt_n = point.theta, math.sqrt(n)
     d0, d1 = (theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)).tolist()
-    stats = [0.0, 0.0, 0.0, 0.0]
+    draws = {kind: (draws_of or {}).get(kind, n_draws) for kind in kinds}
+    stats = {kind: [0.0, 0.0, 0.0, 0.0] for kind in kinds}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for eps, xi in stepped_batches(point, n, n_draws, seed, draw):
-            e = eps * xi
-            e2 = e * e
-            batch_stats = np.count_nonzero(xi), e.sum(), e2.sum(), (e2 * e2).sum()
-            stats = [total + float(value) for total, value in zip(stats, batch_stats)]
-        sums = {kind: (n_draws, *_kind_sums(kind, n, theta / sqrt_n, d0, d1, n_draws, stats))
-                for kind in kinds}
+        for batch, (eps, xi) in enumerate(stepped_batches(point, n, max(draws.values()),
+                                                          seed)):
+            for kind, count in draws.items():
+                end = count - batch * _BATCH
+                if end <= 0:
+                    continue
+                e = eps[:end] * xi[:end]
+                e2 = e * e
+                batch_stats = (np.count_nonzero(xi[:end]), slice_sums(e), slice_sums(e2),
+                               slice_sums(e2 * e2))
+                stats[kind] = [total + float(value)
+                               for total, value in zip(stats[kind], batch_stats)]
+        sums = {kind: (count, *_kind_sums(kind, n, theta / sqrt_n, d0, d1, count, stats[kind]))
+                for kind, count in draws.items()}
     return rows_of(point, n, sums)
 
 
 def per_kind_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
     """The rows of simulate_moments under coefficient scoring v1: whole-batch
     arrays of each kind's values, each summed and squared and summed, batch
-    by batch, the batch's normals and uniforms drawn in the v2 order."""
+    by batch, over the transitions of contract v3."""
     p_n = embedded_benchmark(point.p, n)
     theta, sqrt_n = point.theta, math.sqrt(n)
     sums = {kind: [0, 0.0, 0.0] for kind in kinds}
@@ -296,10 +306,9 @@ ORACLE_CELLS = {
     # near the boundary: about 40% of the proposals leave the support
     "exp-boundary": (EvalPoint(x=0.05, theta=2.0, p=0.5, target=make_target("exp")), 100),
 }
-# Two full batches and a partial one, which is a single piece.
+# Two full batches and a partial one, which is a single slice.
 ORACLE_DRAWS = 2 * _BATCH + 12_345
-# Two full batches and a partial one longer than _SLICE and not a multiple
-# of 8, which splits into uneven pieces.
+# Two full batches and a partial one of four slices, the last one short.
 UNEVEN_DRAWS = 2 * _BATCH + 3 * _SLICE + 12_345
 
 
@@ -325,65 +334,12 @@ def test_scoring_v2_moves_only_rounding(point, n, n_draws):
     # coefficient scoring v2 takes each kind's sums from the statistics K,
     # S1, S2 and S4; v1 summed whole-batch arrays of each kind's values.
     # The same transitions give the same rows up to rounding (measured
-    # here: 1.6e-14 relative on estimates, 3.7e-16 on standard errors)
+    # here over contract v3's transitions and slice sums: 5.8e-14 relative
+    # on estimates, 4.1e-16 on standard errors)
     got = simulate_moments(point, n, n_draws, 41)
     for kind, expected in per_kind_moments(point, n, n_draws, 41).items():
         assert math.isclose(got[kind].estimate, expected.estimate, rel_tol=1e-12)
         assert math.isclose(got[kind].std_error, expected.std_error, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("n_draws, v1_agrees", [(2_000, True), (_SLICE + 8, False),
-                                                (ORACLE_DRAWS, False)])
-def test_only_a_batch_of_several_pieces_tells_the_draw_orders_apart(n_draws, v1_agrees):
-    # v2 draws each piece's normals and then its uniforms; v1 drew all of a
-    # batch's normals first.  A one-piece batch (the 2000 draws of every
-    # coeff-* golden pin but coeff-cauchy-batches) reads the same stream in
-    # both orders, and a batch of several pieces does not.
-    point, n = ORACLE_CELLS["cauchy"]
-    got = bits(simulate_moments(point, n, n_draws, 41))
-    assert got == bits(plain_moments(point, n, n_draws, 41))
-    assert (got == bits(plain_moments(point, n, n_draws, 41, draw=v1_draws))) == v1_agrees
-
-
-def awkward_values(rng, m):
-    """Mixed signs, magnitudes from 1e-300 to 1e300, and signed zeros."""
-    values = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-300.0, 300.0, m)
-    zeros = rng.random(m) < 0.05
-    values[zeros] = np.copysign(0.0, values[zeros])
-    return values
-
-
-def float_bits(values):
-    return [float(v).hex() for v in values]
-
-
-SPLIT_LENGTHS = ([1, 7, 8, 129, _SLICE, _SLICE + 1, 3 * _SLICE + 5, 330_016, 475_712, _BATCH]
-                 + np.random.default_rng(67).integers(1, _BATCH + 1, 50).tolist())
-
-
-@pytest.mark.parametrize("m", SPLIT_LENGTHS)
-def test_piece_sums_fold_to_numpys_sum_bit_for_bit(m):
-    # simulate_moments sums a batch's e = eps xi, e^2 and e^4 one piece at
-    # a time and folds the arrays of piece sums; that is ndarray.sum() of
-    # each whole-batch array only if the pieces follow numpy's own pairwise
-    # split (three rows here, each summed as that row alone)
-    pieces = _pieces(m)
-    assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
-    assert pieces[-1][1] == m and all(0 < hi - lo <= _SLICE for lo, hi in pieces)
-    rng = np.random.default_rng(m)
-    batch = np.stack([awkward_values(rng, m), awkward_values(rng, m), rng.standard_normal(m)])
-    values = np.empty((3, _SLICE))
-    piece_sums = []
-    for lo, hi in pieces:
-        rows = values[:, :hi - lo]
-        rows[...] = batch[:, lo:hi]
-        piece_sums.append(rows.sum(axis=1))
-        assert float_bits(piece_sums[-1]) == float_bits(row.sum() for row in rows)
-    assert float_bits(_fold(piece_sums, m)) == float_bits(row.sum() for row in batch)
-
-
-def test_a_full_batch_is_32_even_pieces():
-    assert _pieces(_BATCH) == [(lo, lo + _SLICE) for lo in range(0, _BATCH, _SLICE)]
 
 
 class FailingDensity:
@@ -435,11 +391,11 @@ def test_simulate_moments_split_the_batches_between_the_threads(monkeypatch, slo
         taken.append((batch, on_caller))
         if on_caller == (slow_side == "caller"):
             time.sleep(0.5)
-        return stream_rng(seed, batch)
+        return chain_streams(seed, batch)
 
     n_draws = 4 * _BATCH + 1_000
     expected = bits(simulate_moments(POINT, 10_000, n_draws, 43, ("B2", "A11")))
-    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", slow_stream)
+    monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", slow_stream)
     assert bits(simulate_moments(POINT, 10_000, n_draws, 43, ("B2", "A11"))) == expected
     assert sorted(batch for batch, _ in taken) == list(range(5))
     on_caller = sum(flag for _, flag in taken)
@@ -460,10 +416,10 @@ def test_each_batch_goes_to_one_thread_under_fast_switching(monkeypatch):
 
     def recording_stream(seed, batch):
         taken.append(batch)
-        return stream_rng(seed, batch)
+        return chain_streams(seed, batch)
 
     expected = bits(simulate_moments(POINT, 10_000, 2000 << 4, 59, ("B1", "A22")))
-    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", recording_stream)
+    monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", recording_stream)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -506,27 +462,29 @@ def traced_peak(n_draws):
 
 
 def test_simulate_moments_memory_is_two_buffer_sets():
-    # each thread holds one set of piece-sized buffers, whatever the batch
+    # each thread holds one set of slice-sized buffers, whatever the batch
     # size or the number of draws: 2^14 normals, uniforms, a two-row
     # proposal and accept flags, 528 KiB, so two sets are 1.03 MiB, and the
-    # call peaked at 1.19 MiB here.  With a (5, 2^14) row of per-kind
-    # values in each set (coefficient scoring v1) it peaked at 2.3 MiB, a
+    # call peaked at 1.05 MiB here (1.19 MiB while eps xi took a bool
+    # factor, which numpy casts through a 64 KiB buffer in each thread).
+    # With a (5, 2^14) row of per-kind values in each set (coefficient
+    # scoring v1) it peaked at 2.3 MiB, a
     # thread that held one batch's normals, 8 bytes a draw, at 10.1 MiB,
     # and the whole-array estimator at 37 MiB
     simulate_moments(POINT, 10_000, 2_000, 47, ("B1",))  # imports the helper's pool
     peak = traced_peak(2_000_000)
     assert peak <= 3 << 19
-    # 4 times the draws, 12 more units, peak no higher: each unit's sums are
-    # folded in once every earlier unit's are (kept to the end of the call,
-    # they read +3 KiB here, and +84 KiB while a unit's piece sums lived on
-    # in a reference cycle until the garbage collector ran)
+    # 4 times the draws, 12 more batches, peak no higher: each batch's sums
+    # are folded in once every earlier batch's are (kept to the end of the
+    # call, they read +3 KiB here, and +84 KiB while a unit's piece sums
+    # lived on in a reference cycle until the garbage collector ran)
     assert traced_peak(8_000_000) <= peak + (8 << 10)
 
 
 def test_simulate_moments_memory_is_flat_in_the_number_of_units(monkeypatch):
     # at 2^8 draws a batch, 125 000 and 500 000 draws are 489 and 1954
-    # units; a unit's sums wait only for the units before it, so 4 times
-    # the units peak no higher (kept to the end of the call, they read
+    # batches; a batch's sums wait only for the batches before it, so 4
+    # times the batches peak no higher (kept to the end of the call, they read
     # +600 KiB here, and would hold about 0.5 GB for 10^12 draws)
     monkeypatch.setattr(amcmc_lab.coeffs, "_BATCH", 1 << 8)
     simulate_moments(POINT, 10_000, 2_000, 47, ("B1",))  # imports the helper's pool
@@ -552,9 +510,9 @@ CAUCHY = EvalPoint(x=2.0, theta=1.0, p=0.5, target=make_target("cauchy"))
 @pytest.mark.parametrize("point, n", [(POINT, 10_000), (CAUCHY, 1_000_000)],
                          ids=["normal", "cauchy"])
 @pytest.mark.parametrize("n_draws, draws_of", [
-    # B2 longer: batch 0 is a full batch all five kinds share; at batch 1
-    # B2 reads a full batch and the others a partial one of 3 pieces and 5
-    # draws, and B2 ends in a 7-draw batch 3 of its own
+    # B2 longer: batch 0 is a full batch all five kinds share; of batch 1
+    # B2 reads all and the others the first 3 slices and 5 transitions,
+    # and B2 ends in a 7-draw batch 3 of its own
     pytest.param(_BATCH + 3 * _SLICE + 5, {"B2": 3 * _BATCH + 7}, id="longer"),
     # A11 and A12 shorter: A11 shares full batch 0 and ends in a partial
     # batch 1, and A12's one batch is a partial batch 0
@@ -566,24 +524,109 @@ def test_one_call_with_per_kind_counts_matches_the_per_budget_calls(point, n, n_
     got = simulate_moments(point, n, n_draws, 67, draws_of=draws_of)
     assert list(got) == list(COEFF_KINDS)
     assert bits(got) == expected
+    assert expected == bits(plain_moments(point, n, n_draws, 67, draws_of=draws_of))
+
+
+# Batches of four slices of 2^6 transitions, so that a few thousand draws
+# cross many slice and batch ends.
+SMALL_SLICE, SMALL_BATCH = 1 << 6, 1 << 8
+
+
+@contextlib.contextmanager
+def small_batches():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amcmc_lab.coeffs, "_SLICE", SMALL_SLICE)
+        patch.setattr(amcmc_lab.coeffs, "_BATCH", SMALL_BATCH)
+        yield patch
+
+
+# A count one short of, at or one past the end of a slice, and so of a batch
+# when the slice is a batch's last.
+EDGE_COUNTS = st.builds(lambda slices, offset: slices * SMALL_SLICE + offset,
+                        st.integers(-(-_MIN_DRAWS // SMALL_SLICE) + 1, 80),
+                        st.sampled_from((-1, 0, 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(counts=st.lists(EDGE_COUNTS, min_size=len(COEFF_KINDS), max_size=len(COEFF_KINDS)))
+def test_one_call_with_per_kind_counts_matches_the_alone_calls_at_the_edges(counts):
+    # each kind reads a prefix of the call's transitions, so its row is its
+    # row alone, bit for bit, wherever the other kinds end
+    draws_of = dict(zip(COEFF_KINDS, counts))
+    with small_batches():
+        got = simulate_moments(CAUCHY, 10_000, _MIN_DRAWS, 89, draws_of=draws_of)
+        for kind, count in draws_of.items():
+            alone = simulate_moments(CAUCHY, 10_000, count, 89, (kind,))
+            assert bits({kind: got[kind]}) == bits(alone)
+
+
+def test_chunked_fills_of_both_streams_equal_a_whole_fill():
+    # what contract v3 rests on: a batch's normals and uniforms filled a
+    # slice at a time, each into the start of one buffer, are the bits of
+    # one whole fill, so a kind with c draws reads the first c transitions
+    m = _BATCH + 12_345
+    buffer = np.empty(_SLICE)
+    for stream, fill in ((0, "standard_normal"), (1, "random")):
+        whole = getattr(stream_rng(103, 1, stream), fill)(m)
+        rng = stream_rng(103, 1, stream)
+        chunks = [getattr(rng, fill)(out=buffer[:min(_SLICE, m - lo)]).tobytes()
+                  for lo in range(0, m, _SLICE)]
+        assert b"".join(chunks) == whole.tobytes()
+
+
+def stepped_widths(patch):
+    """The widths of the metropolis_step calls that simulate_moments makes
+    while patch holds."""
+    widths = []
+
+    def counted(x, lp_x, scale, eps, *args):
+        widths.append(len(eps))
+        return metropolis_step(x, lp_x, scale, eps, *args)
+
+    patch.setattr(amcmc_lab.coeffs, "metropolis_step", counted)
+    return widths
+
+
+def test_a_cauchy_cell_steps_each_transition_once(monkeypatch):
+    # a cauchy cell of the coeff grid at --draws 1000000: B1, A11, A22 and
+    # A12 read the first 10^6 of B2's 4 * 10^6 transitions, so the call
+    # steps 4 * 10^6 (contract v2 stepped 4 475 712: batch 1 twice)
+    widths = stepped_widths(monkeypatch)
+    simulate_moments(CAUCHY, 10_000, 1_000_000, 97,
+                     draws_of={"B2": CAUCHY_B2_DRAW_FACTOR * 1_000_000})
+    assert sum(widths) == 4_000_000
+    assert max(widths) == _SLICE
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(draws_of=st.dictionaries(st.sampled_from(COEFF_KINDS), st.integers(_MIN_DRAWS, 6_000),
+                                min_size=1))
+def test_a_call_steps_exactly_its_longest_count(draws_of):
+    with small_batches() as patch:
+        widths = stepped_widths(patch)
+        simulate_moments(POINT, 10_000, _MIN_DRAWS, 101, tuple(draws_of), draws_of=draws_of)
+    assert sum(widths) == max(draws_of.values())
+    assert max(widths) <= SMALL_SLICE
 
 
 def test_each_unit_goes_to_one_thread_under_fast_switching(monkeypatch):
-    # two counts at 2^4 draws a batch: batches 0-1999 are full units both
-    # kinds read, batch 2000 holds a 7-draw unit of B1 and a full one of
-    # B2, and B2 goes on alone to a 5-draw batch 3000; under a thread
-    # switch every microsecond each unit is still taken once
+    # two counts at 2^4 draws a batch: both kinds read batches 0-1999 in
+    # full, B1 reads the first 7 transitions of batch 2000 and B2 all of
+    # it, and B2 goes on alone to a 5-draw batch 3000; each batch is a unit,
+    # stepped once for both kinds, and under a thread switch every
+    # microsecond each is still taken once (contract v2 took batch 2000
+    # twice, as a 7-draw unit and a full one)
     monkeypatch.setattr(amcmc_lab.coeffs, "_BATCH", 1 << 4)
     taken = []
 
     def recording_stream(seed, batch):
         taken.append(batch)
-        return stream_rng(seed, batch)
+        return chain_streams(seed, batch)
 
     args = (POINT, 10_000, (2000 << 4) + 7, 83, ("B1", "B2"))
     draws_of = {"B2": (3000 << 4) + 5}
     expected = bits(per_budget_calls(*args, draws_of))
-    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", recording_stream)
+    monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", recording_stream)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -591,7 +634,7 @@ def test_each_unit_goes_to_one_thread_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
-    assert sorted(taken) == [*range(2001), *range(2000, 3001)]
+    assert sorted(taken) == list(range(3001))
 
 
 class Opened(Exception):
@@ -603,10 +646,10 @@ def refuse_streams(seed, batch):
 
 
 def test_the_units_are_made_as_they_are_taken(monkeypatch):
-    # a 10^12-draw kind is 1.9e6 batches: the first unit is taken, and its
-    # stream opened, before any other unit or buffer exists; units built up
-    # front would peak above 100 MiB here
-    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", refuse_streams)
+    # a 10^12-draw kind is 1.9e6 batches: the first batch is taken, and its
+    # streams opened, before any other batch or buffer exists; units built
+    # up front would peak above 100 MiB here
+    monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", refuse_streams)
     tracemalloc.start()
     try:
         with pytest.raises(Opened):
@@ -626,7 +669,7 @@ def test_the_units_are_made_as_they_are_taken(monkeypatch):
 ])
 def test_a_bad_draw_count_is_refused_before_any_stream(monkeypatch, kinds, draws_of,
                                                        message):
-    monkeypatch.setattr(amcmc_lab.coeffs, "stream_rng", refuse_streams)
+    monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", refuse_streams)
     n_draws = 999 if message.startswith("n_draws") else 2_000
     with pytest.raises(ValueError, match=message):
         simulate_moments(POINT, 10_000, n_draws, 73, kinds, draws_of=draws_of)

@@ -21,10 +21,11 @@ from amcmc_lab import (
     run_experiment,
 )
 from amcmc_lab import cli, coeffs, experiments
+from amcmc_lab.chains import chain_streams
 from amcmc_lab.cli import main
 from amcmc_lab.coeffs import COEFF_KINDS
 from amcmc_lab.experiments import DISCRETE_P_GRIDS, DISCRETE_THETA0_GRID, default_sde_cells
-from amcmc_lab.seeding import child_seed, stream_rng
+from amcmc_lab.seeding import child_seed
 from amcmc_lab.stats import chain_summary, ks_statistic
 from amcmc_lab.targets import make_target
 
@@ -290,24 +291,24 @@ def test_coeff_repeated_kind_gives_the_deduplicated_rows():
 
 
 def test_a_cauchy_coeff_cell_steps_each_batch_once(monkeypatch):
-    # at 2^10 draws a batch, the four 3000-draw kinds read full batches 0-1
-    # and a 952-draw batch 2, and B2's 12 000 draws full batches 0-10 and a
-    # 736-draw batch 11: batches 0 and 1 are stepped once for all five kinds
+    # at 2^10 draws a batch, the four 3000-draw kinds read batches 0-1 and
+    # the first 952 transitions of batch 2, and B2's 12 000 draws batches
+    # 0-10 and the first 736 of batch 11: each batch is stepped once, for
+    # every kind that reads it (contract v2 stepped batch 2 twice)
     monkeypatch.setattr(coeffs, "_BATCH", 1 << 10)
     opened = []
 
-    def recording_stream(seed, batch):
+    def recording_streams(seed, batch):
         opened.append(batch)
-        return stream_rng(seed, batch)
+        return chain_streams(seed, batch)
 
-    monkeypatch.setattr(coeffs, "stream_rng", recording_stream)
+    monkeypatch.setattr(coeffs, "chain_streams", recording_streams)
     spec = ExperimentSpec(mode="coeff", target="cauchy", x_grid=(2.0,), theta0_grid=(1.0,),
                           n_grid=(10_000,), n_draws=3_000, seed=13)
     (cell,) = experiments.coeff_cells(spec)
     rows = experiments._coeff_block(cell)
     assert sorted(row.kind for row in rows) == sorted(COEFF_KINDS)
-    assert len(opened) == 13
-    assert sorted(opened) == [0, 1, 2, *range(2, 12)]
+    assert sorted(opened) == list(range(12))
 
 
 def test_emit_csv_discrete_round_trip(tmp_path):

@@ -2,11 +2,11 @@
 
 Every digest is pinned: any change in a random stream, a log-density bit,
 a rounding of the scoring or a CSV field shows up here as a different
-sha256.  The coeff-* grids' 2000 draws are one piece of one batch, so
-coeff-cauchy-batches, a full batch and a partial one of uneven pieces, was
-added beside them.
+sha256.  The coeff-* grids' 2000 draws are one slice of one batch, so
+coeff-cauchy-batches, a full batch and a partial one of several slices,
+was added beside them.
 
-Four stream-contract changes, one scoring change and one scheme change
+Five stream-contract changes, one scoring change and one scheme change
 regenerated digests, each declared in CHANGES.md:
 
 * coeff-cauchy-batches, with coefficient contract v2: each piece of a
@@ -19,6 +19,14 @@ regenerated digests, each declared in CHANGES.md:
   accept count and the sums of eps xi, (eps xi)^2 and (eps xi)^4), where
   v1 summed an array of the kind's values.  The draws and transitions are
   the same; the estimates and standard errors moved by rounding only.
+* All five coeff-* digests again, with coefficient contract v3: batch b
+  of a call's transitions reads its normals from stream_rng(seed, b, 0)
+  and its uniforms from stream_rng(seed, b, 1), where v2 drew each
+  piece's normals and then its uniforms from stream_rng(seed, b), and a
+  kind's statistics add its slice sums in order, where v2 folded them
+  along numpy's pairwise split.  Every coeff row's transitions changed;
+  of the 80 rows of coeff-cauchy, coeff-exp, coeff-normal and coeff-t2,
+  4 kept their bytes, B2 and A22 rows whose accept count came out the same.
 * The five sde-* CLI digests, with the Euler ensembles' one-stream
   contract: an ensemble draws its increments step-major from
   stream_rng(seed) instead of one stream per path, so every sde row
@@ -97,15 +105,15 @@ _DUMPS = {
 
 CLI_DIGESTS = {
     "coeff-cauchy":
-        "0ca281d73a9b36e7b9977b89a47782aa9246da5fb9b7dfdd6d3d76016c28c129",
+        "e9205621c8aae70631e5eb1a7271b13df5b781ea36e666e1a86148175538f66f",
     "coeff-cauchy-batches":
-        "5f76a2dadb4659c8e96dcc31cdb4b27364e472484de9d439880e08d0614a5733",
+        "e07c20adf7e2d8d67ad3dbe54e2f3e370a4fc7719079904aa20caa541bbdabfd",
     "coeff-exp":
-        "6040549244a49c99bc05808df3071e9fcfe00d1f8bc6f88591070fbcf9e10d1b",
+        "5968f8a3104197d94ea5f006928a683f6225969c895d71355d4caec4fcd0ba80",
     "coeff-normal":
-        "4fbac0026fdf6c23bd2991bc846c9ec8518aabe46ae6597ad562387242d20154",
+        "25d8b537814108fefdaf7e267c388eee2fa5e88cf318eeb4a60f4da5d190a352",
     "coeff-t2":
-        "43b7902920b907dc01e65e1da6eceaaf43a9def4546e4fc6f56bd73186bd156a",
+        "2fc0e026e4f0e49c1cd8930f17f78009e86cdfce8be1f7c1b116ffbc09aa027b",
     "discrete-cauchy":
         "440cf5fb18797b7be9e96943616f9af18f79c5f1acb8125481fda3ccd484447b",
     "discrete-exp":
