@@ -609,6 +609,82 @@ def test_a_call_steps_exactly_its_longest_count(draws_of):
     assert max(widths) <= SMALL_SLICE
 
 
+def test_a_full_batch_is_32_even_pieces(monkeypatch):
+    # a batch is stepped and summed one slice at a time in the thread's
+    # slice-sized buffers: a full batch is 32 slices of _SLICE
+    widths = stepped_widths(monkeypatch)
+    simulate_moments(POINT, 10_000, _BATCH, 107, ("B1",))
+    assert widths == [_SLICE] * 32
+
+
+def awkward_values(rng, m):
+    """Mixed signs, magnitudes from 1e-75 to 1e75 (so that fourth powers
+    stay finite), and signed zeros."""
+    values = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-75.0, 75.0, m)
+    zeros = rng.random(m) < 0.05
+    values[zeros] = np.copysign(0.0, values[zeros])
+    return values
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+class FedStreams:
+    """A batch's two streams whose normals are values, in order, and whose
+    uniforms are all 0.5."""
+
+    def __init__(self, values):
+        self.values, self.taken = values, 0
+
+    def standard_normal(self, out):
+        out[...] = self.values[self.taken:self.taken + len(out)]
+        self.taken += len(out)
+        return out
+
+    def random(self, out):
+        out.fill(0.5)
+        return out
+
+
+class Summed(Exception):
+    """Raised by _kind_sums in place of scoring, with its count and stats."""
+
+
+# Lengths at and around slice ends, and up to a full batch.
+SPLIT_LENGTHS = ([1, 7, 8, 129, _SLICE, _SLICE + 1, 3 * _SLICE + 5, 330_016, 475_712, _BATCH]
+                 + np.random.default_rng(67).integers(1, _BATCH + 1, 50).tolist())
+
+
+@pytest.mark.parametrize("m", SPLIT_LENGTHS)
+def test_piece_sums_fold_to_numpys_sum_bit_for_bit(monkeypatch, m):
+    # simulate_moments sums a batch's e = eps xi, e^2 and e^4 one slice at
+    # a time in its slice-sized buffers and adds the slice sums in order:
+    # the statistics of m fed normals, all accepted, are the in-order total
+    # of ndarray.sum() of each slice of the whole arrays, and of a one-slice
+    # batch numpy's sum of the whole array
+    e = awkward_values(np.random.default_rng(m), m)
+    monkeypatch.setattr(amcmc_lab.coeffs, "_MIN_DRAWS", 1)
+    monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams",
+                        lambda seed, batch: (FedStreams(e),) * 2)
+    monkeypatch.setattr(amcmc_lab.coeffs, "metropolis_step",
+                        lambda x, lp_x, scale, eps, log_u, target, out: out[3].fill(True))
+
+    def summed(kind, n, scale, d0, d1, count, stats):
+        raise Summed(count, stats)
+
+    monkeypatch.setattr(amcmc_lab.coeffs, "_kind_sums", summed)
+    with pytest.raises(Summed) as caught:
+        simulate_moments(POINT, 10_000, m, 0, ("B1",))
+    count, stats = caught.value.args
+    e2 = e * e
+    powers = e, e2, e2 * e2
+    assert count == m
+    assert float_bits(stats) == float_bits([m, *map(slice_sums, powers)])
+    if m <= _SLICE:
+        assert float_bits(stats[1:]) == float_bits(0.0 + power.sum() for power in powers)
+
+
 def test_each_unit_goes_to_one_thread_under_fast_switching(monkeypatch):
     # two counts at 2^4 draws a batch: both kinds read batches 0-1999 in
     # full, B1 reads the first 7 transitions of batch 2000 and B2 all of
