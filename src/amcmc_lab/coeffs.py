@@ -28,25 +28,25 @@ four statistics of them (coefficient scoring v2): K = sum xi, S1 = sum
 eps xi, S2 = sum (eps xi)^2 and S4 = sum (eps xi)^4.  _kind_sums holds
 those formulas, and fixes their float order.
 
-Each kind has its own number of draws (n_draws, or its entry in
-draws_of), and reads a prefix of one sequence of transitions
-(coefficient contract v3): batch b of _BATCH transitions reads its
-normals from stream_rng(seed, b, 0) and its uniforms from
-stream_rng(seed, b, 1), the pair chains.chain_streams gives a chain, and
-transition i of a batch reads normal i and uniform i.  A fill of a
-stream in pieces gives the bits of one whole fill, so a kind with c
-draws reads the first c transitions whatever the other kinds read.  A
-call steps each batch once, up to the end of its longest reader, one
-slice of at most _SLICE transitions at a time.  A kind's statistics over
-a slice are count_nonzero and ndarray.sum of the slice cut at the kind's
-count, added in slice order within a batch, and a batch's are added in
-batch order, so a kind's row has the same bits alone or with others.  A
-slice that none of B1, A11 and A12 reads counts its accepts and sums
-nothing.  The calling thread and a seeding.Helper thread take a call's
-batches one at a time until none is left; each holds one set of
-slice-sized buffers, so a call's draw memory is two slices whatever its
-number of draws, and a batch's statistics are folded into the kinds'
-totals as soon as every earlier batch's are.
+Every kind takes n_draws draws, except B2 on the cauchy target, whose
+heavy tail takes CAUCHY_B2_DRAW_FACTOR times as many.  Each reads a prefix
+of one sequence of transitions (coefficient contract v3): batch b of
+_BATCH transitions reads its normals from stream_rng(seed, b, 0) and its
+uniforms from stream_rng(seed, b, 1), the pair chains.chain_streams gives
+a chain, and transition i of a batch reads normal i and uniform i.  A
+fill of a stream in pieces gives the bits of one whole fill, so a kind
+with c draws reads the first c transitions whatever the other kinds read.
+A call steps each batch once, one slice of at most _SLICE transitions at
+a time, and sums two prefixes: K over every stepped transition, all that
+cauchy B2 reads, and K, S1, S2 and S4 over the first n_draws, what every
+other kind reads.  K is a whole number, so its sum is exact in any order;
+the S sums are ndarray.sum of each slice cut at n_draws, added in slice
+order within a batch and in batch order over batches.  A call that none
+of B1, A11 and A12 reads sums no S.  The calling thread and a
+seeding.Helper thread take a call's batches one at a time until none is
+left; each holds one set of slice-sized buffers, so a call's draw memory
+is two slices whatever its number of draws, and a batch's statistics are
+folded into the call's totals as soon as every earlier batch's are.
 """
 
 import math
@@ -66,6 +66,7 @@ COEFF_KINDS = ("B1", "B2", "A11", "A22", "A12")
 _BATCH = 1 << 19
 _SLICE = 1 << 14  # most transitions of a slice: about L2
 _MIN_DRAWS = 1_000
+CAUCHY_B2_DRAW_FACTOR = 4
 
 # The kinds whose values read eps xi; B2 and A22 read the accept flag alone.
 _DX_KINDS = ("B1", "A11", "A12")
@@ -144,44 +145,41 @@ def embedded_benchmark(p: float, n: int) -> float:
 # below.  The helper thread runs under the same errstate.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
-                     kinds=COEFF_KINDS, *, draws_of=None) -> dict:
+                     kinds=COEFF_KINDS) -> dict:
     """Rows of several scaled moments, in kinds order, estimated from
     shared transitions and set against their analytic limits.
 
-    Each kind is estimated from n_draws transitions, or from draws_of[kind]
-    if draws_of names it.  Each transition is one metropolis_step from the
-    fixed state, and a kind with c draws reads the first c transitions of
-    the call (coefficient contract v3: batch b's normals and uniforms come
-    from chain_streams(seed, b)), so each kind's row is identical whether
-    computed alone or together with others, of any lengths.  Each batch is
-    drawn and stepped once, up to the end of its longest reader, one slice
-    of at most _SLICE transitions at a time.  After metropolis_step a slice
-    counts each reader's accepts; if B1, A11 or A12 reads it, it also
-    writes eps xi over eps and its square and fourth power over the
-    proposal buffers, and sums each power up to each reader's end.  Each
-    kind adds up its slice statistics K, S1, S2 and S4 in slice order and
-    its batch statistics in batch order.  The calling thread and a
-    seeding.Helper thread each take the next batch until none is left, so
-    no bit depends on which thread ran a batch.  A batch's statistics are
-    added once every earlier batch's are, so a finished batch waits only
-    for one still running, whatever the number of batches.  _kind_sums
-    turns each kind's statistics into its sum and sum of squares.  An
-    unknown kind, or fewer than _MIN_DRAWS draws for a kind, is refused
-    before any draw.  A row whose estimate, standard error or limit is not
-    finite raises ValueError.
+    Each kind is estimated from n_draws transitions, except B2 on the
+    cauchy target, from CAUCHY_B2_DRAW_FACTOR * n_draws.  Each transition
+    is one metropolis_step from the fixed state, and a kind with c draws
+    reads the first c transitions of the call (coefficient contract v3),
+    so its row is the same alone or with other kinds.  Each batch is
+    stepped once, up to the end of the longest kind, one slice of at most
+    _SLICE transitions at a time.  A slice counts its accepts K; over the
+    first n_draws it counts them again and, if B1, A11 or A12 is asked
+    for, writes eps xi and its square and fourth power over its buffers
+    and sums each.  A batch adds its slice statistics in slice order, and
+    the call its batch statistics in batch order once every earlier
+    batch's are in, so a finished batch waits only for one still running.
+    The calling thread and a seeding.Helper thread each take the next
+    batch until none is left, so no bit depends on which thread ran a
+    batch.  _kind_sums turns each kind's statistics into its sum and sum
+    of squares.  An unknown kind, or fewer than _MIN_DRAWS draws for a
+    kind, is refused before any draw.  A row whose estimate, standard
+    error or limit is not finite raises ValueError.
     """
-    draws_of = draws_of or {}
-    for kind in (*kinds, *draws_of):
+    for kind in kinds:
         if kind not in COEFF_KINDS:
             raise ValueError(f"unknown coefficient kind {kind!r}")
-    draws = [draws_of.get(kind, n_draws) for kind in kinds]
-    for kind, count in [*zip(kinds, draws), *draws_of.items()]:
-        if count < _MIN_DRAWS:
-            name = f"draws_of[{kind!r}]" if kind in draws_of else "n_draws"
-            raise ValueError(f"{name} must be at least {_MIN_DRAWS}")
+    target = point.target
+    b2_draws = n_draws * CAUCHY_B2_DRAW_FACTOR if target.kind == "cauchy" else n_draws
+    draws = [b2_draws if kind == "B2" else n_draws for kind in kinds]
+    if min(draws, default=_MIN_DRAWS) < _MIN_DRAWS:
+        raise ValueError(f"n_draws must be at least {_MIN_DRAWS}" if n_draws in draws else
+                         f"B2 on cauchy takes {CAUCHY_B2_DRAW_FACTOR} x n_draws = {b2_draws} "
+                         f"draws, fewer than {_MIN_DRAWS}")
     p_n = embedded_benchmark(point.p, n)
 
-    target = point.target
     x, theta = point.x, point.theta
     sqrt_n = math.sqrt(n)
     scale = theta / sqrt_n
@@ -190,11 +188,13 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
     d0, d1 = (theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)).tolist()
     longest = max(draws, default=0)
     width = min(_SLICE, longest)  # of the buffers
+    sums_dx = any(kind in _DX_KINDS for kind in kinds)
 
-    # each kind adds its batches' statistics in batch order: not sum(),
-    # whose compensation would change the bits.  A batch done before an
-    # earlier one waits in done until that one is in.
-    totals = np.zeros((len(kinds), 4))
+    # the batches' statistics K (every stepped transition) and K, S1, S2,
+    # S4 (the first n_draws), added in batch order: not sum(), whose
+    # compensation would change the bits.  A batch done before an earlier
+    # one waits in done until that one is in.
+    totals = np.zeros(5)
     done, lock = {}, threading.Lock()
     folded = 0  # the batches folded into totals
 
@@ -203,8 +203,8 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
         with lock:
             done[batch] = batch_stats
             while folded in done:
-                # a kind that does not read a batch adds a row of +0.0, which
-                # moves no bit: totals start at +0.0, so none is ever -0.0
+                # a batch past n_draws adds S sums of +0.0, which move no
+                # bit: totals start at +0.0, so none is ever -0.0
                 totals += done.pop(folded)
                 folded += 1
 
@@ -216,16 +216,10 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
             if eps is None:  # this thread's one buffer set
                 eps, u = np.empty(width), np.empty(width)
                 proposal, accept = np.empty((2, width)), np.empty(width, bool)
-            # the kinds that read the batch's first `end` transitions, by end
-            readers = {}
-            for i, count in enumerate(draws):
-                if count > batch * _BATCH:
-                    readers.setdefault(min(count - batch * _BATCH, _BATCH), []).append(i)
-            # the batch's first dx_end transitions are read by B1, A11 or A12
-            dx_end = max((end for end, group in readers.items()
-                          if any(kinds[i] in _DX_KINDS for i in group)), default=0)
-            batch_stats = np.zeros((len(readers), 4))  # K, S1, S2, S4 of each end
-            stepped = max(readers)
+            start = batch * _BATCH
+            stepped = min(longest - start, _BATCH)
+            short = n_draws - start  # of its transitions, those among the first n_draws
+            batch_stats = np.zeros(5)
             for lo in range(0, stepped, _SLICE):
                 m = min(_SLICE, stepped - lo)
                 step = normals.standard_normal(out=eps[:m])
@@ -233,32 +227,30 @@ def simulate_moments(point: EvalPoint, n: int, n_draws: int, seed: int,
                 (y, lp_y), xi = proposal[:, :m], accept[:m]
                 # y is not read here, so the log ratio goes over it
                 metropolis_step(x, lp_x, scale, step, log_u, target, (y, lp_y, y, xi))
-                # the step has read eps, y and lp_y: a slice that B1, A11 or A12
-                # reads writes e = eps xi, e^2 and e^4 over them.  xi goes to
-                # y as floats first: a bool factor is cast in a 64 KiB buffer
+                batch_stats[0] += np.count_nonzero(xi)
+                if lo >= short:
+                    continue
+                # the step has read eps, y and lp_y: e = eps xi, e^2 and e^4
+                # go over them.  xi goes to y as floats first: a bool factor
+                # is cast in a 64 KiB buffer
                 powers = ()
-                if lo < dx_end:
+                if sums_dx:
                     np.copyto(y, xi)
                     e = np.multiply(step, y, out=step)
                     powers = e, np.square(e, out=y), np.square(y, out=lp_y)
-                sums = {}  # the slice's statistics, by the length read
-                for stats, end in zip(batch_stats, readers):
-                    if end > lo:
-                        cut = min(end - lo, m)
-                        if cut not in sums:
-                            sums[cut] = [np.count_nonzero(xi[:cut]),
-                                         *(power[:cut].sum() for power in powers)]
-                        stats[:len(sums[cut])] += sums[cut]
-            kind_stats = np.zeros((len(kinds), 4))
-            for group, stats in zip(readers.values(), batch_stats):
-                kind_stats[group] = stats
-            fold(batch, kind_stats)
+                cut = min(short - lo, m)
+                batch_stats[1:2 + len(powers)] += [np.count_nonzero(xi[:cut]),
+                                                   *(power[:cut].sum() for power in powers)]
+            fold(batch, batch_stats)
 
     with Helper() as helper:
         helper.share(run, range(-(-longest // _BATCH)))()
 
+    every_k, *first = totals.tolist()
     rows = {}
-    for kind, count, stats in zip(kinds, draws, totals.tolist()):
+    for kind, count in zip(kinds, draws):
+        # B2's count is the longest, so its K is over every stepped transition
+        stats = (every_k, *first[1:]) if kind == "B2" else first
         total, total_sq = _kind_sums(kind, n, scale, d0, d1, count, stats)
         estimate = total / count
         var = (total_sq - total * total / count) / (count - 1)

@@ -28,7 +28,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chains import AdaptiveConfig, run_chains
-from .coeffs import COEFF_KINDS, CoeffRow, EvalPoint, simulate_moments
+# CAUCHY_B2_DRAW_FACTOR is named here for the cli's --draws help
+from .coeffs import CAUCHY_B2_DRAW_FACTOR, COEFF_KINDS, CoeffRow, EvalPoint, simulate_moments
 from .sde import EULER_CHUNK, EulerConfig, run_ensembles
 from .seeding import child_seed
 from .stats import chain_summary, format_pvalue, ks_pvalue, ks_statistic
@@ -104,7 +105,6 @@ COEFF_X_GRIDS = {
     "exp": (0.5, 1.0, 2.0),
 }
 COEFF_N_GRID = (100, 10_000, 1_000_000)
-CAUCHY_B2_DRAW_FACTOR = 4
 
 
 def default_sde_cells(target: str):
@@ -369,14 +369,13 @@ def sde_jobs(spec: ExperimentSpec):
 @dataclass(frozen=True)
 class CoeffCell:
     """One (point, n) cell of a coeff grid: the arguments of its one
-    simulate_moments call."""
+    simulate_moments call, which sets each kind's draws from n_draws."""
 
     point: EvalPoint
     n: int
     n_draws: int
     seed: int
     kinds: tuple
-    draws_of: dict  # the kinds that take other than n_draws draws
 
 
 def coeff_cells(spec: ExperimentSpec):
@@ -397,15 +396,12 @@ def coeff_cells(spec: ExperimentSpec):
     n_grid = tuple(sorted(set(int(n) for n in spec.n_grid))) or COEFF_N_GRID
     p = spec.p_grid[0] if spec.p_grid else 0.5
     kinds = tuple(dict.fromkeys(spec.kinds)) or COEFF_KINDS
-    # the heavy-tailed Cauchy B2 moment gets extra draws
-    draws_of = ({"B2": spec.n_draws * CAUCHY_B2_DRAW_FACTOR}
-                if spec.target == "cauchy" and "B2" in kinds else {})
 
     target = make_target(spec.target)
     # Bad points fail here, a bad n or kind in the first block.
     points = [EvalPoint(x=x, theta=theta, p=p, target=target)
               for x in x_grid for theta in theta_grid]
-    return [CoeffCell(point, n, spec.n_draws, child_seed(spec.seed, idx), kinds, draws_of)
+    return [CoeffCell(point, n, spec.n_draws, child_seed(spec.seed, idx), kinds)
             for idx, (point, n) in enumerate(itertools.product(points, n_grid))]
 
 
@@ -446,10 +442,11 @@ def _sde_block(jobs) -> list:
 
 def _coeff_block(cell: CoeffCell) -> list:
     """Rows of one coeff cell: one simulate_moments call, whose kinds read
-    prefixes of transitions it steps once and whose batches the calling
-    thread shares with one helper thread."""
-    return list(simulate_moments(cell.point, cell.n, cell.n_draws, cell.seed, cell.kinds,
-                                 draws_of=cell.draws_of).values())
+    prefixes of the transitions it steps once, n_draws each or more for
+    cauchy B2, and whose batches the calling thread shares with one helper
+    thread."""
+    return list(simulate_moments(cell.point, cell.n, cell.n_draws, cell.seed,
+                                 cell.kinds).values())
 
 
 def run_experiment(spec: ExperimentSpec):

@@ -24,18 +24,20 @@ from amcmc_lab.coeffs import (
     _BATCH,
     _MIN_DRAWS,
     _SLICE,
+    CAUCHY_B2_DRAW_FACTOR,
     COEFF_KINDS,
     CoeffRow,
     _kind_sums,
     embedded_benchmark,
     simulate_moments,
 )
-from amcmc_lab.experiments import CAUCHY_B2_DRAW_FACTOR
+from amcmc_lab.experiments import CoeffCell
 from amcmc_lab.sde import SQRT_2PI
 from amcmc_lab.seeding import stream_rng
 
 NORMAL = make_target("normal")
 POINT = EvalPoint(x=1.0, theta=1.0, p=0.5, target=NORMAL)
+CAUCHY = EvalPoint(x=2.0, theta=1.0, p=0.5, target=make_target("cauchy"))
 
 
 def test_limit_values():
@@ -189,6 +191,11 @@ def test_public_surface_is_pinned():
     assert [field.name for field in fields(amcmc_lab.RunSummary)] == ["d", "p_value", "esjd"]
     assert not hasattr(amcmc_lab.ExperimentSpec, "effective_x0")
     assert list(inspect.signature(amcmc_lab.emit_csv).parameters) == ["rows", "destination"]
+    # each kind's number of draws follows from n_draws and the target alone
+    assert list(inspect.signature(simulate_moments).parameters) == [
+        "point", "n", "n_draws", "seed", "kinds"]
+    assert [field.name for field in fields(CoeffCell)] == [
+        "point", "n", "n_draws", "seed", "kinds"]
 
 
 def stepped_batches(point, n, longest, seed):
@@ -217,16 +224,23 @@ def slice_sums(values):
     return total
 
 
-def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draws_of=None):
+def draw_counts(point, n_draws, kinds):
+    """Each kind's number of draws: n_draws, and CAUCHY_B2_DRAW_FACTOR
+    times as many for B2 on the cauchy target."""
+    factor = CAUCHY_B2_DRAW_FACTOR if point.target.kind == "cauchy" else 1
+    return {kind: n_draws * factor if kind == "B2" else n_draws for kind in kinds}
+
+
+def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
     """The rows of simulate_moments by its plain estimator: each kind's
     statistics K, S1, S2 and S4 over its prefix of each whole batch, the
     accept count and the slice sums of e = eps xi, e^2 and e^4, added up
-    batch by batch, then its sums by _kind_sums.  Each kind takes n_draws
-    draws, or its entry in draws_of."""
+    batch by batch, then its sums by _kind_sums.  Each kind takes its
+    draw_counts."""
     p_n = embedded_benchmark(point.p, n)
     theta, sqrt_n = point.theta, math.sqrt(n)
     d0, d1 = (theta * np.expm1((np.array([0.0, 1.0]) - p_n) / sqrt_n)).tolist()
-    draws = {kind: (draws_of or {}).get(kind, n_draws) for kind in kinds}
+    draws = draw_counts(point, n_draws, kinds)
     stats = {kind: [0.0, 0.0, 0.0, 0.0] for kind in kinds}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for batch, (eps, xi) in enumerate(stepped_batches(point, n, max(draws.values()),
@@ -248,16 +262,22 @@ def plain_moments(point, n, n_draws, seed, kinds=COEFF_KINDS, draws_of=None):
 
 def per_kind_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
     """The rows of simulate_moments under coefficient scoring v1: whole-batch
-    arrays of each kind's values, each summed and squared and summed, batch
-    by batch, over the transitions of contract v3."""
+    arrays of each kind's values over its prefix of the batch, each summed
+    and squared and summed, batch by batch, over the transitions of
+    contract v3."""
     p_n = embedded_benchmark(point.p, n)
     theta, sqrt_n = point.theta, math.sqrt(n)
+    draws = draw_counts(point, n_draws, kinds)
     sums = {kind: [0, 0.0, 0.0] for kind in kinds}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for eps, xi in stepped_batches(point, n, n_draws, seed):
+        for batch, (eps, xi) in enumerate(stepped_batches(point, n, max(draws.values()),
+                                                          seed)):
             dx = (theta / sqrt_n) * np.where(xi, eps, 0.0)
             dtheta = theta * np.expm1((xi.astype(float) - p_n) / sqrt_n)
-            for kind in kinds:
+            for kind, count in draws.items():
+                end = count - batch * _BATCH
+                if end <= 0:
+                    continue
                 if kind == "B1":
                     values = n * dx
                 elif kind == "B2":
@@ -268,6 +288,7 @@ def per_kind_moments(point, n, n_draws, seed, kinds=COEFF_KINDS):
                     values = n * dtheta * dtheta
                 else:
                     values = n * dx * dtheta
+                values = values[:end]
                 sums[kind][0] += values.size
                 sums[kind][1] += float(values.sum())
                 sums[kind][2] += float(np.square(values).sum())
@@ -492,41 +513,6 @@ def test_simulate_moments_memory_is_flat_in_the_number_of_units(monkeypatch):
     assert traced_peak(500_000) <= peak + (64 << 10)
 
 
-def per_budget_calls(point, n, n_draws, seed, kinds, draws_of):
-    """The rows of one simulate_moments call per draw count, each over the
-    kinds that take that many draws."""
-    budgets = {}
-    for kind in kinds:
-        budgets.setdefault(draws_of.get(kind, n_draws), []).append(kind)
-    rows = {}
-    for count, group in sorted(budgets.items()):
-        rows.update(simulate_moments(point, n, count, seed, tuple(group)))
-    return rows
-
-
-CAUCHY = EvalPoint(x=2.0, theta=1.0, p=0.5, target=make_target("cauchy"))
-
-
-@pytest.mark.parametrize("point, n", [(POINT, 10_000), (CAUCHY, 1_000_000)],
-                         ids=["normal", "cauchy"])
-@pytest.mark.parametrize("n_draws, draws_of", [
-    # B2 longer: batch 0 is a full batch all five kinds share; of batch 1
-    # B2 reads all and the others the first 3 slices and 5 transitions,
-    # and B2 ends in a 7-draw batch 3 of its own
-    pytest.param(_BATCH + 3 * _SLICE + 5, {"B2": 3 * _BATCH + 7}, id="longer"),
-    # A11 and A12 shorter: A11 shares full batch 0 and ends in a partial
-    # batch 1, and A12's one batch is a partial batch 0
-    pytest.param(2 * _BATCH + 100, {"A11": _BATCH + 75_712, "A12": 2_000}, id="shorter"),
-])
-def test_one_call_with_per_kind_counts_matches_the_per_budget_calls(point, n, n_draws,
-                                                                    draws_of):
-    expected = bits(per_budget_calls(point, n, n_draws, 67, COEFF_KINDS, draws_of))
-    got = simulate_moments(point, n, n_draws, 67, draws_of=draws_of)
-    assert list(got) == list(COEFF_KINDS)
-    assert bits(got) == expected
-    assert expected == bits(plain_moments(point, n, n_draws, 67, draws_of=draws_of))
-
-
 # Batches of four slices of 2^6 transitions, so that a few thousand draws
 # cross many slice and batch ends.
 SMALL_SLICE, SMALL_BATCH = 1 << 6, 1 << 8
@@ -548,15 +534,15 @@ EDGE_COUNTS = st.builds(lambda slices, offset: slices * SMALL_SLICE + offset,
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(counts=st.lists(EDGE_COUNTS, min_size=len(COEFF_KINDS), max_size=len(COEFF_KINDS)))
-def test_one_call_with_per_kind_counts_matches_the_alone_calls_at_the_edges(counts):
-    # each kind reads a prefix of the call's transitions, so its row is its
-    # row alone, bit for bit, wherever the other kinds end
-    draws_of = dict(zip(COEFF_KINDS, counts))
+@given(n_draws=EDGE_COUNTS)
+def test_one_call_with_per_kind_counts_matches_the_alone_calls_at_the_edges(n_draws):
+    # on cauchy the four kinds end at n_draws and B2 at four times as many,
+    # each kind reading a prefix of the call's transitions, so its row is
+    # its row alone, bit for bit, wherever n_draws ends a slice or a batch
     with small_batches():
-        got = simulate_moments(CAUCHY, 10_000, _MIN_DRAWS, 89, draws_of=draws_of)
-        for kind, count in draws_of.items():
-            alone = simulate_moments(CAUCHY, 10_000, count, 89, (kind,))
+        got = simulate_moments(CAUCHY, 10_000, n_draws, 89)
+        for kind in COEFF_KINDS:
+            alone = simulate_moments(CAUCHY, 10_000, n_draws, 89, (kind,))
             assert bits({kind: got[kind]}) == bits(alone)
 
 
@@ -592,20 +578,21 @@ def test_a_cauchy_cell_steps_each_transition_once(monkeypatch):
     # A12 read the first 10^6 of B2's 4 * 10^6 transitions, so the call
     # steps 4 * 10^6 (contract v2 stepped 4 475 712: batch 1 twice)
     widths = stepped_widths(monkeypatch)
-    simulate_moments(CAUCHY, 10_000, 1_000_000, 97,
-                     draws_of={"B2": CAUCHY_B2_DRAW_FACTOR * 1_000_000})
+    simulate_moments(CAUCHY, 10_000, 1_000_000, 97)
     assert sum(widths) == 4_000_000
     assert max(widths) == _SLICE
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(draws_of=st.dictionaries(st.sampled_from(COEFF_KINDS), st.integers(_MIN_DRAWS, 6_000),
-                                min_size=1))
-def test_a_call_steps_exactly_its_longest_count(draws_of):
+@given(point=st.sampled_from((POINT, CAUCHY)), n_draws=st.integers(_MIN_DRAWS, 6_000),
+       kinds=st.lists(st.sampled_from(COEFF_KINDS), min_size=1, unique=True))
+def test_a_call_steps_exactly_its_longest_count(point, n_draws, kinds):
     with small_batches() as patch:
         widths = stepped_widths(patch)
-        simulate_moments(POINT, 10_000, _MIN_DRAWS, 101, tuple(draws_of), draws_of=draws_of)
-    assert sum(widths) == max(draws_of.values())
+        simulate_moments(point, 10_000, n_draws, 101, tuple(kinds))
+    # n_draws, or four times as many when B2 on cauchy is asked for
+    factor = CAUCHY_B2_DRAW_FACTOR if point is CAUCHY and "B2" in kinds else 1
+    assert sum(widths) == factor * n_draws
     assert max(widths) <= SMALL_SLICE
 
 
@@ -686,11 +673,11 @@ def test_piece_sums_fold_to_numpys_sum_bit_for_bit(monkeypatch, m):
 
 
 def test_each_unit_goes_to_one_thread_under_fast_switching(monkeypatch):
-    # two counts at 2^4 draws a batch: both kinds read batches 0-1999 in
-    # full, B1 reads the first 7 transitions of batch 2000 and B2 all of
-    # it, and B2 goes on alone to a 5-draw batch 3000; each batch is a unit,
+    # at 2^4 draws a batch on cauchy, B1's 12 007 draws read batches 0-749
+    # and the first 7 transitions of batch 750, and B2's 48 028 read
+    # batches 0-3000 and a 12-draw batch 3001; each batch is a unit,
     # stepped once for both kinds, and under a thread switch every
-    # microsecond each is still taken once (contract v2 took batch 2000
+    # microsecond each is still taken once (contract v2 took batch 750
     # twice, as a 7-draw unit and a full one)
     monkeypatch.setattr(amcmc_lab.coeffs, "_BATCH", 1 << 4)
     taken = []
@@ -699,18 +686,17 @@ def test_each_unit_goes_to_one_thread_under_fast_switching(monkeypatch):
         taken.append(batch)
         return chain_streams(seed, batch)
 
-    args = (POINT, 10_000, (2000 << 4) + 7, 83, ("B1", "B2"))
-    draws_of = {"B2": (3000 << 4) + 5}
-    expected = bits(per_budget_calls(*args, draws_of))
+    args = (CAUCHY, 10_000, (750 << 4) + 7, 83)
+    expected = bits({**simulate_moments(*args, ("B1",)), **simulate_moments(*args, ("B2",))})
     monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", recording_stream)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = bits(simulate_moments(*args, draws_of=draws_of))
+        got = bits(simulate_moments(*args, ("B1", "B2")))
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
-    assert sorted(taken) == list(range(3001))
+    assert sorted(taken) == list(range(3002))
 
 
 class Opened(Exception):
@@ -729,30 +715,22 @@ def test_the_units_are_made_as_they_are_taken(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(Opened):
-            simulate_moments(POINT, 10_000, 2_000, 71, ("B1", "B2"), draws_of={"B2": 10**12})
+            simulate_moments(POINT, 10_000, 10**12, 71, ("B1", "B2"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("kinds, draws_of, message", [
-    (("B1",), {"B3": 2_000}, "unknown coefficient kind 'B3'"),
-    (("B1", "B2"), {"B2": 999}, r"draws_of\['B2'\] must be at least 1000"),
-    # a count is refused even for a kind the call does not estimate
-    (("B1",), {"A22": 10}, r"draws_of\['A22'\] must be at least 1000"),
-    (("B1", "B2"), {"B2": 4_000}, "n_draws must be at least 1000"),
+@pytest.mark.parametrize("point, kinds, n_draws, message", [
+    pytest.param(POINT, ("B1", "B3"), 2_000, "unknown coefficient kind 'B3'", id="unknown-kind"),
+    # B2's 3996 draws on cauchy do not save B1's 999
+    pytest.param(CAUCHY, ("B1", "B2"), 999, "n_draws must be at least 1000", id="n_draws"),
+    pytest.param(CAUCHY, ("B2",), 200,
+                 "B2 on cauchy takes 4 x n_draws = 800 draws, fewer than 1000", id="cauchy-B2"),
 ])
-def test_a_bad_draw_count_is_refused_before_any_stream(monkeypatch, kinds, draws_of,
+def test_a_bad_draw_count_is_refused_before_any_stream(monkeypatch, point, kinds, n_draws,
                                                        message):
     monkeypatch.setattr(amcmc_lab.coeffs, "chain_streams", refuse_streams)
-    n_draws = 999 if message.startswith("n_draws") else 2_000
     with pytest.raises(ValueError, match=message):
-        simulate_moments(POINT, 10_000, n_draws, 73, kinds, draws_of=draws_of)
-
-
-def test_a_kind_with_its_own_count_needs_no_valid_n_draws():
-    # B2 alone at 4000 draws does not read n_draws, as a cauchy grid of
-    # --kind B2 --draws 999 asks
-    rows = simulate_moments(POINT, 10_000, 999, 79, ("B2",), draws_of={"B2": 4_000})
-    assert bits(rows) == bits(simulate_moments(POINT, 10_000, 4_000, 79, ("B2",)))
+        simulate_moments(point, 10_000, n_draws, 73, kinds)

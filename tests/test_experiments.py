@@ -21,7 +21,7 @@ from amcmc_lab import (
     run_experiment,
 )
 from amcmc_lab import cli, coeffs, experiments
-from amcmc_lab.chains import chain_streams
+from amcmc_lab.chains import chain_streams, metropolis_step
 from amcmc_lab.cli import main
 from amcmc_lab.coeffs import COEFF_KINDS
 from amcmc_lab.experiments import DISCRETE_P_GRIDS, DISCRETE_THETA0_GRID, default_sde_cells
@@ -553,6 +553,25 @@ def test_cli_coeff_summary(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "estimate" in out and "B1" in out
+
+
+def test_cli_cauchy_b2_counts_its_own_draws(monkeypatch, capsys):
+    # B2 on cauchy takes four times --draws: 800 draws are refused in
+    # terms of n_draws, and at --draws 999 its 3996 draws run
+    argv = ["coeff", "--target", "cauchy", "--kind", "B2", "--x", "2.0", "--theta0", "1.0",
+            "--n", "10000"]
+    assert main([*argv, "--draws", "200"]) == 1
+    assert capsys.readouterr().err == ("error: B2 on cauchy takes 4 x n_draws = 800 draws, "
+                                       "fewer than 1000\n")
+    widths = []
+
+    def counted(x, lp_x, scale, eps, *args):
+        widths.append(len(eps))
+        return metropolis_step(x, lp_x, scale, eps, *args)
+
+    monkeypatch.setattr(coeffs, "metropolis_step", counted)
+    assert main([*argv, "--draws", "999"]) == 0
+    assert sum(widths) == 3996
 
 
 def fresh_python(code, *argv):
